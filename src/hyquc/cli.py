@@ -277,12 +277,10 @@ def cmd_predict(model_path: str, input_path: str, out_path: str = None,
     models = _load_models(model_path)
     any_pipe = next(iter(models.values()))[1]
     rt_col = any_pipe.row_type_column
-    with open(input_path, newline="") as fh:
-        header = fh.readline()
-    has_rt = rt_col is not None and rt_col in [c.strip() for c in header.split(",")]
-    data = pl.load_csv(input_path, None, rt_col if has_rt else None)
+    data = pl.load_csv(input_path, None)
     if not data.rows:
         raise SchemaError(f"{input_path}: no data rows")
+    has_rt = rt_col is not None and rt_col in data.column_names
     code_map = (pl.load_row_type_map(row_type_map_path)
                 if row_type_map_path else None)
 
@@ -316,11 +314,11 @@ def cmd_predict(model_path: str, input_path: str, out_path: str = None,
             continue
         model, pipe = models[rt]
         sub = _subset(data, idxs)
-        Z = pipe.transform_features(sub)
-        for j, i in enumerate(idxs):
-            cls, probs = hybrid.predict(model, Z[j])
+        probs = hybrid.forward_probs(model, pipe.transform_features(sub))
+        # argmax ties go to the lowest class index
+        for i, row_probs, cls in zip(idxs, probs, np.argmax(probs, axis=1)):
             prob_text = ";".join(
-                f"{name}={float(p)!r}" for name, p in zip(pipe.class_names, probs)
+                f"{name}={float(p)!r}" for name, p in zip(pipe.class_names, row_probs)
             )
             results[i] = (rt, "ok", pipe.class_names[cls], prob_text)
 

@@ -104,8 +104,7 @@ def hybrid_forward(model: HybridModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.spec.n_qubits,):
         raise ShapeError(f"expected {model.spec.n_qubits} features, got {x.shape}")
-    q_out = qsim.quantum_layer_forward(x, model.qweights, model.spec)
-    return _head_forward(model, q_out[None, :])[-1][0]
+    return forward_probs(model, x[None, :])[0]
 
 
 def forward_probs(model: HybridModel, X) -> np.ndarray:
@@ -126,8 +125,9 @@ def _batch_loss(probs: np.ndarray, y: np.ndarray) -> float:
 def loss_and_grads(model: HybridModel, batch):
     """Mean cross-entropy over a batch and gradients for every parameter.
 
-    Head gradients come from backpropagation; quantum-angle gradients chain the
-    head's input gradient through the parameter-shift jacobian.
+    Head gradients come from backpropagation; quantum-angle gradients are the
+    head's input gradient pulled back through the circuit by the adjoint
+    vector-Jacobian product.
     """
     loss, grads, _ = _loss_grads_probs(model, batch)
     return loss, grads
@@ -143,7 +143,7 @@ def _loss_grads_probs(model: HybridModel, batch):
         raise ShapeError("batch shapes inconsistent with the model")
     m = len(X)
 
-    q_out = qsim.forward_batch(X, model.qweights, model.spec)
+    states, q_out = qsim.forward_states(X, model.qweights, model.spec)
     acts = _head_forward(model, q_out)
     probs = acts[-1]
     loss = _batch_loss(probs, y)
@@ -158,8 +158,7 @@ def _loss_grads_probs(model: HybridModel, batch):
         gw, gb, upstream = nn.dense_backward(model.head.layers[i], acts[i], upstream)
         head_grads[i] = (gw, gb)
 
-    jac = qgrad.jacobian_batch(X, model.qweights, model.spec)
-    qw_grad = np.einsum("mo,molwa->lwa", upstream, jac)
+    qw_grad = qgrad.adjoint_vjp(states, upstream, model.qweights, model.spec)
     return loss, ModelGrads(qw_grad, head_grads), probs
 
 

@@ -39,6 +39,15 @@ def _as_float(cell):
         return None
 
 
+def _non_finite(name: str, cells):
+    """SchemaError for the first numeric cell of a column that parses to
+    inf or nan (spellings such as ``inf``, ``nan`` or ``1e400``)."""
+    for i, cell in enumerate(cells):
+        v = None if _is_missing(cell) else _as_float(cell)
+        if v is not None and not np.isfinite(v):
+            return SchemaError(f"column {name!r}, row {i}: non-finite number {cell!r}")
+
+
 def _as_days(cell, fmt):
     try:
         dt = datetime.strptime(str(cell).strip(), fmt)
@@ -191,7 +200,9 @@ class ColumnSpec:
 @dataclass
 class ColumnEncoder:
     """Median imputation for numeric/date columns, one-hot with an explicit
-    missing category for categoricals."""
+    missing category for categoricals.  A numeric cell that parses to inf or
+    nan makes ``fit`` and ``transform`` raise SchemaError naming the column
+    and the row (counted from 0 within the table given)."""
 
     date_format: str = None
     columns: list = field(default_factory=list)
@@ -209,6 +220,8 @@ class ColumnEncoder:
                 continue
             floats = [_as_float(c) for c in present]
             if all(v is not None for v in floats):
+                if not np.all(np.isfinite(floats)):
+                    raise _non_finite(name, cells)
                 self.columns.append(ColumnSpec(name, "numeric",
                                                median=float(np.median(floats))))
                 continue
@@ -249,6 +262,8 @@ class ColumnEncoder:
                         v = (_as_float(cell) if spec.kind == "numeric"
                              else _as_days(cell, self.date_format))
                     col[i] = spec.median if v is None else v
+                if not np.all(np.isfinite(col)):
+                    raise _non_finite(spec.name, cells)
                 blocks.append(col[:, None])
             else:
                 width = len(spec.categories) + 1

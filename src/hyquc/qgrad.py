@@ -1,8 +1,11 @@
-"""Gradients of the quantum layer via the parameter-shift rule.
+"""Gradients of the quantum layer.
 
-Every trainable angle feeds a rotation gate whose generator has eigenvalues
-+-1/2, so the two-point rule with shifts of +-pi/2 is exact for this gate set.
-A central finite-difference oracle is provided for cross-checking.
+Training uses :func:`adjoint_vjp`, the exact vector-Jacobian product from one
+forward pass and one reverse sweep (adjoint differentiation).  The
+parameter-shift rule is kept as the reference it is tested against: every
+trainable angle feeds a rotation gate whose generator has eigenvalues +-1/2,
+so the two-point rule with shifts of +-pi/2 is exact for this gate set.  A
+central finite-difference oracle is provided for cross-checking both.
 """
 from __future__ import annotations
 
@@ -11,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qsim
+from .errors import ShapeError
 from .qsim import CircuitSpec
 
 SHIFT = np.pi / 2.0
@@ -38,24 +42,24 @@ def _check_output_wire(wire: int, spec: CircuitSpec) -> None:
         raise IndexError(f"output wire {wire} out of range")
 
 
-def _shifted_pair(weights: np.ndarray, p: ParameterIndex, delta: float) -> np.ndarray:
-    """Stack of the two weight tensors with the addressed angle shifted +-delta."""
-    pair = np.stack([weights, weights])
-    pair[0, p.layer, p.wire, p.axis] += delta
-    pair[1, p.layer, p.wire, p.axis] -= delta
-    return pair
+def _shifted_difference(features, weights, spec: CircuitSpec, p: ParameterIndex,
+                        output_wire: int, delta: float) -> float:
+    """f(theta + delta) - f(theta - delta) for the addressed angle."""
+    weights = np.asarray(weights, dtype=np.float64)
+    p.check(spec)
+    _check_output_wire(output_wire, spec)
+    features = np.asarray(features, dtype=np.float64)[None, :]
+    plus, minus = weights.copy(), weights.copy()
+    plus[p.layer, p.wire, p.axis] += delta
+    minus[p.layer, p.wire, p.axis] -= delta
+    f_plus = qsim.forward_batch(features, plus, spec)[0, output_wire]
+    return f_plus - qsim.forward_batch(features, minus, spec)[0, output_wire]
 
 
 def param_shift_grad(features, weights, spec: CircuitSpec, p: ParameterIndex,
                      output_wire: int) -> float:
     """d<Z_output_wire>/d(theta_p) = [f(theta+pi/2) - f(theta-pi/2)] / 2."""
-    weights = np.asarray(weights, dtype=np.float64)
-    p.check(spec)
-    _check_output_wire(output_wire, spec)
-    features = np.asarray(features, dtype=np.float64)
-    pair = _shifted_pair(weights, p, SHIFT)
-    f = qsim.forward_batch(np.broadcast_to(features, (2, spec.n_qubits)), pair, spec)
-    return float((f[0, output_wire] - f[1, output_wire]) / 2.0)
+    return float(_shifted_difference(features, weights, spec, p, output_wire, SHIFT) / 2.0)
 
 
 def quantum_jacobian(features, weights, spec: CircuitSpec) -> np.ndarray:
@@ -69,35 +73,68 @@ def quantum_jacobian(features, weights, spec: CircuitSpec) -> np.ndarray:
 
 
 def jacobian_batch(features: np.ndarray, weights, spec: CircuitSpec) -> np.ndarray:
-    """Per-sample jacobians for a (B, n_qubits) feature batch.
+    """Per-sample shift-rule jacobians for a (B, n_qubits) feature batch.
 
-    Returns (B, n_qubits, n_layers, n_qubits, 3).  All shifted circuits are
-    evaluated as one batched forward pass.
+    Returns (B, n_qubits, n_layers, n_qubits, 3).  Each angle costs two
+    batched forward passes; this is the reference that :func:`adjoint_vjp`
+    is tested against, not the training path.
     """
     features = np.asarray(features, dtype=np.float64)
-    weights = qsim._check_weights(np.asarray(weights, dtype=np.float64), spec)
-    m = features.shape[0]
+    weights = qsim._check_weights(weights, spec)
     n, layers = spec.n_qubits, spec.n_layers
-    n_params = layers * n * 3
+    grads = np.empty((len(features), n, weights.size))
+    for i in range(weights.size):
+        plus, minus = weights.copy(), weights.copy()
+        plus.flat[i] += SHIFT
+        minus.flat[i] -= SHIFT
+        grads[:, :, i] = (qsim.forward_batch(features, plus, spec)
+                          - qsim.forward_batch(features, minus, spec)) / 2.0
+    return grads.reshape(len(features), n, layers, n, 3)
 
-    variants = np.broadcast_to(weights, (2 * n_params,) + spec.weight_shape).copy()
-    flat = variants.reshape(2 * n_params, n_params)
-    idx = np.arange(n_params)
-    flat[2 * idx, idx] += SHIFT
-    flat[2 * idx + 1, idx] -= SHIFT
 
-    # each sample's embedding is shared by all of its shifted circuits
-    embedded = qsim._embed_kernel(features, spec)
-    states = np.repeat(embedded, 2 * n_params, axis=0)
-    w_all = np.tile(variants, (m, 1, 1, 1))
-    states = qsim._entangle_kernel(states, w_all, spec)
-    probs = states.real * states.real + states.imag * states.imag
-    f = np.empty((states.shape[0], n))
-    for w in range(n):
-        f[:, w] = probs @ qsim._z_signs(n, w)
-    f = f.reshape(m, n_params, 2, n)
-    grads = (f[:, :, 0, :] - f[:, :, 1, :]) / 2.0  # (m, n_params, n_out)
-    return np.transpose(grads, (0, 2, 1)).reshape(m, n, layers, n, 3)
+def adjoint_vjp(states: np.ndarray, upstream: np.ndarray, weights,
+                spec: CircuitSpec) -> np.ndarray:
+    """Exact ``sum_b sum_o upstream[b, o] d<Z_o>_b / d weights``, shape
+    (n_layers, n_qubits, 3), by adjoint differentiation.
+
+    ``states`` are the (B, 2**n) final states that :func:`qsim.forward_states`
+    returned for ``weights``.  The observable ``sum_o u_o Z_o`` is diagonal,
+    so the adjoint state starts as ``psi * (upstream @ signs.T)``; the sweep
+    then undoes every gate on psi and lambda together.  After each fused
+    ``Rot = RZ(a) RY(b) RZ(g)`` the cross term ``C_ij = sum conj(lambda_i)
+    psi_j`` over the batch and the other wires gives each angle's gradient as
+    ``Im sum(G * C)``, with generators ``G_a = Z``, ``G_b = RZ(a) Y RZ(a)^dag``
+    and ``G_g = Rot Z Rot^dag``.  Peak memory is a few (2B, 2**n) buffers.
+    """
+    weights = qsim._check_weights(weights, spec)
+    n, layers, b = spec.n_qubits, spec.n_layers, states.shape[0]
+    upstream = np.asarray(upstream, dtype=np.float64)
+    if states.shape != (b, 1 << n) or upstream.shape != (b, n):
+        raise ShapeError(
+            f"states (B, {1 << n}) and upstream (B, {n}) expected, got "
+            f"{states.shape} and {upstream.shape}")
+    mats = qsim._rot_mats(weights, spec)
+    ring = qsim._ring_permutation(n, spec.entangler_range)
+    # psi in rows [:b], lambda in rows [b:], so each gate is one kernel call
+    pair = np.concatenate([states, states * (upstream @ qsim._z_sign_matrix(n).T)])
+    cross = np.empty((layers, n, 2, 2), dtype=np.complex128)
+    for layer in range(layers - 1, -1, -1):
+        if ring is not None:
+            pair = pair[:, ring[1]]
+        for w in range(n - 1, -1, -1):
+            # (psi | lambda, wire-w bit, everything else)
+            halves = np.swapaxes(pair.reshape(2, b << w, 2, -1), 1, 2).reshape(2, 2, -1)
+            cross[layer, w] = halves[1].conj() @ halves[0].T
+            if layer or w:
+                pair = qsim._apply_1q_kernel(pair, n, w, mats[layer, w].conj().T)
+
+    half_a = np.exp(-0.5j * weights[..., 0])  # RZ(a) = diag(half_a, conj(half_a))
+    gen = np.zeros((3, layers, n, 2, 2), dtype=np.complex128)
+    gen[0, ..., 0, 0], gen[0, ..., 1, 1] = 1.0, -1.0
+    gen[1, ..., 0, 1] = -1j * half_a * half_a
+    gen[1, ..., 1, 0] = 1j * np.conj(half_a * half_a)
+    gen[2] = mats @ gen[0] @ np.conj(np.swapaxes(mats, -1, -2))
+    return np.moveaxis(np.einsum("klwij,lwij->klw", gen, cross).imag, 0, -1)
 
 
 def finite_diff_oracle(features, weights, spec: CircuitSpec, p: ParameterIndex,
@@ -105,10 +142,4 @@ def finite_diff_oracle(features, weights, spec: CircuitSpec, p: ParameterIndex,
     """Central difference [f(theta+h) - f(theta-h)] / 2h, the test oracle."""
     if not 0.0 < h <= 1e-2:
         raise ValueError("h must be in (0, 1e-2]")
-    weights = np.asarray(weights, dtype=np.float64)
-    p.check(spec)
-    _check_output_wire(output_wire, spec)
-    features = np.asarray(features, dtype=np.float64)
-    pair = _shifted_pair(weights, p, h)
-    f = qsim.forward_batch(np.broadcast_to(features, (2, spec.n_qubits)), pair, spec)
-    return float((f[0, output_wire] - f[1, output_wire]) / (2.0 * h))
+    return float(_shifted_difference(features, weights, spec, p, output_wire, h) / (2.0 * h))

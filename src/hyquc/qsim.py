@@ -6,7 +6,8 @@ never mutated afterwards.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from math import cos, sin
 
 import numpy as np
@@ -161,9 +162,44 @@ def _apply_cnot_kernel(states: np.ndarray, n: int, control: int, target: int) ->
     return states[:, _cnot_permutation(n, control, target)]
 
 
+# the caches below are keyed by register width (and ring offset), which
+# MAX_QUBITS bounds, so they stay small
+@lru_cache(maxsize=None)
+def _ring_permutation(n: int, entangler_range: int):
+    """One layer's CNOT ring (w -> w + entangler_range mod n for each wire in
+    turn) composed into a single gather index, with its inverse:
+    ``states[:, perm]`` applies the ring and ``states[:, inv]`` undoes it.
+    ``None`` for a one-wire register, which has no ring.  The arrays are
+    shared by every caller, so they are read-only."""
+    if n == 1:
+        return None
+    # a full ring on two wires would pair each CNOT with its reverse; a
+    # single CNOT per layer is the conventional two-wire ring
+    pairs = [(0, 1)] if n == 2 else [(w, (w + entangler_range) % n) for w in range(n)]
+    perm = np.arange(1 << n)
+    for control, target in pairs:
+        perm = perm[_cnot_permutation(n, control, target)]
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(1 << n)
+    perm.flags.writeable = False
+    inv.flags.writeable = False
+    return perm, inv
+
+
 def _z_signs(n: int, wire: int) -> np.ndarray:
     k = np.arange(1 << n)
     return np.where(k & (1 << (n - 1 - wire)), -1.0, 1.0)
+
+
+@lru_cache(maxsize=None)
+def _z_sign_matrix(n: int) -> np.ndarray:
+    """(2**n, n) eigenvalues of Z on every wire: ``probs @ signs`` reads all
+    wires at once.  Shared by every caller, so read-only."""
+    k = np.arange(1 << n)[:, None]
+    bits = (k >> (n - 1 - np.arange(n))) & 1
+    signs = 1.0 - 2.0 * bits
+    signs.flags.writeable = False
+    return signs
 
 
 def _expval_kernel(states: np.ndarray, n: int, wire: int) -> np.ndarray:
@@ -216,49 +252,45 @@ def _embed_kernel(features: np.ndarray, spec: CircuitSpec) -> np.ndarray:
     return states
 
 
-def _entangle_kernel(states: np.ndarray, weights: np.ndarray, spec: CircuitSpec) -> np.ndarray:
-    """Apply the entangling layers to a (B, 2**n) batch.
+def _rot_mats(weights: np.ndarray, spec: CircuitSpec) -> np.ndarray:
+    """(n_layers, n_qubits, 2, 2) Rot matrices for a shared weight tensor."""
+    return _rot_mats_batch(weights.reshape(-1, 3)).reshape(
+        spec.n_layers, spec.n_qubits, 2, 2)
 
-    ``weights`` is (n_layers, n_qubits, 3) shared across the batch, or
-    (B, n_layers, n_qubits, 3) with one weight set per row.
-    """
+
+def _entangle_kernel(states: np.ndarray, weights: np.ndarray, spec: CircuitSpec) -> np.ndarray:
+    """Apply the entangling layers, weights (n_layers, n_qubits, 3) shared
+    across the batch, to a (B, 2**n) batch."""
     n = spec.n_qubits
-    per_row = weights.ndim == 4
+    mats = _rot_mats(weights, spec)
+    ring = _ring_permutation(n, spec.entangler_range)
     for layer in range(spec.n_layers):
         for w in range(n):
-            if per_row:
-                mats = _rot_mats_batch(weights[:, layer, w, :])
-            else:
-                mats = _rot_mats_batch(weights[layer, w, :][None, :])[0]
-            states = _apply_1q_kernel(states, n, w, mats)
-        if n == 2:
-            # a full ring on two wires would pair each CNOT with its reverse;
-            # a single CNOT per layer is the conventional two-wire ring
-            states = _apply_cnot_kernel(states, n, 0, 1)
-        elif n > 2:
-            for w in range(n):
-                states = _apply_cnot_kernel(states, n, w, (w + spec.entangler_range) % n)
+            states = _apply_1q_kernel(states, n, w, mats[layer, w])
+        if ring is not None:
+            states = states[:, ring[0]]
     return states
+
+
+def forward_states(features: np.ndarray, weights: np.ndarray, spec: CircuitSpec):
+    """Final states (B, 2**n) and expectation values <Z_i> (B, n_qubits) for
+    a (B, n_qubits) feature batch under shared (L, n, 3) weights."""
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[1] != spec.n_qubits:
+        raise ShapeError(f"features must be (B, {spec.n_qubits}), got {features.shape}")
+    weights = _check_weights(weights, spec)
+    states = _entangle_kernel(_embed_kernel(features, spec), weights, spec)
+    probs = states.real * states.real + states.imag * states.imag
+    return states, probs @ _z_sign_matrix(spec.n_qubits)
 
 
 def forward_batch(features: np.ndarray, weights: np.ndarray, spec: CircuitSpec) -> np.ndarray:
     """Expectation values <Z_i> for a batch of circuits.
 
-    ``features`` is (B, n_qubits); ``weights`` is shared (L, n, 3) or per-row
-    (B, L, n, 3).  Returns (B, n_qubits).
+    ``features`` is (B, n_qubits); ``weights`` is shared (L, n, 3).  Returns
+    (B, n_qubits).
     """
-    features = np.asarray(features, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != spec.n_qubits:
-        raise ShapeError(f"features must be (B, {spec.n_qubits}), got {features.shape}")
-    _check_weights(weights[0] if weights.ndim == 4 else weights, spec)
-    states = _embed_kernel(features, spec)
-    states = _entangle_kernel(states, weights, spec)
-    probs = states.real * states.real + states.imag * states.imag
-    out = np.empty((features.shape[0], spec.n_qubits))
-    for w in range(spec.n_qubits):
-        out[:, w] = probs @ _z_signs(spec.n_qubits, w)
-    return out
+    return forward_states(features, weights, spec)[1]
 
 
 def _check_weights(weights: np.ndarray, spec: CircuitSpec) -> np.ndarray:

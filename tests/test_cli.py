@@ -1,15 +1,17 @@
 """Command-line workflows: config parsing, artifact layout, determinism and
 exit codes."""
 import configparser
+import csv
 import json
 import os
 
 import numpy as np
 import pytest
 
-from hyquc import cli, serialize
+from hyquc import cli, hybrid, pipeline as pl, serialize
 from hyquc.config import load_config
 from hyquc.errors import SchemaError
+from hyquc.pipeline import TabularDataset
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -306,6 +308,40 @@ class TestPredict:
         lines = out.read_text().splitlines()
         assert lines[2].split(",")[2] == "no_model"
         assert lines[1].split(",")[2] == "ok"
+
+    def test_probabilities_match_batched_forward(self, trained, tmp_path):
+        p = tmp_path / "in.csv"
+        rows = [("T1", 0.2, 0.2), ("T2", 1.5, 1.5), ("T1", 2.8, 0.4),
+                ("T2", 0.3, 2.9), ("T1", 1.4, 1.6)]
+        self.write_input(p, rows)
+        out = tmp_path / "pred.csv"
+        assert cli.main(["predict", "--model", str(trained),
+                         "--input", str(p), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()[1:]
+        data = pl.load_csv(p, None)
+        for rt in ("T1", "T2"):
+            model, pipe = serialize.load_model(trained / f"model_{rt}.json")
+            idx = [i for i, row in enumerate(rows) if row[0] == rt]
+            sub = TabularDataset(data.column_names, [data.rows[i] for i in idx])
+            want = hybrid.forward_probs(model, pipe.transform_features(sub))
+            for i, w in zip(idx, want):
+                got = [float(kv.split("=")[1])
+                       for kv in lines[i].split(",")[4].split(";")]
+                np.testing.assert_allclose(got, w, rtol=0, atol=1e-12)
+                assert lines[i].split(",")[3] == pipe.class_names[int(np.argmax(w))]
+
+    def test_quoted_header_routes_by_row_type(self, trained, tmp_path):
+        p = tmp_path / "in.csv"
+        with open(p, "w", newline="") as fh:
+            writer = csv.writer(fh, quoting=csv.QUOTE_ALL)
+            writer.writerows([["SEGCD", "F1", "F2"], ["T1", "0.2", "0.2"],
+                              ["T2", "1.5", "1.5"]])
+        out = tmp_path / "pred.csv"
+        rc = cli.main(["predict", "--model", str(trained),
+                       "--input", str(p), "--out", str(out)])
+        assert rc == 0
+        lines = out.read_text().splitlines()[1:]
+        assert [line.split(",")[1:3] for line in lines] == [["T1", "ok"], ["T2", "ok"]]
 
     def test_single_model_file_no_row_type_column(self, trained, tmp_path):
         p = tmp_path / "in.csv"

@@ -202,6 +202,21 @@ class TestImputeAndEncode:
                                          label_column="L"))
         np.testing.assert_array_equal(X, [[0, 0, 1]])
 
+    @pytest.mark.parametrize("cell", ["inf", "nan", "1e400"])
+    def test_non_finite_cell_named_on_fit(self, cell):
+        data = TabularDataset(["V", "L"], [["1", "a"], ["2", "b"], [cell, "a"]],
+                              label_column="L")
+        with pytest.raises(SchemaError, match=r"column 'V', row 2: non-finite"):
+            pl.ColumnEncoder().fit(data)
+
+    @pytest.mark.parametrize("cell", ["inf", "nan", "1e400"])
+    def test_non_finite_cell_named_on_transform(self, cell):
+        enc = pl.ColumnEncoder().fit(
+            TabularDataset(["V", "L"], [["1", "a"], ["2", "b"]], label_column="L"))
+        with pytest.raises(SchemaError, match=r"column 'V', row 1: non-finite"):
+            enc.transform(TabularDataset(["V", "L"], [["3", "a"], [cell, "a"]],
+                                         label_column="L"))
+
     def test_missing_columns_on_transform(self):
         enc = pl.ColumnEncoder().fit(
             TabularDataset(["A", "L"], [["1", "a"]], label_column="L"))

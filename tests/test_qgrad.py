@@ -1,9 +1,12 @@
 """Parameter-shift gradients against analytic values and the finite-difference
-oracle."""
+oracle, and the adjoint training gradient against the shift rule."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hyquc import qgrad, qsim
+from hyquc.errors import ShapeError
 from hyquc.qgrad import ParameterIndex
 from hyquc.qsim import CircuitSpec
 
@@ -157,3 +160,73 @@ class TestFiniteDiffOracle:
             with pytest.raises(ValueError):
                 qgrad.finite_diff_oracle([0.0], np.zeros((1, 1, 3)), spec,
                                          ParameterIndex(0, 0, 1), 0, h=h)
+
+
+class TestAdjointVJP:
+    """The training gradient against the shift-rule reference."""
+
+    @staticmethod
+    def both(rng, spec, batch):
+        feats = rng.uniform(0, np.pi, size=(batch, spec.n_qubits))
+        weights = rng.uniform(0, 2 * np.pi, size=spec.weight_shape)
+        upstream = rng.standard_normal((batch, spec.n_qubits))
+        states, _ = qsim.forward_states(feats, weights, spec)
+        got = qgrad.adjoint_vjp(states, upstream, weights, spec)
+        want = np.einsum("mo,molwa->lwa", upstream,
+                         qgrad.jacobian_batch(feats, weights, spec))
+        return got, want
+
+    @pytest.mark.parametrize("n, layers, axis, entangler_range, batch", [
+        (1, 1, "Y", 1, 1),   # no ring
+        (1, 3, "X", 1, 4),
+        (2, 1, "Z", 1, 1),   # a single CNOT
+        (2, 2, "Y", 1, 5),
+        (3, 2, "X", 2, 3),
+        (4, 2, "Z", 3, 1),
+        (5, 2, "Y", 2, 7),
+        (6, 1, "X", 4, 2),
+    ])
+    def test_matches_shift_rule(self, n, layers, axis, entangler_range, batch):
+        rng = np.random.default_rng(1000 * n + 10 * layers + batch)
+        got, want = self.both(rng, CircuitSpec(n, layers, axis, entangler_range),
+                              batch)
+        assert got.shape == (layers, n, 3)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_random_specs_match_shift_rule(self):
+        rng = np.random.default_rng(2009)
+        for _ in range(20):
+            n = int(rng.integers(1, 6))
+            spec = CircuitSpec(n, int(rng.integers(1, 4)),
+                               str(rng.choice(qsim.AXES)),
+                               int(rng.integers(1, max(n, 2))))
+            got, want = self.both(rng, spec, int(rng.integers(1, 8)))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_memory_is_a_few_state_batches(self):
+        # the shift rule's batched form held 2 * 3 * L * n = 96 state batches
+        # here; the adjoint sweep keeps a few (2B, 2**n) buffers, about 9
+        # state batches in all
+        rng = np.random.default_rng(5)
+        spec = CircuitSpec(8, 2)
+        feats = rng.uniform(0, np.pi, size=(4, 8))
+        weights = rng.uniform(0, 2 * np.pi, size=spec.weight_shape)
+        states, _ = qsim.forward_states(feats, weights, spec)
+        upstream = rng.standard_normal((4, 8))
+        batch_bytes = states.nbytes
+        tracemalloc.start()
+        try:
+            qgrad.adjoint_vjp(states, upstream, weights, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * batch_bytes
+
+    def test_shape_mismatch_rejected(self):
+        spec = CircuitSpec(2, 1)
+        weights = np.zeros(spec.weight_shape)
+        states, _ = qsim.forward_states(np.zeros((3, 2)), weights, spec)
+        with pytest.raises(ShapeError):
+            qgrad.adjoint_vjp(states, np.zeros((2, 2)), weights, spec)
+        with pytest.raises(ShapeError):
+            qgrad.adjoint_vjp(states[:, :2], np.zeros((3, 2)), weights, spec)

@@ -2,6 +2,7 @@
 independent dense-matrix oracle."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyquc import qsim
 from hyquc.errors import QubitCapError, ShapeError
@@ -288,3 +289,46 @@ class TestStateVector:
     def test_non_power_of_two(self):
         with pytest.raises(ShapeError):
             StateVector.from_amplitudes([1.0, 0.0, 0.0])
+
+
+@st.composite
+def ring_shapes(draw):
+    n = draw(st.integers(1, 9))
+    return n, draw(st.integers(1, max(n - 1, 1)))
+
+
+class TestCachedCircuitTables:
+    """The per-spec tables the batched kernels use against the per-gate
+    kernels they replace."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(ring_shapes(), st.integers(0, 2**32 - 1))
+    def test_ring_permutation_equals_cnot_sequence(self, shape, seed):
+        n, r = shape
+        rng = np.random.default_rng(seed)
+        states = rng.standard_normal((3, 1 << n)) + 1j * rng.standard_normal((3, 1 << n))
+        want = states
+        pairs = [] if n == 1 else [(0, 1)] if n == 2 else [(w, (w + r) % n) for w in range(n)]
+        for control, target in pairs:
+            want = qsim._apply_cnot_kernel(want, n, control, target)
+        ring = qsim._ring_permutation(n, r)
+        if ring is None:
+            assert not pairs
+            return
+        perm, inv = ring
+        np.testing.assert_array_equal(states[:, perm], want)
+        np.testing.assert_array_equal(want[:, inv], states)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 12))
+    def test_z_sign_matrix_equals_per_wire_signs(self, n):
+        signs = qsim._z_sign_matrix(n)
+        assert signs.shape == (1 << n, n)
+        for w in range(n):
+            np.testing.assert_array_equal(signs[:, w], qsim._z_signs(n, w))
+
+    def test_tables_are_read_only(self):
+        perm, inv = qsim._ring_permutation(3, 1)
+        for table in (perm, inv, qsim._z_sign_matrix(3)):
+            with pytest.raises(ValueError):
+                table[0] = 0
