@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import configparser
+import difflib
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -47,6 +49,47 @@ class RunConfig:
         return self.row_types.get(row_type, RowTypeOptions())
 
 
+# every key each section may hold; ``[row_type:NAME]`` sections hold ROW_TYPE_KEYS
+SECTION_KEYS = {
+    "data": ("csv", "label_column", "row_type_column", "row_type_map",
+             "missing_threshold", "date_format"),
+    "split": ("train", "val", "test"),
+    "model": ("n_qubits", "n_layers", "embedding_axis", "entangler_range",
+              "pca_components", "hidden", "hidden_activation", "single_layer_head"),
+    "train": ("epochs", "learning_rate", "batch_size", "seed", "smote_k"),
+    "grid": ("n_layers", "n_qubits", "learning_rates", "batch_sizes", "epochs", "folds"),
+    "output": ("dir",),
+}
+ROW_TYPE_KEYS = ("exclude_columns", "merge_classes")
+
+
+def _unknown(kind: str, name: str, valid) -> SchemaError:
+    close = difflib.get_close_matches(name, valid, n=1)
+    hint = f"did you mean {close[0]!r}?" if close else f"valid: {', '.join(valid)}"
+    return SchemaError(f"unknown {kind} {name!r}; {hint}")
+
+
+def _check_names(parser: configparser.ConfigParser) -> None:
+    """Reject a section or key the loader does not read, naming the
+    nearest valid one: a typo would otherwise leave its default in force."""
+    for section in parser.sections():
+        if section.startswith("row_type:"):
+            valid = ROW_TYPE_KEYS
+        elif section in SECTION_KEYS:
+            valid = SECTION_KEYS[section]
+        else:
+            raise _unknown("section", section, [*SECTION_KEYS, "row_type:NAME"])
+        for key in parser[section]:
+            if key not in valid:
+                raise _unknown(f"key in [{section}]", key, valid)
+
+
+def _learning_rate(raw: float, where: str) -> float:
+    if not (math.isfinite(raw) and raw >= 0):
+        raise SchemaError(f"{where} must be a finite number >= 0, got {raw!r}")
+    return raw
+
+
 def _split_list(raw: str) -> list:
     return [item.strip() for item in raw.split(",") if item.strip()]
 
@@ -69,6 +112,7 @@ def load_config(path) -> RunConfig:
     read = parser.read(path)
     if not read:
         raise SchemaError(f"cannot read config file {path!r}")
+    _check_names(parser)
     base = os.path.dirname(os.path.abspath(path))
 
     def resolve(p):
@@ -106,7 +150,8 @@ def load_config(path) -> RunConfig:
     if "train" in parser:
         train = parser["train"]
         cfg.epochs = train.getint("epochs", cfg.epochs)
-        cfg.learning_rate = train.getfloat("learning_rate", cfg.learning_rate)
+        cfg.learning_rate = _learning_rate(
+            train.getfloat("learning_rate", cfg.learning_rate), "[train] learning_rate")
         cfg.batch_size = train.getint("batch_size", cfg.batch_size)
         cfg.seed = train.getint("seed", cfg.seed)
         cfg.smote_k = train.getint("smote_k", cfg.smote_k)
@@ -116,7 +161,8 @@ def load_config(path) -> RunConfig:
         cfg.grid = HyperGrid(
             tuple(int(v) for v in _split_list(grid.get("n_layers", "1"))),
             tuple(int(v) for v in _split_list(grid.get("n_qubits", "2"))),
-            tuple(float(v) for v in _split_list(grid.get("learning_rates", "0.01"))),
+            tuple(_learning_rate(float(v), "[grid] learning_rates")
+                  for v in _split_list(grid.get("learning_rates", "0.01"))),
             tuple(int(v) for v in _split_list(grid.get("batch_sizes", "16"))),
             tuple(int(v) for v in _split_list(grid.get("epochs", "50"))),
         )

@@ -6,8 +6,9 @@ All randomness flows through seeded ``numpy.random.Generator`` instances so a
 """
 from __future__ import annotations
 
+import copy
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,8 +55,9 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(
+                f"learning_rate must be finite and nonnegative, got {self.learning_rate!r}")
         if self.loss != "cross_entropy":
             raise ValueError(f"unsupported loss {self.loss!r}")
 
@@ -162,17 +164,37 @@ def _loss_grads_probs(model: HybridModel, batch):
     return loss, ModelGrads(qw_grad, head_grads), probs
 
 
+def _with(obj, **fields):
+    """A shallow copy of a validated dataclass with some fields replaced,
+    without re-running its validation."""
+    new = copy.copy(obj)
+    new.__dict__.update(fields)
+    return new
+
+
 def apply_gradients(model: HybridModel, grads: ModelGrads, eta: float) -> HybridModel:
-    """One SGD step over every trainable parameter; returns a new model."""
-    qweights = nn.sgd_update(model.qweights, grads.qweights, eta)
-    layers = []
-    for layer, (gw, gb) in zip(model.head.layers, grads.head):
-        layers.append(nn.DenseLayer(
-            nn.sgd_update(layer.weights, gw, eta),
-            nn.sgd_update(layer.bias, gb, eta),
-            layer.activation,
-        ))
-    return replace(model, qweights=qweights, head=MLPHead(layers))
+    """One SGD step over every trainable parameter; returns a new model.
+
+    A step keeps every shape, so the new model and its layers are not
+    validated again; training checks once per batch that the values stay
+    finite (:func:`_check_finite`)."""
+    layers = [_with(layer, weights=nn.sgd_update(layer.weights, gw, eta),
+                    bias=nn.sgd_update(layer.bias, gb, eta))
+              for layer, (gw, gb) in zip(model.head.layers, grads.head)]
+    return _with(model, qweights=nn.sgd_update(model.qweights, grads.qweights, eta),
+                 head=_with(model.head, layers=layers))
+
+
+def _check_finite(model: HybridModel, epoch: int, batch: int, batches: int) -> None:
+    """Raise a ValueError that names where training diverged if any
+    parameter is no longer finite."""
+    params = [model.qweights, *(a for layer in model.head.layers
+                                for a in (layer.weights, layer.bias))]
+    if not all(np.isfinite(p).all() for p in params):
+        raise ValueError(
+            f"row type {model.row_type!r}: training diverged at epoch {epoch}, "
+            f"batch {batch} of {batches}: the parameters are no longer finite "
+            f"(lower the learning rate)")
 
 
 def evaluate(model: HybridModel, X, y):
@@ -184,18 +206,20 @@ def evaluate(model: HybridModel, X, y):
 
 
 def _train_epoch(model: HybridModel, X, y, config: TrainConfig,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator, epoch: int = 1):
     m = len(X)
     order = rng.permutation(m)
     total_loss = 0.0
     total_correct = 0
-    for start in range(0, m, config.batch_size):
+    batches = -(-m // config.batch_size)
+    for batch, start in enumerate(range(0, m, config.batch_size), 1):
         idx = order[start:start + config.batch_size]
         xb, yb = X[idx], y[idx]
         loss, grads, probs = _loss_grads_probs(model, (xb, yb))
         total_correct += int(np.sum(np.argmax(probs, axis=1) == yb))
         total_loss += loss * len(idx)
         model = apply_gradients(model, grads, config.learning_rate)
+        _check_finite(model, epoch, batch, batches)
     return model, total_loss / m, total_correct / m
 
 
@@ -229,8 +253,8 @@ def fit(model: HybridModel, train_set, val_set, config: TrainConfig):
     Xval, yval = (None, None) if val_set is None else _as_xy(val_set)
     rng = np.random.default_rng(config.rng_seed)
     history = []
-    for _ in range(config.epochs):
-        model, loss, acc = _train_epoch(model, Xtr, ytr, config, rng)
+    for epoch in range(1, config.epochs + 1):
+        model, loss, acc = _train_epoch(model, Xtr, ytr, config, rng, epoch)
         if Xval is not None and len(Xval):
             val_loss, val_acc, _ = evaluate(model, Xval, yval)
         else:

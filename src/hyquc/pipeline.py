@@ -447,17 +447,6 @@ def apply_angle_scaling(X, bounds: ScaleBounds) -> np.ndarray:
     return np.clip(out, 0.0, ANGLE_MAX)
 
 
-def winsorize(X, lower: float = 0.01, upper: float = 0.99) -> np.ndarray:
-    """Optional outlier clamp: clip each column to its [lower, upper]
-    quantiles.  Off by default in the pipeline."""
-    X = np.asarray(X, dtype=np.float64)
-    if not 0.0 <= lower < upper <= 1.0:
-        raise ValueError("need 0 <= lower < upper <= 1")
-    lo = np.quantile(X, lower, axis=0)
-    hi = np.quantile(X, upper, axis=0)
-    return np.clip(X, lo, hi)
-
-
 # ---------------------------------------------------------------------------
 # SMOTE
 
@@ -624,10 +613,12 @@ class RowTypePipeline:
     row_type_column: str = None
 
     def transform_features(self, data: TabularDataset) -> np.ndarray:
-        """Replay drops, encoding, PCA projection and angle scaling."""
-        data = drop_inapplicable_columns(
-            data, set(self.exclude_columns) | set(self.dropped_missing)
-        )
+        """Replay drops, encoding, PCA projection and angle scaling.
+
+        Only the columns present are dropped: an absent exclusion was logged
+        when the pipeline was fitted, and is not logged again per replay."""
+        drop = set(self.exclude_columns) | set(self.dropped_missing)
+        data = drop_inapplicable_columns(data, drop & set(data.column_names))
         X = self.encoder.transform(data)
         z = pca_transform(self.pca, X)[:, :self.n_components]
         return apply_angle_scaling(z, self.bounds)

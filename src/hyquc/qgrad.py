@@ -10,6 +10,7 @@ central finite-difference oracle is provided for cross-checking both.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -92,6 +93,26 @@ def jacobian_batch(features: np.ndarray, weights, spec: CircuitSpec) -> np.ndarr
     return grads.reshape(len(features), n, layers, n, 3)
 
 
+@lru_cache(maxsize=None)
+def _partial_trace_index(s: int) -> np.ndarray:
+    """(s, 2, 2, 2**(s-1)) flat indices into a (2**s, 2**s) block matrix:
+    ``g.ravel()[index].sum(-1)`` traces every wire of the block but the k-th
+    out of ``g``, leaving wire k's 2x2 matrix at ``[k]``.  Shared by every
+    caller, so read-only."""
+    d = 1 << s
+    rest = np.arange(d >> 1)
+    index = np.empty((s, 2, 2, d >> 1), dtype=np.intp)
+    for k in range(s):
+        bit = 1 << (s - 1 - k)  # wire k's bit, big-endian within the block
+        # the other wires' bits, with a zero spliced in at wire k's place
+        base = ((rest & -bit) << 1) | (rest & (bit - 1))
+        row = base + bit * np.arange(2)[:, None, None]
+        col = base + bit * np.arange(2)[None, :, None]
+        index[k] = row * d + col
+    index.flags.writeable = False
+    return index
+
+
 def adjoint_vjp(states: np.ndarray, upstream: np.ndarray, weights,
                 spec: CircuitSpec) -> np.ndarray:
     """Exact ``sum_b sum_o upstream[b, o] d<Z_o>_b / d weights``, shape
@@ -100,9 +121,10 @@ def adjoint_vjp(states: np.ndarray, upstream: np.ndarray, weights,
     ``states`` are the (B, 2**n) final states that :func:`qsim.forward_states`
     returned for ``weights``.  The observable ``sum_o u_o Z_o`` is diagonal,
     so the adjoint state starts as ``psi * (upstream @ signs.T)``; the sweep
-    then undoes every gate on psi and lambda together.  After each fused
-    ``Rot = RZ(a) RY(b) RZ(g)`` the cross term ``C_ij = sum conj(lambda_i)
-    psi_j`` over the batch and the other wires gives each angle's gradient as
+    then undoes every layer on psi and lambda together, one dense matmul per
+    wire block.  After each layer's fused ``Rot = RZ(a) RY(b) RZ(g)`` gates
+    the cross term ``C_ij = sum conj(lambda_i) psi_j`` of every wire, over
+    the batch and the other wires, gives each angle's gradient as
     ``Im sum(G * C)``, with generators ``G_a = Z``, ``G_b = RZ(a) Y RZ(a)^dag``
     and ``G_g = Rot Z Rot^dag``.  Peak memory is a few (2B, 2**n) buffers.
     """
@@ -113,20 +135,28 @@ def adjoint_vjp(states: np.ndarray, upstream: np.ndarray, weights,
         raise ShapeError(
             f"states (B, {1 << n}) and upstream (B, {n}) expected, got "
             f"{states.shape} and {upstream.shape}")
-    mats = qsim._rot_mats(weights, spec)
+    mats = qsim._rot_mats(weights)
+    blocks = qsim._layer_blocks(mats)
     ring = qsim._ring_permutation(n, spec.entangler_range)
-    # psi in rows [:b], lambda in rows [b:], so each gate is one kernel call
+    # psi in rows [:b], lambda in rows [b:], so each block is one matmul
     pair = np.concatenate([states, states * (upstream @ qsim._z_sign_matrix(n).T)])
     cross = np.empty((layers, n, 2, 2), dtype=np.complex128)
     for layer in range(layers - 1, -1, -1):
         if ring is not None:
             pair = pair[:, ring[1]]
-        for w in range(n - 1, -1, -1):
-            # (psi | lambda, wire-w bit, everything else)
-            halves = np.swapaxes(pair.reshape(2, b << w, 2, -1), 1, 2).reshape(2, 2, -1)
-            cross[layer, w] = halves[1].conj() @ halves[0].T
-            if layer or w:
-                pair = qsim._apply_1q_kernel(pair, n, w, mats[layer, w].conj().T)
+        for start, stop, kron in blocks:
+            # a wire's cross term does not change under a unitary applied to
+            # psi and lambda on the other wires, so one block matrix
+            # g = lambda^H psi holds the terms of all its wires, and undoing
+            # a block does not disturb the terms still to be read
+            psi, lam = pair.reshape(2, -1, kron.shape[-1], 1 << (n - stop))
+            if stop == n:  # nothing to the right: one product, not a stack
+                g = lam[..., 0].conj().T @ psi[..., 0]
+            else:
+                g = (lam.conj() @ np.swapaxes(psi, 1, 2)).sum(axis=0)
+            cross[layer, start:stop] = g.ravel()[_partial_trace_index(stop - start)].sum(-1)
+            if layer:
+                pair = qsim._apply_block(pair, n, start, stop, kron[layer].conj().T)
 
     half_a = np.exp(-0.5j * weights[..., 0])  # RZ(a) = diag(half_a, conj(half_a))
     gen = np.zeros((3, layers, n, 2, 2), dtype=np.complex128)

@@ -20,6 +20,11 @@ AXES = ("X", "Y", "Z")
 # norm drift allowed after an arbitrary gate sequence
 NORM_TOL = 1e-12
 
+# widest run of wires whose Rot gates are fused into one dense matrix: a
+# block's matmul costs 2**s multiply-adds per amplitude, so wider blocks trade
+# arithmetic for fewer calls
+MAX_BLOCK = 5
+
 
 @dataclass(frozen=True)
 class CircuitSpec:
@@ -124,29 +129,22 @@ def rotation_matrix(axis: str, theta: float) -> np.ndarray:
 # batched kernels (shared by the single-state API and the gradient paths so
 # both produce bit-identical arithmetic)
 
-def _apply_1q_kernel(states: np.ndarray, n: int, wire: int, mats: np.ndarray) -> np.ndarray:
-    """Apply 2x2 matrices to one wire of a (B, 2**n) batch.
+def _apply_1q_kernel(states: np.ndarray, n: int, wire: int, mat: np.ndarray) -> np.ndarray:
+    """Apply one 2x2 gate to one wire of a (B, 2**n) batch, element-wise.
 
-    ``mats`` is (2, 2) for a shared gate or (B, 2, 2) for per-row gates.
-    """
+    Only the per-gate single-state API uses it; the circuit kernels apply
+    whole blocks of wires (:func:`_apply_block`)."""
     b = states.shape[0]
     left = 1 << wire
     right = 1 << (n - wire - 1)
     st = states.reshape(b, left, 2, right)
     s0 = st[:, :, 0, :]
     s1 = st[:, :, 1, :]
-    if mats.ndim == 2:
-        m00, m01, m10, m11 = mats[0, 0], mats[0, 1], mats[1, 0], mats[1, 1]
-    else:
-        m00 = mats[:, 0, 0, None, None]
-        m01 = mats[:, 0, 1, None, None]
-        m10 = mats[:, 1, 0, None, None]
-        m11 = mats[:, 1, 1, None, None]
     out = np.empty_like(st)
-    o0 = np.multiply(m00, s0, out=out[:, :, 0, :])
-    o0 += m01 * s1
-    o1 = np.multiply(m10, s0, out=out[:, :, 1, :])
-    o1 += m11 * s1
+    o0 = np.multiply(mat[0, 0], s0, out=out[:, :, 0, :])
+    o0 += mat[0, 1] * s1
+    o1 = np.multiply(mat[1, 0], s0, out=out[:, :, 1, :])
+    o1 += mat[1, 1] * s1
     return out.reshape(b, -1)
 
 
@@ -207,66 +205,96 @@ def _expval_kernel(states: np.ndarray, n: int, wire: int) -> np.ndarray:
     return probs @ _z_signs(n, wire)
 
 
-def _rot_mats_batch(angles: np.ndarray) -> np.ndarray:
-    """Per-row Rot(alpha, beta, gamma) = RZ(alpha) @ RY(beta) @ RZ(gamma).
+def _rot_mats(weights: np.ndarray) -> np.ndarray:
+    """Rot(alpha, beta, gamma) = RZ(alpha) @ RY(beta) @ RZ(gamma) for every
+    angle triple of an (n_layers, n_qubits, 3) weight tensor.
 
-    ``angles`` is (B, 3); returns (B, 2, 2) via the closed-form product
+    Returns (n_layers, n_qubits, 2, 2) via the closed-form product
     [[e^{-i(a+g)/2} cos(b/2), -e^{-i(a-g)/2} sin(b/2)],
      [e^{ i(a-g)/2} sin(b/2),  e^{ i(a+g)/2} cos(b/2)]].
     """
-    a, beta, g = angles[:, 0], angles[:, 1], angles[:, 2]
+    a, beta, g = weights[..., 0], weights[..., 1], weights[..., 2]
     c, s = np.cos(beta / 2.0), np.sin(beta / 2.0)
     plus = np.exp(-0.5j * (a + g))
     minus = np.exp(-0.5j * (a - g))
-    mats = np.empty((angles.shape[0], 2, 2), dtype=np.complex128)
-    mats[:, 0, 0] = plus * c
-    mats[:, 0, 1] = -minus * s
-    mats[:, 1, 0] = np.conj(minus) * s
-    mats[:, 1, 1] = np.conj(plus) * c
+    mats = np.empty(weights.shape[:-1] + (2, 2), dtype=np.complex128)
+    mats[..., 0, 0] = plus * c
+    mats[..., 0, 1] = -minus * s
+    mats[..., 1, 0] = np.conj(minus) * s
+    mats[..., 1, 1] = np.conj(plus) * c
     return mats
 
 
-def _embed_kernel(features: np.ndarray, spec: CircuitSpec) -> np.ndarray:
-    """Angle-embed a (B, n_qubits) feature batch from |0...0>."""
-    b, n = features.shape
-    states = np.zeros((b, 1 << n), dtype=np.complex128)
-    states[:, 0] = 1.0
-    for w in range(n):
-        h = features[:, w] / 2.0
-        c, s = np.cos(h), np.sin(h)
-        mats = np.zeros((b, 2, 2), dtype=np.complex128)
-        if spec.embedding_rotation_axis == "Y":
-            mats[:, 0, 0] = c
-            mats[:, 0, 1] = -s
-            mats[:, 1, 0] = s
-            mats[:, 1, 1] = c
-        elif spec.embedding_rotation_axis == "X":
-            mats[:, 0, 0] = c
-            mats[:, 0, 1] = -1j * s
-            mats[:, 1, 0] = -1j * s
-            mats[:, 1, 1] = c
-        else:
-            mats[:, 0, 0] = c - 1j * s
-            mats[:, 1, 1] = c + 1j * s
-        states = _apply_1q_kernel(states, n, w, mats)
+def _product_state(features: np.ndarray, axis: str) -> np.ndarray:
+    """Angle-embed a (B, n_qubits) feature batch from |0...0>.
+
+    Each wire's rotation of |0> is a two-amplitude vector, so the embedded
+    register is their tensor product (wire 0 leftmost): n - 1 broadcast
+    multiplies."""
+    h = features / 2.0
+    c, s = np.cos(h), np.sin(h)
+    wires = np.empty(features.shape + (2,), dtype=np.complex128)
+    if axis == "Y":
+        wires[..., 0], wires[..., 1] = c, s
+    elif axis == "X":
+        wires[..., 0], wires[..., 1] = c, -1j * s
+    else:
+        wires[..., 0], wires[..., 1] = c - 1j * s, 0.0
+    states = wires[:, 0]
+    for w in range(1, features.shape[1]):
+        states = (states[:, :, None] * wires[:, w, None, :]).reshape(len(features), -1)
     return states
 
 
-def _rot_mats(weights: np.ndarray, spec: CircuitSpec) -> np.ndarray:
-    """(n_layers, n_qubits, 2, 2) Rot matrices for a shared weight tensor."""
-    return _rot_mats_batch(weights.reshape(-1, 3)).reshape(
-        spec.n_layers, spec.n_qubits, 2, 2)
+@lru_cache(maxsize=None)
+def _wire_blocks(n: int) -> tuple:
+    """(start, stop) wire ranges of at most MAX_BLOCK contiguous wires each,
+    as even in size as the count of blocks allows."""
+    count = -(-n // MAX_BLOCK)
+    bounds = [n * i // count for i in range(count + 1)]
+    return tuple(zip(bounds, bounds[1:]))
 
 
-def _entangle_kernel(states: np.ndarray, weights: np.ndarray, spec: CircuitSpec) -> np.ndarray:
+def _layer_blocks(mats: np.ndarray) -> list:
+    """Every layer's Rot gates, given as (n_layers, n_qubits, 2, 2) matrices,
+    grouped into dense blocks: one ``(start, stop, kron)`` per wire block,
+    where ``kron`` is the (n_layers, 2**s, 2**s) Kronecker product of the
+    block's s Rot matrices.  The Rots of one layer act on different wires, so
+    the blocks commute and their product is the whole layer's rotation."""
+    layers = mats.shape[0]
+    blocks = []
+    for start, stop in _wire_blocks(mats.shape[1]):
+        # built from the last wire leftwards, so that the broadcast multiply
+        # runs over the long axis innermost
+        kron = mats[:, stop - 1]
+        for w in range(stop - 2, start - 1, -1):
+            d = kron.shape[-1]
+            kron = (mats[:, w, :, None, :, None] * kron[:, None, :, None, :]).reshape(
+                layers, 2 * d, 2 * d)
+        blocks.append((start, stop, kron))
+    return blocks
+
+
+def _apply_block(states: np.ndarray, n: int, start: int, stop: int,
+                 mat: np.ndarray) -> np.ndarray:
+    """Apply a (2**s, 2**s) matrix to wires [start, stop) of a (B, 2**n)
+    batch as one matmul."""
+    d = mat.shape[0]
+    right = 1 << (n - stop)
+    if right == 1:
+        return (states.reshape(-1, d) @ mat.T).reshape(states.shape)
+    return (mat @ states.reshape(-1, d, right)).reshape(states.shape)
+
+
+def _entangle(states: np.ndarray, weights: np.ndarray, spec: CircuitSpec) -> np.ndarray:
     """Apply the entangling layers, weights (n_layers, n_qubits, 3) shared
     across the batch, to a (B, 2**n) batch."""
     n = spec.n_qubits
-    mats = _rot_mats(weights, spec)
+    blocks = _layer_blocks(_rot_mats(weights))
     ring = _ring_permutation(n, spec.entangler_range)
     for layer in range(spec.n_layers):
-        for w in range(n):
-            states = _apply_1q_kernel(states, n, w, mats[layer, w])
+        for start, stop, kron in blocks:
+            states = _apply_block(states, n, start, stop, kron[layer])
         if ring is not None:
             states = states[:, ring[0]]
     return states
@@ -279,7 +307,8 @@ def forward_states(features: np.ndarray, weights: np.ndarray, spec: CircuitSpec)
     if features.ndim != 2 or features.shape[1] != spec.n_qubits:
         raise ShapeError(f"features must be (B, {spec.n_qubits}), got {features.shape}")
     weights = _check_weights(weights, spec)
-    states = _entangle_kernel(_embed_kernel(features, spec), weights, spec)
+    states = _entangle(_product_state(features, spec.embedding_rotation_axis),
+                       weights, spec)
     probs = states.real * states.real + states.imag * states.imag
     return states, probs @ _z_sign_matrix(spec.n_qubits)
 
@@ -359,7 +388,7 @@ def angle_embed(features, spec: CircuitSpec) -> StateVector:
         raise ShapeError(
             f"expected {spec.n_qubits} features, got shape {features.shape}"
         )
-    states = _embed_kernel(features[None, :], spec)
+    states = _product_state(features[None, :], spec.embedding_rotation_axis)
     return StateVector(spec.n_qubits, states[0])
 
 
@@ -371,7 +400,7 @@ def apply_entangling_layers(
     weights = _check_weights(np.asarray(weights, dtype=np.float64), spec)
     if state.n_qubits != spec.n_qubits:
         raise ShapeError("state width does not match spec")
-    out = _entangle_kernel(state.amplitudes[None, :], weights, spec)
+    out = _entangle(state.amplitudes[None, :], weights, spec)
     return StateVector(state.n_qubits, out[0])
 
 

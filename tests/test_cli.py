@@ -4,6 +4,7 @@ import configparser
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -127,6 +128,31 @@ class TestConfigLoading:
             load_config(str(p))
 
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("learning_rate = 0.1", "learning_rat = 0.5",
+         r"unknown key in \[train\] 'learning_rat'; did you mean 'learning_rate'\?"),
+        ("[train]", "[trian]", r"unknown section 'trian'; did you mean 'train'\?"),
+        ("folds = 2", "folds = 2\n[row_type:T1]\nexclude_column = F2",
+         r"unknown key in \[row_type:T1\] 'exclude_column'; "
+         r"did you mean 'exclude_columns'\?"),
+    ])
+    def test_typo_names_nearest_valid_name(self, tmp_path, old, new, message):
+        p = tmp_path / "c.cfg"
+        p.write_text(CONFIG_TEMPLATE.replace(old, new))
+        with pytest.raises(SchemaError, match=message):
+            load_config(str(p))
+
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", "nan"), ("learning_rate", "inf"), ("learning_rate", "-0.5"),
+        ("learning_rates", "0.05, nan"),
+    ])
+    def test_learning_rate_must_be_finite(self, tmp_path, key, value):
+        p = tmp_path / "c.cfg"
+        p.write_text(CONFIG_TEMPLATE.replace(f"{key} = 0.", f"{key} = {value}\n#"))
+        with pytest.raises(SchemaError, match=f"{key} must be a finite number"):
+            load_config(str(p))
+
+
 class TestAtomicWrite:
     def test_replaces_content(self, tmp_path):
         p = tmp_path / "f.txt"
@@ -202,6 +228,28 @@ class TestTrain:
                        str(tmp_path / "out")])
         assert rc == 1
         assert "'T2'" in capsys.readouterr().err
+
+    def test_diverging_run_names_row_type_epoch_and_batch(self, workdir, tmp_path,
+                                                          capsys):
+        cfg_text = CONFIG_TEMPLATE.replace("learning_rate = 0.1", "learning_rate = 1e308")
+        cfg_text = cfg_text.replace("csv = data.csv", f"csv = {workdir / 'data.csv'}")
+        p = tmp_path / "diverge.cfg"
+        p.write_text(cfg_text)
+        assert cli.main(["train", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"row type 'T1': training diverged at epoch 1, batch \d+ of \d+",
+                         err), err
+
+    def test_absent_exclusion_logged_once(self, workdir, tmp_path, caplog):
+        p = tmp_path / "exclude.cfg"
+        p.write_text(CONFIG_TEMPLATE.replace("csv = data.csv",
+                                             f"csv = {workdir / 'data.csv'}")
+                     + "\n[row_type:T1]\nexclude_columns = NOPE\n")
+        cfg = load_config(str(p))
+        raw = cli._load_partitions(cfg)["T1"]
+        with caplog.at_level("INFO", logger="hyquc.pipeline"):
+            cli.fit_row_type(raw, "T1", cfg, seed=0)
+        assert sum("'NOPE'" in rec.message for rec in caplog.records) == 1
 
     def test_missing_config_exits_nonzero(self, capsys):
         assert cli.main(["train", "--config", "/nope/missing.cfg"]) == 1

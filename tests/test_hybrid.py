@@ -211,6 +211,22 @@ class TestFit:
         assert histories[0] == histories[1]
 
 
+class TestDivergence:
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -0.1])
+    def test_train_config_rejects_bad_learning_rate(self, lr):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(1, lr, 4)
+
+    def test_diverging_step_names_row_type_epoch_and_batch(self):
+        model = hybrid.init_model(CircuitSpec(2, 1), 2, np.random.default_rng(3),
+                                  row_type="personal", hidden=(8,),
+                                  hidden_activation="relu")
+        X, y = toy_blobs(np.random.default_rng(4), n_per_class=8)
+        with pytest.raises(ValueError, match=r"row type 'personal': training "
+                           r"diverged at epoch 1, batch \d+ of 4"):
+            hybrid.fit(model, (X, y), None, TrainConfig(2, 1e308, 4, rng_seed=0))
+
+
 class TestPredict:
     def test_symmetric_tie_goes_to_class_zero(self):
         spec = CircuitSpec(2, 1)

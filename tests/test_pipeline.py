@@ -365,18 +365,6 @@ class TestAngleScaling:
         np.testing.assert_array_equal(pl.apply_angle_scaling(X, bounds), scaled)
 
 
-class TestWinsorize:
-    def test_clamps_tails(self):
-        X = np.concatenate([np.arange(100.0), [1e6]])[:, None]
-        out = pl.winsorize(X, 0.01, 0.99)
-        assert out.max() < 1e6
-        assert out.min() >= X.min()
-
-    def test_quantile_validation(self):
-        with pytest.raises(ValueError):
-            pl.winsorize(np.zeros((3, 1)), 0.5, 0.5)
-
-
 class TestSmote:
     def make(self, rng, counts):
         X, y = [], []

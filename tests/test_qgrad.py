@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyquc import qgrad, qsim
 from hyquc.errors import ShapeError
@@ -185,6 +186,9 @@ class TestAdjointVJP:
         (4, 2, "Z", 3, 1),
         (5, 2, "Y", 2, 7),
         (6, 1, "X", 4, 2),
+        (6, 2, "Z", 2, 3),   # two wire blocks
+        (11, 2, "Y", 3, 2),  # three wire blocks
+        (11, 1, "X", 5, 1),
     ])
     def test_matches_shift_rule(self, n, layers, axis, entangler_range, batch):
         rng = np.random.default_rng(1000 * n + 10 * layers + batch)
@@ -203,9 +207,18 @@ class TestAdjointVJP:
             got, want = self.both(rng, spec, int(rng.integers(1, 8)))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    def test_random_multi_block_specs_match_shift_rule(self):
+        rng = np.random.default_rng(2020)
+        for n in (6, 7, 9, 10, 11, 12):
+            spec = CircuitSpec(n, int(rng.integers(1, 3)),
+                               str(rng.choice(qsim.AXES)), int(rng.integers(1, n)))
+            assert len(qsim._wire_blocks(n)) in (2, 3)
+            got, want = self.both(rng, spec, int(rng.integers(1, 5)))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
     def test_memory_is_a_few_state_batches(self):
         # the shift rule's batched form held 2 * 3 * L * n = 96 state batches
-        # here; the adjoint sweep keeps a few (2B, 2**n) buffers, about 9
+        # here; the adjoint sweep keeps a few (2B, 2**n) buffers, about 8
         # state batches in all
         rng = np.random.default_rng(5)
         spec = CircuitSpec(8, 2)
@@ -230,3 +243,22 @@ class TestAdjointVJP:
             qgrad.adjoint_vjp(states, np.zeros((2, 2)), weights, spec)
         with pytest.raises(ShapeError):
             qgrad.adjoint_vjp(states[:, :2], np.zeros((3, 2)), weights, spec)
+
+
+class TestPartialTraceIndex:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, qsim.MAX_BLOCK), st.integers(1, 4), st.integers(0, 3),
+           st.integers(0, 2**32 - 1))
+    def test_reproduces_per_wire_cross_terms(self, s, rows, right_bits, seed):
+        rng = np.random.default_rng(seed)
+        shape = (rows, 1 << s, 1 << right_bits)
+        psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        lam = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        g = np.einsum("mir,mjr->ij", lam.conj(), psi)
+        got = g.ravel()[qgrad._partial_trace_index(s)].sum(-1)
+        for k in range(s):
+            # wire k's bit split out of the block index
+            split = (rows << k, 2, -1)
+            lk, pk = lam.reshape(split), psi.reshape(split)
+            want = np.einsum("mir,mjr->ij", lk.conj(), pk)
+            np.testing.assert_allclose(got[k], want, rtol=0, atol=1e-12)

@@ -332,3 +332,61 @@ class TestCachedCircuitTables:
         for table in (perm, inv, qsim._z_sign_matrix(3)):
             with pytest.raises(ValueError):
                 table[0] = 0
+
+
+@st.composite
+def circuit_specs(draw):
+    n = draw(st.integers(1, 11))
+    return CircuitSpec(n, draw(st.integers(1, 3)), draw(st.sampled_from(qsim.AXES)),
+                       draw(st.integers(1, max(n - 1, 1))))
+
+
+def per_gate_circuit(features, weights, spec):
+    """Embed and entangle one gate at a time through the single-state API:
+    rotation_matrix for every rotation and apply_cnot for every ring link."""
+    n = spec.n_qubits
+    sv = qsim.init_zero_state(n)
+    for w in range(n):
+        sv = qsim.apply_single_qubit_rotation(sv, w, spec.embedding_rotation_axis,
+                                              features[w])
+    pairs = [] if n == 1 else [(0, 1)] if n == 2 else [
+        (w, (w + spec.entangler_range) % n) for w in range(n)]
+    for layer in range(spec.n_layers):
+        for w in range(n):
+            alpha, beta, gamma = weights[layer, w]
+            # Rot = RZ(alpha) RY(beta) RZ(gamma): gamma acts first
+            for axis, theta in (("Z", gamma), ("Y", beta), ("Z", alpha)):
+                sv = qsim.apply_single_qubit_rotation(sv, w, axis, theta)
+        for control, target in pairs:
+            sv = qsim.apply_cnot(sv, control, target)
+    return sv.amplitudes
+
+
+class TestWireBlocks:
+    """The dense Kronecker blocks that apply a whole layer's rotations
+    against the per-gate composition they replace."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(circuit_specs(), st.integers(0, 2**32 - 1))
+    def test_block_forward_equals_per_gate_circuit(self, spec, seed):
+        rng = np.random.default_rng(seed)
+        feats = rng.uniform(0, np.pi, size=(2, spec.n_qubits))
+        weights = rng.uniform(0, 2 * np.pi, size=spec.weight_shape)
+        states, _ = qsim.forward_states(feats, weights, spec)
+        for b in range(2):
+            want = per_gate_circuit(feats[b], weights, spec)
+            np.testing.assert_allclose(states[b], want, rtol=0, atol=1e-12)
+        single = qsim.apply_entangling_layers(qsim.angle_embed(feats[0], spec),
+                                              weights, spec)
+        np.testing.assert_allclose(single.amplitudes, states[0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, sizes", [
+        (1, [1]), (3, [3]), (5, [5]), (6, [3, 3]), (10, [5, 5]),
+        (11, [3, 4, 4]), (16, [4, 4, 4, 4]),
+    ])
+    def test_blocks_cover_the_register(self, n, sizes):
+        blocks = qsim._wire_blocks(n)
+        assert [stop - start for start, stop in blocks] == sizes
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        assert max(sizes) <= qsim.MAX_BLOCK
