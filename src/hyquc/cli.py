@@ -19,7 +19,6 @@ from . import hybrid, metrics, pipeline as pl, serialize
 from .config import RunConfig, load_config
 from .errors import AugmentationError, SchemaError, ShapeError, SplitError
 from .hybrid import TrainConfig
-from .qsim import CircuitSpec
 
 log = logging.getLogger("hyquc")
 
@@ -34,79 +33,28 @@ def _safe_name(row_type: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", row_type) or "default"
 
 
-def _subset(data: pl.TabularDataset, idx) -> pl.TabularDataset:
-    return pl.TabularDataset(list(data.column_names),
-                             [data.rows[i] for i in idx],
-                             data.label_column, data.row_type_column)
-
-
-def _merged_labels(data: pl.TabularDataset, merges) -> list:
-    merge_map = dict(merges)
-    out = []
-    for v in data.column(data.label_column):
-        if pl._is_missing(v):
-            raise SchemaError("missing value in the label column")
-        s = str(v).strip()
-        out.append(merge_map.get(s, s))
-    return out
-
-
-def _preprocess_row_type(raw: pl.TabularDataset, row_type: str, cfg: RunConfig,
-                         seed: int, width: int, requested: int = None):
-    """Shared front half of train/gridsearch: drops, split, encode, PCA at the
-    requested circuit width, scaling, fitted pipeline and audit report."""
-    requested = cfg.pca_components if requested is None else requested
+def _fit_pipeline(raw: pl.TabularDataset, row_type: str, cfg: RunConfig, seed: int,
+                  components: int, width: int):
+    """Fit the row type's preprocessing with the run config's settings."""
     opts = cfg.options_for(row_type)
-    report = pl.PreprocessReport(row_type)
-    data = pl.drop_inapplicable_columns(raw, opts.exclude_columns)
-    data, dropped = pl.drop_high_missing(data, cfg.missing_threshold)
-    report.dropped_columns = {name: frac for name, frac in dropped}
-    report.merged_classes = list(opts.merges)
-
-    y_all, class_names = pl.encode_labels(_merged_labels(data, opts.merges))
-    tr, va, te = pl.stratified_split_indices(y_all, cfg.split_fractions, seed)
-    train_tab, val_tab, test_tab = (_subset(data, i) for i in (tr, va, te))
-
-    encoder = pl.ColumnEncoder(cfg.date_format).fit(train_tab)
-    Xtr = encoder.transform(train_tab)
-    n, d = Xtr.shape
-    k_fit = min(max(requested, width), n - 1, d)
-    pca = pl.pca_fit(Xtr, k_fit)
-    report.requested_components = requested
-    applied = pl.select_components(pca, requested, cap=width)
-    report.applied_components = applied
-    Ztr, bounds = pl.scale_to_angle_range(pl.pca_transform(pca, Xtr)[:, :applied])
-
-    pipe = pl.RowTypePipeline(
-        row_type=row_type,
-        exclude_columns=list(opts.exclude_columns),
-        dropped_missing=[name for name, _ in dropped],
-        merges=list(opts.merges),
-        class_names=class_names,
-        encoder=encoder,
-        pca=pca,
-        n_components=applied,
-        bounds=bounds,
-        label_column=cfg.label_column,
-        row_type_column=cfg.row_type_column,
-    )
-    train_ds = pl.RowTypeDataset(row_type, Ztr, y_all[tr], class_names)
-    return pipe, report, train_ds, pipe.transform(val_tab), pipe.transform(test_tab)
+    return pl.RowTypePipeline.fit(
+        raw, row_type, seed=seed, components=components, width=width,
+        split_fractions=cfg.split_fractions, missing_threshold=cfg.missing_threshold,
+        exclude_columns=opts.exclude_columns, merges=opts.merges,
+        date_format=cfg.date_format)
 
 
 def fit_row_type(raw: pl.TabularDataset, row_type: str, cfg: RunConfig, seed: int):
     """Full per-row-type training: preprocess, SMOTE the training split, fit,
     evaluate on validation and test."""
-    pipe, report, train_ds, val_ds, test_ds = _preprocess_row_type(
-        raw, row_type, cfg, seed, width=cfg.n_qubits
-    )
+    pipe, report, train_ds, val_ds, test_ds = _fit_pipeline(
+        raw, row_type, cfg, seed, components=cfg.pca_components, width=cfg.n_qubits)
     report.counts_before_smote = train_ds.class_counts()
     train_aug = pl.smote_oversample(train_ds, cfg.smote_k, seed)
     report.counts_after_smote = train_aug.class_counts()
 
-    applied = pipe.n_components
-    spec = CircuitSpec(applied, cfg.n_layers, cfg.embedding_axis,
-                       min(cfg.entangler_range, max(applied - 1, 1)))
+    spec = hybrid.circuit_spec(pipe.n_components, cfg.n_layers, cfg.embedding_axis,
+                               cfg.entangler_range)
     model = hybrid.init_model(
         spec, len(pipe.class_names), np.random.default_rng(seed), row_type,
         hidden=cfg.hidden, hidden_activation=cfg.hidden_activation,
@@ -188,10 +136,8 @@ def cmd_gridsearch(cfg: RunConfig) -> int:
     for i, row_type in enumerate(sorted(partitions)):
         seed = _row_type_seed(cfg.seed, i)
         try:
-            pipe, _, train_ds, _, _ = _preprocess_row_type(
-                partitions[row_type], row_type, cfg, seed, width=width,
-                requested=width,
-            )
+            pipe, _, train_ds, _, _ = _fit_pipeline(
+                partitions[row_type], row_type, cfg, seed, components=width, width=width)
             if train_ds.X.shape[1] < width:
                 raise ShapeError(
                     f"only {train_ds.X.shape[1]} components available for a "
@@ -207,7 +153,7 @@ def cmd_gridsearch(cfg: RunConfig) -> int:
                 cfg.grid, train_ds, cfg.cv_folds, seed, augment=augment,
                 hidden=cfg.hidden, hidden_activation=cfg.hidden_activation,
                 single_layer_head=cfg.single_layer_head,
-                entangler_range=cfg.entangler_range,
+                embedding_axis=cfg.embedding_axis, entangler_range=cfg.entangler_range,
             )
         except (SchemaError, ShapeError, SplitError, AugmentationError,
                 ValueError) as exc:
@@ -285,14 +231,9 @@ def cmd_predict(model_path: str, input_path: str, out_path: str = None,
                 if row_type_map_path else None)
 
     if has_rt:
-        idx = data.col_index(rt_col)
-        row_types = []
-        for row in data.rows:
-            code = "" if pl._is_missing(row[idx]) else str(row[idx]).strip()
-            if code_map is not None:
-                row_types.append(code_map.get(code, code))
-            else:
-                row_types.append(code)
+        # an unmapped code keeps its raw value and is flagged below
+        codes = pl.row_type_codes(data, rt_col)
+        row_types = codes if code_map is None else [code_map.get(c, c) for c in codes]
     elif len(models) == 1:
         row_types = [next(iter(models))] * len(data.rows)
     else:
@@ -313,8 +254,7 @@ def cmd_predict(model_path: str, input_path: str, out_path: str = None,
             flagged += len(idxs)
             continue
         model, pipe = models[rt]
-        sub = _subset(data, idxs)
-        probs = hybrid.forward_probs(model, pipe.transform_features(sub))
+        probs = hybrid.forward_probs(model, pipe.transform_features(data.take(idxs)))
         # argmax ties go to the lowest class index
         for i, row_probs, cls in zip(idxs, probs, np.argmax(probs, axis=1)):
             prob_text = ";".join(

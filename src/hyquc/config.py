@@ -94,6 +94,25 @@ def _split_list(raw: str) -> list:
     return [item.strip() for item in raw.split(",") if item.strip()]
 
 
+def _ints(raw: str) -> tuple:
+    return tuple(int(v) for v in _split_list(raw))
+
+
+def _floats(raw: str) -> tuple:
+    return tuple(float(v) for v in _split_list(raw))
+
+
+def _number(section, key: str, parse, default):
+    """The key's value read by ``parse`` (``default`` when absent); a value
+    that does not parse raises SchemaError naming the section and the key."""
+    if key not in section:
+        return default
+    try:
+        return parse(section[key])
+    except ValueError as exc:
+        raise SchemaError(f"[{section.name}] {key}: {exc}") from None
+
+
 def _parse_merges(raw: str) -> list:
     merges = []
     for part in raw.split(";"):
@@ -125,48 +144,48 @@ def load_config(path) -> RunConfig:
     cfg.label_column = data.get("label_column", cfg.label_column)
     cfg.row_type_column = data.get("row_type_column", None)
     cfg.row_type_map_path = resolve(data.get("row_type_map", None))
-    cfg.missing_threshold = data.getfloat("missing_threshold", cfg.missing_threshold)
+    cfg.missing_threshold = _number(data, "missing_threshold", float,
+                                    cfg.missing_threshold)
     cfg.date_format = data.get("date_format", None) or None
 
     if "split" in parser:
         split = parser["split"]
-        cfg.split_fractions = (split.getfloat("train", 0.70),
-                               split.getfloat("val", 0.15),
-                               split.getfloat("test", 0.15))
+        cfg.split_fractions = (_number(split, "train", float, 0.70),
+                               _number(split, "val", float, 0.15),
+                               _number(split, "test", float, 0.15))
 
     if "model" in parser:
         model = parser["model"]
-        cfg.n_qubits = model.getint("n_qubits", cfg.n_qubits)
-        cfg.n_layers = model.getint("n_layers", cfg.n_layers)
+        cfg.n_qubits = _number(model, "n_qubits", int, cfg.n_qubits)
+        cfg.n_layers = _number(model, "n_layers", int, cfg.n_layers)
         cfg.embedding_axis = model.get("embedding_axis", cfg.embedding_axis)
-        cfg.entangler_range = model.getint("entangler_range", cfg.entangler_range)
-        cfg.pca_components = model.getint("pca_components", cfg.pca_components)
-        if model.get("hidden", None) is not None:
-            cfg.hidden = tuple(int(v) for v in _split_list(model.get("hidden")))
+        cfg.entangler_range = _number(model, "entangler_range", int, cfg.entangler_range)
+        cfg.pca_components = _number(model, "pca_components", int, cfg.pca_components)
+        cfg.hidden = _number(model, "hidden", _ints, cfg.hidden)
         cfg.hidden_activation = model.get("hidden_activation", cfg.hidden_activation)
         cfg.single_layer_head = model.getboolean("single_layer_head",
                                                  cfg.single_layer_head)
 
     if "train" in parser:
         train = parser["train"]
-        cfg.epochs = train.getint("epochs", cfg.epochs)
-        cfg.learning_rate = _learning_rate(
-            train.getfloat("learning_rate", cfg.learning_rate), "[train] learning_rate")
-        cfg.batch_size = train.getint("batch_size", cfg.batch_size)
-        cfg.seed = train.getint("seed", cfg.seed)
-        cfg.smote_k = train.getint("smote_k", cfg.smote_k)
+        cfg.epochs = _number(train, "epochs", int, cfg.epochs)
+        rate = _number(train, "learning_rate", float, cfg.learning_rate)
+        cfg.learning_rate = _learning_rate(rate, "[train] learning_rate")
+        cfg.batch_size = _number(train, "batch_size", int, cfg.batch_size)
+        cfg.seed = _number(train, "seed", int, cfg.seed)
+        cfg.smote_k = _number(train, "smote_k", int, cfg.smote_k)
 
     if "grid" in parser:
         grid = parser["grid"]
         cfg.grid = HyperGrid(
-            tuple(int(v) for v in _split_list(grid.get("n_layers", "1"))),
-            tuple(int(v) for v in _split_list(grid.get("n_qubits", "2"))),
-            tuple(_learning_rate(float(v), "[grid] learning_rates")
-                  for v in _split_list(grid.get("learning_rates", "0.01"))),
-            tuple(int(v) for v in _split_list(grid.get("batch_sizes", "16"))),
-            tuple(int(v) for v in _split_list(grid.get("epochs", "50"))),
+            _number(grid, "n_layers", _ints, (1,)),
+            _number(grid, "n_qubits", _ints, (2,)),
+            tuple(_learning_rate(v, "[grid] learning_rates")
+                  for v in _number(grid, "learning_rates", _floats, (0.01,))),
+            _number(grid, "batch_sizes", _ints, (16,)),
+            _number(grid, "epochs", _ints, (50,)),
         )
-        cfg.cv_folds = grid.getint("folds", cfg.cv_folds)
+        cfg.cv_folds = _number(grid, "folds", int, cfg.cv_folds)
 
     if "output" in parser:
         cfg.out_dir = resolve(parser["output"].get("dir", cfg.out_dir))

@@ -350,9 +350,18 @@ def _macro_f1(y_true, y_pred, n_classes) -> float:
     return float(np.mean([metrics.per_class_prf(cm, c).f1 for c in range(n_classes)]))
 
 
+def circuit_spec(n_qubits: int, n_layers: int, embedding_axis: str = "Y",
+                 entangler_range: int = 1) -> CircuitSpec:
+    """The circuit for one model, with the CNOT-ring offset clamped to what
+    ``n_qubits`` wires allow."""
+    return CircuitSpec(n_qubits, n_layers, embedding_axis,
+                       min(entangler_range, max(n_qubits - 1, 1)))
+
+
 def grid_search(grid: HyperGrid, data, k: int, seed: int, augment=None,
                 hidden=(8, 8), hidden_activation: str = "sigmoid",
-                single_layer_head: bool = False, entangler_range: int = 1):
+                single_layer_head: bool = False, embedding_axis: str = "Y",
+                entangler_range: int = 1):
     """Exhaustive search over the grid under stratified k-fold CV.
 
     ``data`` supplies X (wide enough for the largest n_qubits choice; a model
@@ -369,8 +378,7 @@ def grid_search(grid: HyperGrid, data, k: int, seed: int, augment=None,
         q = params["n_qubits"]
         if X.shape[1] < q:
             raise ShapeError(f"data width {X.shape[1]} < n_qubits choice {q}")
-        spec = CircuitSpec(n_qubits=q, n_layers=params["n_layers"],
-                           entangler_range=min(entangler_range, max(q - 1, 1)))
+        spec = circuit_spec(q, params["n_layers"], embedding_axis, entangler_range)
         f1s, accs = [], []
         for fi, (tr, val) in enumerate(folds):
             fold_seed = int(np.random.SeedSequence([seed, ci, fi]).generate_state(1)[0])

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, date
 
 import numpy as np
@@ -92,6 +92,11 @@ class TabularDataset:
     def __len__(self) -> int:
         return len(self.rows)
 
+    def take(self, idx) -> "TabularDataset":
+        """The rows at ``idx``, in that order, as a new table."""
+        return TabularDataset(list(self.column_names), [self.rows[i] for i in idx],
+                              self.label_column, self.row_type_column)
+
 
 def load_csv(path, label_column: str, row_type_column: str = None) -> TabularDataset:
     """Read a CSV with a header row; empty cells become missing."""
@@ -120,6 +125,12 @@ def load_row_type_map(path) -> dict:
     return mapping
 
 
+def row_type_codes(data: TabularDataset, column: str) -> list:
+    """The stripped code in ``column`` of every row, "" where it is missing."""
+    idx = data.col_index(column)
+    return ["" if _is_missing(row[idx]) else str(row[idx]).strip() for row in data.rows]
+
+
 def partition_by_row_type(data: TabularDataset, code_map: dict = None) -> dict:
     """Split rows into one TabularDataset per row type.
 
@@ -128,22 +139,13 @@ def partition_by_row_type(data: TabularDataset, code_map: dict = None) -> dict:
     """
     if data.row_type_column is None:
         raise SchemaError("dataset has no row-type column")
-    idx = data.col_index(data.row_type_column)
     buckets = {}
-    for row in data.rows:
-        code = "" if _is_missing(row[idx]) else str(row[idx]).strip()
-        if code_map is not None:
-            if code not in code_map:
-                raise SchemaError(f"unknown row-type code {code!r}")
-            row_type = code_map[code]
-        else:
-            row_type = code
-        buckets.setdefault(row_type, []).append(row)
-    return {
-        rt: TabularDataset(list(data.column_names), rows, data.label_column,
-                           data.row_type_column)
-        for rt, rows in buckets.items()
-    }
+    for i, code in enumerate(row_type_codes(data, data.row_type_column)):
+        if code_map is not None and code not in code_map:
+            raise SchemaError(f"unknown row-type code {code!r}")
+        row_type = code if code_map is None else code_map[code]
+        buckets.setdefault(row_type, []).append(i)
+    return {rt: data.take(idx) for rt, idx in buckets.items()}
 
 
 def drop_inapplicable_columns(data: TabularDataset, exclude) -> TabularDataset:
@@ -235,16 +237,6 @@ class ColumnEncoder:
             self.columns.append(ColumnSpec(name, "categorical", categories=cats))
         return self
 
-    def feature_names(self) -> list:
-        names = []
-        for spec in self.columns:
-            if spec.kind == "categorical":
-                names.extend(f"{spec.name}={c}" for c in spec.categories)
-                names.append(f"{spec.name}=<missing>")
-            else:
-                names.append(spec.name)
-        return names
-
     def transform(self, data: TabularDataset) -> np.ndarray:
         missing_cols = [s.name for s in self.columns
                         if s.name not in data.column_names]
@@ -286,11 +278,16 @@ class ColumnEncoder:
         return np.hstack(blocks)
 
 
-def encode_labels(values, class_names=None):
-    """Map raw label cells to class indices; class names sort lexically."""
+def _label_strings(values) -> list:
     labels = [str(v).strip() if not _is_missing(v) else None for v in values]
     if any(v is None for v in labels):
         raise SchemaError("missing value in the label column")
+    return labels
+
+
+def encode_labels(values, class_names=None):
+    """Map raw label cells to class indices; class names sort lexically."""
+    labels = _label_strings(values)
     if class_names is None:
         class_names = sorted(set(labels))
     index = {name: i for i, name in enumerate(class_names)}
@@ -334,22 +331,35 @@ def impute_and_encode(data: TabularDataset, row_type: str = "",
     return RowTypeDataset(row_type, X, y, class_names)
 
 
+def merge_labels(labels, merges, classes):
+    """Apply ``(from, into)`` class merges in order to label strings.
+
+    ``classes`` is the class set before the first merge.  Each pair must name
+    classes of the set as it stands at that point in the chain (SchemaError
+    otherwise), and ``from`` then leaves it.  Returns the merged labels and
+    the classes left, in the order given."""
+    classes = list(classes)
+    into = {}
+    for src, dst in merges:
+        for name in (src, dst):
+            if name not in classes:
+                raise SchemaError(f"merge {src}->{dst}: unknown class {name!r}; "
+                                  f"classes are {', '.join(classes)}")
+        if src != dst:
+            classes.remove(src)
+            into = {old: dst if new == src else new for old, new in into.items()}
+            into[src] = dst
+    return [into.get(v, v) for v in labels], classes
+
+
 def merge_minority_class(ds: RowTypeDataset, from_class: str,
                          into_class: str) -> RowTypeDataset:
     """Relabel every ``from_class`` row as ``into_class``."""
-    for name in (from_class, into_class):
-        if name not in ds.class_names:
-            raise ValueError(f"unknown class {name!r}")
-    if from_class == into_class:
-        return RowTypeDataset(ds.row_type, ds.X, ds.y, list(ds.class_names))
-    src = ds.class_names.index(from_class)
-    dst = ds.class_names.index(into_class)
-    remaining = [n for n in ds.class_names if n != from_class]
-    remap = {}
-    for old, name in enumerate(ds.class_names):
-        remap[old] = remaining.index(into_class if old == src else name)
-    y = np.array([remap[v] for v in ds.y], dtype=np.int64)
-    return RowTypeDataset(ds.row_type, ds.X, y, remaining)
+    names, remaining = merge_labels(ds.class_names, [(from_class, into_class)],
+                                    ds.class_names)
+    index = {name: i for i, name in enumerate(remaining)}
+    remap = np.array([index[name] for name in names], dtype=np.int64)
+    return RowTypeDataset(ds.row_type, ds.X, remap[ds.y], remaining)
 
 
 # ---------------------------------------------------------------------------
@@ -504,11 +514,12 @@ def _largest_remainder(n: int, fractions) -> list:
     return base
 
 
-def stratified_split_indices(y, fractions, seed: int):
+def stratified_split_indices(y, fractions, seed: int, class_names=None):
     """Three disjoint index arrays covering range(len(y)), stratified by label.
 
     Global sizes follow largest-remainder rounding of the fractions; per-class
     allocations are largest-remainder too, nudged to match the global sizes.
+    Errors name a class by ``class_names[label]`` when given, else by label.
     """
     y = np.asarray(y, dtype=np.int64)
     fractions = [float(f) for f in fractions]
@@ -526,7 +537,8 @@ def stratified_split_indices(y, fractions, seed: int):
     classes = np.unique(y)
     for c in classes:
         if np.sum(y == c) < 3:
-            raise SplitError(f"class {int(c)} has fewer rows than splits")
+            name = int(c) if class_names is None else class_names[c]
+            raise SplitError(f"class {name!r} has fewer rows than splits")
     targets = _largest_remainder(n, fractions)
     quotas = {}
     for c in classes:
@@ -556,14 +568,7 @@ def stratified_split_indices(y, fractions, seed: int):
 
 def split_train_val_test(ds: RowTypeDataset, fractions, seed: int):
     """Seeded stratified split into three RowTypeDatasets."""
-    try:
-        tr, va, te = stratified_split_indices(ds.y, fractions, seed)
-    except SplitError as exc:
-        # name the class, not just its index
-        msg = str(exc)
-        for c, name in enumerate(ds.class_names):
-            msg = msg.replace(f"class {c} ", f"class {name!r} ")
-        raise SplitError(msg) from None
+    tr, va, te = stratified_split_indices(ds.y, fractions, seed, ds.class_names)
     make = lambda idx: RowTypeDataset(ds.row_type, ds.X[idx], ds.y[idx],
                                       list(ds.class_names))
     return make(tr), make(va), make(te)
@@ -585,15 +590,7 @@ class PreprocessReport:
     counts_after_smote: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "row_type": self.row_type,
-            "dropped_columns": self.dropped_columns,
-            "merged_classes": [list(m) for m in self.merged_classes],
-            "requested_components": self.requested_components,
-            "applied_components": self.applied_components,
-            "counts_before_smote": self.counts_before_smote,
-            "counts_after_smote": self.counts_after_smote,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -612,6 +609,41 @@ class RowTypePipeline:
     label_column: str = None
     row_type_column: str = None
 
+    @classmethod
+    def fit(cls, raw: TabularDataset, row_type: str, *, seed: int, components: int,
+            width: int, split_fractions, missing_threshold: float = 0.70,
+            exclude_columns=(), merges=(), date_format: str = None):
+        """Fit one row type's preprocessing on its table.
+
+        Drops the excluded and the high-missing columns, merges classes in
+        order, splits stratified by the merged labels, and fits the encoder,
+        the PCA, the component count (``components`` requested, at most
+        ``width`` applied) and the angle scaling on the training split.
+        Returns ``(pipeline, report, train, val, test)``, with val and test
+        replayed through the fitted pipeline."""
+        data = drop_inapplicable_columns(raw, exclude_columns)
+        data, dropped = drop_high_missing(data, missing_threshold)
+
+        labels = _label_strings(data.column(data.label_column))
+        merged, _ = merge_labels(labels, merges, sorted(set(labels)))
+        y, class_names = encode_labels(merged)
+        tr, va, te = stratified_split_indices(y, split_fractions, seed, class_names)
+
+        train = data.take(tr)
+        encoder = ColumnEncoder(date_format).fit(train)
+        X = encoder.transform(train)
+        n, d = X.shape
+        pca = pca_fit(X, min(max(components, width), n - 1, d))
+        applied = select_components(pca, components, cap=width)
+        Z, bounds = scale_to_angle_range(pca_transform(pca, X)[:, :applied])
+
+        pipe = cls(row_type, list(exclude_columns), [name for name, _ in dropped],
+                   list(merges), class_names, encoder, pca, applied, bounds,
+                   data.label_column, data.row_type_column)
+        report = PreprocessReport(row_type, dict(dropped), list(merges), components, applied)
+        return (pipe, report, RowTypeDataset(row_type, Z, y[tr], class_names),
+                pipe.transform(data.take(va)), pipe.transform(data.take(te)))
+
     def transform_features(self, data: TabularDataset) -> np.ndarray:
         """Replay drops, encoding, PCA projection and angle scaling.
 
@@ -624,15 +656,14 @@ class RowTypePipeline:
         return apply_angle_scaling(z, self.bounds)
 
     def transform(self, data: TabularDataset) -> RowTypeDataset:
-        """Features plus encoded labels (requires the label column)."""
+        """Features plus encoded labels (requires the label column).
+
+        The merges are replayed on the raw labels and checked against the
+        fitted classes, so a table without a merged-away class replays too."""
         z = self.transform_features(data)
-        label_col = data.label_column or self.label_column
-        labels = data.column(label_col)
-        merge_map = dict()
-        for src, dst in self.merges:
-            merge_map[src] = dst
-        merged = [merge_map.get(str(v).strip(), str(v).strip())
-                  if not _is_missing(v) else v for v in labels]
+        labels = _label_strings(data.column(data.label_column or self.label_column))
+        fitted = [*self.class_names, *(src for src, _ in self.merges)]
+        merged, _ = merge_labels(labels, self.merges, fitted)
         y, _ = encode_labels(merged, class_names=self.class_names)
         return RowTypeDataset(self.row_type, z, y, list(self.class_names))
 

@@ -83,6 +83,14 @@ def trained(workdir):
     return out
 
 
+def train_with(tmp_path, data, extra=""):
+    """Exit code of ``hyquc train`` on ``data`` with the template config plus
+    ``extra``, writing to ``tmp_path / "out"``."""
+    p = tmp_path / "extra.cfg"
+    p.write_text(CONFIG_TEMPLATE.replace("csv = data.csv", f"csv = {data}") + extra)
+    return cli.main(["train", "--config", str(p), "--out", str(tmp_path / "out")])
+
+
 class TestConfigLoading:
     def test_committed_fixture_config(self):
         cfg = load_config(os.path.join(DATA_DIR, "run.cfg"))
@@ -127,6 +135,28 @@ class TestConfigLoading:
         with pytest.raises(SchemaError):
             load_config(str(p))
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("n_qubits = 2", "n_qubits = five", r"^\[model\] n_qubits: .*'five'"),
+        ("learning_rate = 0.1", "learning_rate = fast",
+         r"^\[train\] learning_rate: .*'fast'"),
+        ("hidden = 8", "hidden = 8, x", r"^\[model\] hidden: .*'x'"),
+    ])
+    def test_bad_number_names_section_and_key(self, tmp_path, old, new, message):
+        p = tmp_path / "c.cfg"
+        p.write_text(CONFIG_TEMPLATE.replace(old, new, 1))
+        with pytest.raises(SchemaError, match=message):
+            load_config(str(p))
+
+    def test_readme_example_loads(self, tmp_path):
+        with open(os.path.join(DATA_DIR, "..", "..", "README.md")) as fh:
+            block = re.search(r"```ini\n(.*?)```", fh.read(), re.S).group(1)
+        p = tmp_path / "readme.cfg"
+        p.write_text(block)
+        cfg = load_config(str(p))
+        assert cfg.hidden == (8, 8) and cfg.hidden_activation == "sigmoid"
+        assert cfg.row_type_map_path == str(tmp_path / "codes.map")
+        assert cfg.grid.n_qubits_choices == (2, 3, 4)
+        assert cfg.options_for("personal").merges == [("Loss", "Doubtful")]
 
     @pytest.mark.parametrize("old, new, message", [
         ("learning_rate = 0.1", "learning_rat = 0.5",
@@ -251,9 +281,50 @@ class TestTrain:
             cli.fit_row_type(raw, "T1", cfg, seed=0)
         assert sum("'NOPE'" in rec.message for rec in caplog.records) == 1
 
+    def test_small_class_error_names_class(self, workdir, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text((workdir / "data.csv").read_text()
+                        + "T1,rare,0.1,0.1\nT1,rare,0.2,0.2\n")
+        assert train_with(tmp_path, data) == 1
+        assert ("row type 'T1': class 'rare' has fewer rows than splits"
+                in capsys.readouterr().err)
+
     def test_missing_config_exits_nonzero(self, capsys):
         assert cli.main(["train", "--config", "/nope/missing.cfg"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestClassMerges:
+    def test_chain_applies_in_order(self, workdir, tmp_path):
+        rc = train_with(tmp_path, workdir / "data.csv",
+                        "\n[row_type:T1]\nmerge_classes = g3->g2; g2->g1\n")
+        assert rc == 0
+        doc = json.loads((tmp_path / "out" / "preprocess_T1.json").read_text())
+        assert doc["counts_before_smote"] == {"g1": 42}
+        doc = json.loads((tmp_path / "out" / "metrics_T2.json").read_text())
+        assert doc["class_names"] == ["g1", "g2", "g3"]
+
+    @pytest.mark.parametrize("merges, unknown", [("Los->g1", "'Los'"),
+                                                 ("g3->g9", "'g9'")])
+    def test_unknown_class_names_row_type_and_class(self, workdir, tmp_path, capsys,
+                                                    merges, unknown):
+        rc = train_with(tmp_path, workdir / "data.csv",
+                        f"\n[row_type:T1]\nmerge_classes = {merges}\n")
+        assert rc == 1
+        assert re.search(f"row type 'T1': merge .*unknown class {unknown}",
+                         capsys.readouterr().err)
+
+    def test_replay_without_merged_away_class(self, workdir, tmp_path, capsys):
+        assert train_with(tmp_path, workdir / "data.csv",
+                          "\n[row_type:T1]\nmerge_classes = g3->g2\n") == 0
+        lines = (workdir / "data.csv").read_text().splitlines()
+        no_g3 = tmp_path / "no_g3.csv"
+        no_g3.write_text("\n".join(line for line in lines if ",g3," not in line) + "\n")
+        model = str(tmp_path / "out" / "model_T1.json")
+        for data in (no_g3, workdir / "data.csv"):
+            capsys.readouterr()
+            assert cli.main(["evaluate", "--model", model, "--data", str(data)]) == 0
+            assert json.loads(capsys.readouterr().out)["class_names"] == ["g1", "g2"]
 
 
 class TestGridsearch:
@@ -271,6 +342,19 @@ class TestGridsearch:
             winner.read(out / f"winner_{tag}.cfg")
             assert winner["model"]["n_qubits"] == "2"
             assert winner["train"]["batch_size"] == "8"
+
+    def test_embedding_axis_reaches_the_leaderboard(self, workdir, tmp_path):
+        boards = {}
+        for axis in ("X", "Y"):
+            p = tmp_path / f"{axis}.cfg"
+            p.write_text(CONFIG_TEMPLATE.replace(
+                "csv = data.csv", f"csv = {workdir / 'data.csv'}").replace(
+                "[model]\n", f"[model]\nembedding_axis = {axis}\n"))
+            out = tmp_path / axis
+            assert cli.main(["gridsearch", "--config", str(p), "--out", str(out)]) == 0
+            boards[axis] = [(out / f"leaderboard_{tag}.csv").read_text()
+                            for tag in ("T1", "T2")]
+        assert boards["X"] != boards["Y"]
 
     def test_grid_section_required(self, workdir, tmp_path, capsys):
         cfg_text = CONFIG_TEMPLATE[:CONFIG_TEMPLATE.index("[grid]")].replace(

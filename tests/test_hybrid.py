@@ -315,6 +315,22 @@ class TestGridSearch:
         assert board[0].mean_val_macro_f1 == board[1].mean_val_macro_f1
         assert board[0].order == 0
 
+    def test_circuit_follows_embedding_axis_and_clamped_range(self, monkeypatch):
+        X, y = self.small_data()
+        X = np.hstack([X, X[:, :1]])
+        specs, init_model = [], hybrid.init_model
+
+        def recording_init(spec, *args, **kwargs):
+            specs.append(spec)
+            return init_model(spec, *args, **kwargs)
+
+        monkeypatch.setattr(hybrid, "init_model", recording_init)
+        grid = HyperGrid((1,), (2, 3), (0.1,), (8,), (1,))
+        hybrid.grid_search(grid, (X, y), k=2, seed=0, embedding_axis="X",
+                           entangler_range=2)
+        assert {(s.n_qubits, s.embedding_rotation_axis, s.entangler_range)
+                for s in specs} == {(2, "X", 1), (3, "X", 2)}
+
     def test_seeded_reproducibility(self):
         X, y = self.small_data()
         grid = HyperGrid((1, 2), (2,), (0.1, 0.01), (8,), (1,))

@@ -259,6 +259,23 @@ class TestMergeMinorityClass:
             pl.merge_minority_class(ds, "Nope", "Standard")
 
 
+class TestMergeLabels:
+    def test_chain_applies_in_order(self):
+        merged, left = pl.merge_labels(["a", "b", "c", "d"], [("c", "b"), ("b", "a")],
+                                       ["a", "b", "c", "d"])
+        assert merged == ["a", "a", "a", "d"]
+        assert left == ["a", "d"]
+
+    @pytest.mark.parametrize("merges, unknown", [
+        ([("x", "a")], "'x'"),
+        ([("a", "x")], "'x'"),
+        ([("b", "a"), ("b", "c")], "'b'"),
+    ])
+    def test_unknown_class_at_its_point_in_the_chain(self, merges, unknown):
+        with pytest.raises(SchemaError, match=f"unknown class {unknown}"):
+            pl.merge_labels(["a", "b"], merges, ["a", "b", "c"])
+
+
 class TestPCA:
     def test_collinear_data(self):
         t = np.linspace(0, 1, 30)
