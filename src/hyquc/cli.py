@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import hybrid, metrics, pipeline as pl, serialize
-from .config import RunConfig, load_config
+from .config import RunConfig, _unknown, load_config
 from .errors import AugmentationError, SchemaError, ShapeError, SplitError
 from .hybrid import TrainConfig
 
@@ -94,11 +94,16 @@ def _load_partitions(cfg: RunConfig):
     data = pl.load_csv(cfg.csv_path, cfg.label_column, cfg.row_type_column)
     if not data.rows:
         raise SchemaError(f"{cfg.csv_path}: no data rows")
-    if cfg.row_type_column is None:
-        return {"default": data}
-    code_map = (pl.load_row_type_map(cfg.row_type_map_path)
-                if cfg.row_type_map_path else None)
-    return pl.partition_by_row_type(data, code_map)
+    partitions = {"default": data}
+    if cfg.row_type_column is not None:
+        code_map = (pl.load_row_type_map(cfg.row_type_map_path)
+                    if cfg.row_type_map_path else None)
+        partitions = pl.partition_by_row_type(data, code_map)
+    # a typo'd [row_type:NAME] section would otherwise be silently ignored
+    for name in cfg.row_types:
+        if name not in partitions:
+            raise _unknown(f"row type in [row_type:{name}]", name, sorted(partitions))
+    return partitions
 
 
 def cmd_train(cfg: RunConfig) -> int:
@@ -155,8 +160,7 @@ def cmd_gridsearch(cfg: RunConfig) -> int:
                 single_layer_head=cfg.single_layer_head,
                 embedding_axis=cfg.embedding_axis, entangler_range=cfg.entangler_range,
             )
-        except (SchemaError, ShapeError, SplitError, AugmentationError,
-                ValueError) as exc:
+        except ValueError as exc:
             raise SchemaError(f"row type {row_type!r}: {exc}") from None
         tag = _safe_name(row_type)
         lines = ["rank,n_layers,n_qubits,learning_rate,batch_size,epochs,"
@@ -314,8 +318,7 @@ def main(argv=None) -> int:
         if args.command == "evaluate":
             return cmd_evaluate(args.model, args.data, args.out)
         return cmd_predict(args.model, args.input, args.out, args.row_type_map)
-    except (SchemaError, ShapeError, SplitError, AugmentationError,
-            ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # every hyquc error is a ValueError
         print(f"hyquc: error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,5 +1,6 @@
 """Run configuration: an INI-style file with one section per concern and one
-``[row_type:NAME]`` section per row type for exclusions and class merges."""
+``[row_type:NAME]`` section per row type for exclusions and class merges.
+``SCHEMA`` is the whole format: each key's field and value parser."""
 from __future__ import annotations
 
 import configparser
@@ -8,8 +9,11 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .errors import SchemaError
+from .errors import SchemaError, SplitError
 from .hybrid import HyperGrid
+from .nn import ACTIVATIONS
+from .pipeline import check_split_fractions
+from .qsim import AXES
 
 
 @dataclass
@@ -40,7 +44,7 @@ class RunConfig:
     batch_size: int = 16
     seed: int = 0
     smote_k: int = 5
-    grid: HyperGrid = None
+    grid: HyperGrid = None  # keys absent from [grid] keep HyperGrid's defaults
     cv_folds: int = 3
     out_dir: str = "hyquc-out"
     row_types: dict = field(default_factory=dict)  # name -> RowTypeOptions
@@ -49,18 +53,91 @@ class RunConfig:
         return self.row_types.get(row_type, RowTypeOptions())
 
 
-# every key each section may hold; ``[row_type:NAME]`` sections hold ROW_TYPE_KEYS
-SECTION_KEYS = {
-    "data": ("csv", "label_column", "row_type_column", "row_type_map",
-             "missing_threshold", "date_format"),
-    "split": ("train", "val", "test"),
-    "model": ("n_qubits", "n_layers", "embedding_axis", "entangler_range",
-              "pca_components", "hidden", "hidden_activation", "single_layer_head"),
-    "train": ("epochs", "learning_rate", "batch_size", "seed", "smote_k"),
-    "grid": ("n_layers", "n_qubits", "learning_rates", "batch_sizes", "epochs", "folds"),
-    "output": ("dir",),
+def _value(kind, requirement: str, rule=lambda value: True):
+    """A parser reading ``kind(raw)``, refused unless ``rule`` accepts it."""
+    def parse(raw: str):
+        try:
+            value = kind(raw)
+        except (KeyError, ValueError):
+            value = None
+        if value is None or not rule(value):
+            raise ValueError(f"must be {requirement}, got {raw!r}")
+        return value
+    return parse
+
+
+def _one_of(choices):
+    return _value(str, f"one of {', '.join(choices)}", choices.__contains__)
+
+
+def _split_list(raw: str) -> list:
+    return [item.strip() for item in raw.split(",") if item.strip()]
+
+
+def _list(item):
+    return lambda raw: tuple(item(v) for v in _split_list(raw))
+
+
+def _merges(raw: str) -> list:
+    parts = [part.strip() for part in raw.split(";") if part.strip()]
+    for part in parts:
+        if "->" not in part:
+            raise ValueError(f"must be FROM->INTO merges separated by ';', got {part!r}")
+    return [tuple(s.strip() for s in part.split("->", 1)) for part in parts]
+
+
+_int = _value(int, "an integer")
+_count = _value(int, "an integer >= 1", lambda v: v >= 1)
+_float = _value(float, "a number")
+_rate = _value(float, "a finite number >= 0", lambda v: math.isfinite(v) and v >= 0)
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
+_bool = _value(lambda raw: _BOOLEANS[raw.lower()], f"one of {', '.join(_BOOLEANS)}")
+_path = os.fspath  # a path, resolved against the config file's directory
+
+# section -> key -> (field, parser): [split] keys fill split_fractions by index,
+# [grid] keys but folds fill a HyperGrid, [row_type:NAME] keys RowTypeOptions.
+SCHEMA = {
+    "data": {
+        "csv": ("csv_path", _path),
+        "label_column": ("label_column", str),
+        "row_type_column": ("row_type_column", str),
+        "row_type_map": ("row_type_map_path", _path),
+        "missing_threshold": ("missing_threshold", _value(
+            float, "a number in (0, 1]", lambda v: 0 < v <= 1)),
+        "date_format": ("date_format", lambda raw: raw or None),
+    },
+    "split": {"train": (0, _float), "val": (1, _float), "test": (2, _float)},
+    "model": {
+        "n_qubits": ("n_qubits", _count),
+        "n_layers": ("n_layers", _count),
+        "embedding_axis": ("embedding_axis", _one_of(AXES)),
+        "entangler_range": ("entangler_range", _count),
+        "pca_components": ("pca_components", _count),
+        "hidden": ("hidden", _list(_value(int, "an integer >= 0", lambda v: v >= 0))),
+        "hidden_activation": ("hidden_activation", _one_of(ACTIVATIONS)),
+        "single_layer_head": ("single_layer_head", _bool),
+    },
+    "train": {
+        "epochs": ("epochs", _count),
+        "learning_rate": ("learning_rate", _rate),
+        "batch_size": ("batch_size", _count),
+        "seed": ("seed", _int),
+        "smote_k": ("smote_k", _count),
+    },
+    "grid": {
+        "n_layers": ("n_layers_choices", _list(_count)),
+        "n_qubits": ("n_qubits_choices", _list(_count)),
+        "learning_rates": ("learning_rates", _list(_rate)),
+        "batch_sizes": ("batch_sizes", _list(_count)),
+        "epochs": ("epoch_choices", _list(_count)),
+        "folds": ("cv_folds", _value(int, "an integer >= 2", lambda v: v >= 2)),
+    },
+    "output": {"dir": ("out_dir", _path)},
+    "row_type:NAME": {
+        "exclude_columns": ("exclude_columns", _split_list),
+        "merge_classes": ("merges", _merges),
+    },
 }
-ROW_TYPE_KEYS = ("exclude_columns", "merge_classes")
 
 
 def _unknown(kind: str, name: str, valid) -> SchemaError:
@@ -69,134 +146,48 @@ def _unknown(kind: str, name: str, valid) -> SchemaError:
     return SchemaError(f"unknown {kind} {name!r}; {hint}")
 
 
-def _check_names(parser: configparser.ConfigParser) -> None:
-    """Reject a section or key the loader does not read, naming the
-    nearest valid one: a typo would otherwise leave its default in force."""
-    for section in parser.sections():
-        if section.startswith("row_type:"):
-            valid = ROW_TYPE_KEYS
-        elif section in SECTION_KEYS:
-            valid = SECTION_KEYS[section]
-        else:
-            raise _unknown("section", section, [*SECTION_KEYS, "row_type:NAME"])
-        for key in parser[section]:
-            if key not in valid:
-                raise _unknown(f"key in [{section}]", key, valid)
-
-
-def _learning_rate(raw: float, where: str) -> float:
-    if not (math.isfinite(raw) and raw >= 0):
-        raise SchemaError(f"{where} must be a finite number >= 0, got {raw!r}")
-    return raw
-
-
-def _split_list(raw: str) -> list:
-    return [item.strip() for item in raw.split(",") if item.strip()]
-
-
-def _ints(raw: str) -> tuple:
-    return tuple(int(v) for v in _split_list(raw))
-
-
-def _floats(raw: str) -> tuple:
-    return tuple(float(v) for v in _split_list(raw))
-
-
-def _number(section, key: str, parse, default):
-    """The key's value read by ``parse`` (``default`` when absent); a value
-    that does not parse raises SchemaError naming the section and the key."""
-    if key not in section:
-        return default
-    try:
-        return parse(section[key])
-    except ValueError as exc:
-        raise SchemaError(f"[{section.name}] {key}: {exc}") from None
-
-
-def _parse_merges(raw: str) -> list:
-    merges = []
-    for part in raw.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        if "->" not in part:
-            raise SchemaError(f"merge {part!r} must look like FROM->INTO")
-        src, dst = (s.strip() for s in part.split("->", 1))
-        merges.append((src, dst))
-    return merges
-
-
 def load_config(path) -> RunConfig:
+    """The run configuration in ``path``. A section or key not in SCHEMA is
+    refused with the nearest valid name; a bad value names its section and key."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise SchemaError(f"cannot read config file {path!r}")
-    _check_names(parser)
+    try:
+        if not parser.read(path):
+            raise SchemaError(f"cannot read config file {path!r}")
+    except configparser.Error as exc:  # no section header, a duplicate, ...
+        raise SchemaError(" ".join(str(exc).split())) from None
     base = os.path.dirname(os.path.abspath(path))
-
-    def resolve(p):
-        return p if p is None or os.path.isabs(p) else os.path.join(base, p)
-
-    if "data" not in parser or "csv" not in parser["data"]:
-        raise SchemaError("config needs [data] csv = <path>")
-    data = parser["data"]
-    cfg = RunConfig(csv_path=resolve(data.get("csv")))
-    cfg.label_column = data.get("label_column", cfg.label_column)
-    cfg.row_type_column = data.get("row_type_column", None)
-    cfg.row_type_map_path = resolve(data.get("row_type_map", None))
-    cfg.missing_threshold = _number(data, "missing_threshold", float,
-                                    cfg.missing_threshold)
-    cfg.date_format = data.get("date_format", None) or None
-
-    if "split" in parser:
-        split = parser["split"]
-        cfg.split_fractions = (_number(split, "train", float, 0.70),
-                               _number(split, "val", float, 0.15),
-                               _number(split, "test", float, 0.15))
-
-    if "model" in parser:
-        model = parser["model"]
-        cfg.n_qubits = _number(model, "n_qubits", int, cfg.n_qubits)
-        cfg.n_layers = _number(model, "n_layers", int, cfg.n_layers)
-        cfg.embedding_axis = model.get("embedding_axis", cfg.embedding_axis)
-        cfg.entangler_range = _number(model, "entangler_range", int, cfg.entangler_range)
-        cfg.pca_components = _number(model, "pca_components", int, cfg.pca_components)
-        cfg.hidden = _number(model, "hidden", _ints, cfg.hidden)
-        cfg.hidden_activation = model.get("hidden_activation", cfg.hidden_activation)
-        cfg.single_layer_head = model.getboolean("single_layer_head",
-                                                 cfg.single_layer_head)
-
-    if "train" in parser:
-        train = parser["train"]
-        cfg.epochs = _number(train, "epochs", int, cfg.epochs)
-        rate = _number(train, "learning_rate", float, cfg.learning_rate)
-        cfg.learning_rate = _learning_rate(rate, "[train] learning_rate")
-        cfg.batch_size = _number(train, "batch_size", int, cfg.batch_size)
-        cfg.seed = _number(train, "seed", int, cfg.seed)
-        cfg.smote_k = _number(train, "smote_k", int, cfg.smote_k)
-
-    if "grid" in parser:
-        grid = parser["grid"]
-        cfg.grid = HyperGrid(
-            _number(grid, "n_layers", _ints, (1,)),
-            _number(grid, "n_qubits", _ints, (2,)),
-            tuple(_learning_rate(v, "[grid] learning_rates")
-                  for v in _number(grid, "learning_rates", _floats, (0.01,))),
-            _number(grid, "batch_sizes", _ints, (16,)),
-            _number(grid, "epochs", _ints, (50,)),
-        )
-        cfg.cv_folds = _number(grid, "folds", int, cfg.cv_folds)
-
-    if "output" in parser:
-        cfg.out_dir = resolve(parser["output"].get("dir", cfg.out_dir))
-
+    sections = {}  # section -> {field: value}
     for section in parser.sections():
-        if not section.startswith("row_type:"):
-            continue
-        name = section.split(":", 1)[1].strip()
-        opts = RowTypeOptions()
-        opts.exclude_columns = _split_list(parser[section].get("exclude_columns", ""))
-        opts.merges = _parse_merges(parser[section].get("merge_classes", ""))
-        cfg.row_types[name] = opts
-
+        keys = SCHEMA.get("row_type:NAME" if section.startswith("row_type:") else section)
+        if keys is None:
+            raise _unknown("section", section, list(SCHEMA))
+        sections[section] = {}
+        for key in parser[section]:
+            if key not in keys:
+                raise _unknown(f"key in [{section}]", key, list(keys))
+            name, parse = keys[key]
+            try:
+                value = parse(parser[section][key])
+            except configparser.Error as exc:  # a lone % starts an interpolation
+                raise SchemaError(
+                    f"[{section}] {key}: {exc}; write %% for a literal %") from None
+            except ValueError as exc:
+                raise SchemaError(f"[{section}] {key}: {key} {exc}") from None
+            sections[section][name] = os.path.join(base, value) if parse is _path else value
+    split = sections.pop("split", {})
+    grid = sections.pop("grid", None)
+    row_types = {section.split(":", 1)[1].strip(): RowTypeOptions(**sections.pop(section))
+                 for section in list(sections) if section.startswith("row_type:")}
+    fields = {name: value for keys in sections.values() for name, value in keys.items()}
+    if "csv_path" not in fields:
+        raise SchemaError("config needs [data] csv = <path>")
+    cfg = RunConfig(**fields, row_types=row_types)
+    cfg.split_fractions = tuple(split.get(i, f) for i, f in enumerate(cfg.split_fractions))
+    try:
+        check_split_fractions(cfg.split_fractions)
+    except SplitError as exc:
+        raise SchemaError(f"[split] {exc}") from None
+    if grid is not None:
+        cfg.cv_folds = grid.pop("cv_folds", cfg.cv_folds)
+        cfg.grid = HyperGrid(**grid)
     return cfg

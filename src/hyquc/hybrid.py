@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import copy
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -309,17 +309,16 @@ def kfold_split(n: int, k: int, seed: int, labels=None):
 
 @dataclass(frozen=True)
 class HyperGrid:
-    n_layers_choices: tuple
-    n_qubits_choices: tuple
-    learning_rates: tuple
-    batch_sizes: tuple
-    epoch_choices: tuple
+    n_layers_choices: tuple = (1,)
+    n_qubits_choices: tuple = (2,)
+    learning_rates: tuple = (0.01,)
+    batch_sizes: tuple = (16,)
+    epoch_choices: tuple = (50,)
 
     def __post_init__(self):
-        for name in ("n_layers_choices", "n_qubits_choices", "learning_rates",
-                     "batch_sizes", "epoch_choices"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must be nonempty")
+        for f in fields(self):
+            if not getattr(self, f.name):
+                raise ValueError(f"{f.name} must be nonempty")
 
     def combinations(self):
         """All configurations in declaration order."""

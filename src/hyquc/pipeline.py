@@ -514,16 +514,11 @@ def _largest_remainder(n: int, fractions) -> list:
     return base
 
 
-def stratified_split_indices(y, fractions, seed: int, class_names=None):
-    """Three disjoint index arrays covering range(len(y)), stratified by label.
-
-    Global sizes follow largest-remainder rounding of the fractions; per-class
-    allocations are largest-remainder too, nudged to match the global sizes.
-    Errors name a class by ``class_names[label]`` when given, else by label.
-    """
-    y = np.asarray(y, dtype=np.int64)
+def check_split_fractions(fractions) -> list:
+    """The train, validation and test fractions as floats, or SplitError if
+    ``stratified_split_indices`` cannot split by them."""
     fractions = [float(f) for f in fractions]
-    if len(fractions) != 3 or any(f < 0 for f in fractions):
+    if len(fractions) != 3 or not all(f >= 0 for f in fractions):
         raise SplitError("need three nonnegative fractions")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise SplitError("fractions must sum to 1")
@@ -533,6 +528,18 @@ def stratified_split_indices(y, fractions, seed: int, class_names=None):
         raise SplitError(
             f"validation and test fractions must be >= {MIN_EVAL_FRACTION}"
         )
+    return fractions
+
+
+def stratified_split_indices(y, fractions, seed: int, class_names=None):
+    """Three disjoint index arrays covering range(len(y)), stratified by label.
+
+    Global sizes follow largest-remainder rounding of the fractions; per-class
+    allocations are largest-remainder too, nudged to match the global sizes.
+    Errors name a class by ``class_names[label]`` when given, else by label.
+    """
+    y = np.asarray(y, dtype=np.int64)
+    fractions = check_split_fractions(fractions)
     n = len(y)
     classes = np.unique(y)
     for c in classes:

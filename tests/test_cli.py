@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hyquc import cli, hybrid, pipeline as pl, serialize
-from hyquc.config import load_config
+from hyquc.config import SCHEMA, load_config
 from hyquc.errors import SchemaError
 from hyquc.pipeline import TabularDataset
 
@@ -140,6 +140,12 @@ class TestConfigLoading:
         ("learning_rate = 0.1", "learning_rate = fast",
          r"^\[train\] learning_rate: .*'fast'"),
         ("hidden = 8", "hidden = 8, x", r"^\[model\] hidden: .*'x'"),
+        ("n_layers = 1", "n_layers = 1\nembedding_axis = y",
+         r"^\[model\] embedding_axis: .*'y'"),
+        ("n_layers = 1", "n_layers = 1\nsingle_layer_head = maybe",
+         r"^\[model\] single_layer_head: .*'maybe'"),
+        ("hidden_activation = relu", "hidden_activation = tanh",
+         r"^\[model\] hidden_activation: .*'tanh'"),
     ])
     def test_bad_number_names_section_and_key(self, tmp_path, old, new, message):
         p = tmp_path / "c.cfg"
@@ -157,6 +163,13 @@ class TestConfigLoading:
         assert cfg.row_type_map_path == str(tmp_path / "codes.map")
         assert cfg.grid.n_qubits_choices == (2, 3, 4)
         assert cfg.options_for("personal").merges == [("Loss", "Doubtful")]
+        assert cfg.date_format == "%Y-%m-%d"  # %% is a literal %
+        # the example shows every key of the schema once
+        ini = configparser.ConfigParser()
+        ini.read_string(block)
+        shown = {("row_type:NAME" if section.startswith("row_type:") else section, key)
+                 for section in ini.sections() for key in ini[section]}
+        assert shown == {(section, key) for section, keys in SCHEMA.items() for key in keys}
 
     @pytest.mark.parametrize("old, new, message", [
         ("learning_rate = 0.1", "learning_rat = 0.5",
@@ -171,6 +184,55 @@ class TestConfigLoading:
         p.write_text(CONFIG_TEMPLATE.replace(old, new))
         with pytest.raises(SchemaError, match=message):
             load_config(str(p))
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("model", "n_qubits", "0", None), ("model", "n_layers", "0", None),
+        ("model", "pca_components", "0", None), ("model", "entangler_range", "0", None),
+        ("train", "epochs", "0", None), ("train", "batch_size", "0", None),
+        ("train", "smote_k", "0", None),
+        ("model", "hidden", "8, -1", r"^\[model\] hidden: hidden must be an integer >= 0"),
+        ("grid", "n_layers", "1, 0", None), ("grid", "n_qubits", "0, 2", None),
+        ("grid", "batch_sizes", "8, -1", None), ("grid", "epochs", "0", None),
+        ("grid", "folds", "1", "folds must be an integer >= 2"),
+        ("data", "missing_threshold", "0", r"must be a number in \(0, 1\]"),
+        ("data", "missing_threshold", "1.5", r"must be a number in \(0, 1\]"),
+        ("split", "train", "0.8", r"^\[split\] fractions must sum to 1"),
+        ("split", "test", "nan", r"^\[split\] need three nonnegative fractions"),
+    ])
+    def test_out_of_range_value_refused_at_load(self, tmp_path, section, key, value,
+                                                 message):
+        ini = configparser.ConfigParser()
+        ini.read_string(CONFIG_TEMPLATE)
+        ini[section][key] = value
+        p = tmp_path / "c.cfg"
+        with open(p, "w") as fh:
+            ini.write(fh)
+        with pytest.raises(SchemaError, match=message or
+                           rf"^\[{section}\] {key}: {key} must be an integer >= 1"):
+            load_config(str(p))
+
+    @pytest.mark.parametrize("old, new", [("n_qubits = 2", "n_qubits = 17"),
+                                          ("hidden = 8", "hidden = 0")])
+    def test_values_that_run_stay_accepted(self, tmp_path, old, new):
+        p = tmp_path / "c.cfg"
+        p.write_text(CONFIG_TEMPLATE.replace(old, new, 1))
+        load_config(str(p))
+
+    @pytest.mark.parametrize("text, message", [
+        ("csv = data.csv\n" + CONFIG_TEMPLATE, "contains no section headers"),
+        (CONFIG_TEMPLATE + "[model]\nn_qubits = 3\n", "section 'model' already exists"),
+        (CONFIG_TEMPLATE.replace("seed = 3", "seed = 3\nseed = 4"),
+         "option 'seed' in section 'train' already exists"),
+        (CONFIG_TEMPLATE.replace("grade\n", "grade\ndate_format = %Y-%m-%d\n", 1),
+         r"\[data\] date_format: .*write %% for a literal %"),
+    ], ids=["no-header", "duplicate-section", "duplicate-key", "lone-percent"])
+    def test_malformed_file_is_one_error_line(self, tmp_path, capsys, text, message):
+        p = tmp_path / "c.cfg"
+        p.write_text(text)
+        assert cli.main(["train", "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("hyquc: error: ") and err.count("\n") == 1
+        assert re.search(message, err)
 
     @pytest.mark.parametrize("key, value", [
         ("learning_rate", "nan"), ("learning_rate", "inf"), ("learning_rate", "-0.5"),
@@ -295,6 +357,15 @@ class TestTrain:
 
 
 class TestClassMerges:
+    @pytest.mark.parametrize("command", ["train", "gridsearch"])
+    def test_typo_row_type_section_refused(self, workdir, tmp_path, capsys, command):
+        p = tmp_path / "c.cfg"
+        p.write_text(CONFIG_TEMPLATE.replace("csv = data.csv", f"csv = {workdir / 'data.csv'}")
+                     + "\n[row_type:T1x]\nmerge_classes = g3->g2\n")
+        assert cli.main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+        assert ("unknown row type in [row_type:T1x] 'T1x'; did you mean 'T1'?"
+                in capsys.readouterr().err)
+
     def test_chain_applies_in_order(self, workdir, tmp_path):
         rc = train_with(tmp_path, workdir / "data.csv",
                         "\n[row_type:T1]\nmerge_classes = g3->g2; g2->g1\n")
