@@ -78,6 +78,16 @@ def _list(item):
     return lambda raw: tuple(item(v) for v in _split_list(raw))
 
 
+def _choices(item):
+    """A [grid] list: ``item`` checks each value, and at least one is given."""
+    def parse(raw: str):
+        values = _list(item)(raw)
+        if not values:
+            raise ValueError(f"must list at least one value, got {raw!r}")
+        return values
+    return parse
+
+
 def _merges(raw: str) -> list:
     parts = [part.strip() for part in raw.split(";") if part.strip()]
     for part in parts:
@@ -125,11 +135,11 @@ SCHEMA = {
         "smote_k": ("smote_k", _count),
     },
     "grid": {
-        "n_layers": ("n_layers_choices", _list(_count)),
-        "n_qubits": ("n_qubits_choices", _list(_count)),
-        "learning_rates": ("learning_rates", _list(_rate)),
-        "batch_sizes": ("batch_sizes", _list(_count)),
-        "epochs": ("epoch_choices", _list(_count)),
+        "n_layers": ("n_layers_choices", _choices(_count)),
+        "n_qubits": ("n_qubits_choices", _choices(_count)),
+        "learning_rates": ("learning_rates", _choices(_rate)),
+        "batch_sizes": ("batch_sizes", _choices(_count)),
+        "epochs": ("epoch_choices", _choices(_count)),
         "folds": ("cv_folds", _value(int, "an integer >= 2", lambda v: v >= 2)),
     },
     "output": {"dir": ("out_dir", _path)},

@@ -6,7 +6,6 @@ All randomness flows through seeded ``numpy.random.Generator`` instances so a
 """
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass, field, fields
 
@@ -118,9 +117,11 @@ def forward_probs(model: HybridModel, X) -> np.ndarray:
     return _head_forward(model, q_out)[-1]
 
 
-def _batch_loss(probs: np.ndarray, y: np.ndarray) -> float:
-    p = probs[np.arange(len(y)), y]
-    losses = np.where(p >= 1.0 - PROB_CLIP, 0.0, -np.log(np.clip(p, PROB_CLIP, None)))
+def _batch_loss(p_true: np.ndarray) -> float:
+    """Mean cross-entropy, clipped as in ``nn.cross_entropy_loss``, of the
+    probabilities the model gave the true classes."""
+    losses = np.where(p_true >= 1.0 - PROB_CLIP, 0.0,
+                      -np.log(np.clip(p_true, PROB_CLIP, None)))
     return float(np.mean(losses))
 
 
@@ -145,43 +146,50 @@ def _loss_grads_probs(model: HybridModel, batch):
         raise ShapeError("batch shapes inconsistent with the model")
     m = len(X)
 
-    states, q_out = qsim.forward_states(X, model.qweights, model.spec)
+    # the model's weights were checked when it was built or loaded, and
+    # training checks them once per batch (_check_finite); the forward pass
+    # and the adjoint sweep share one build of the gate blocks
+    blocks = qsim._layer_blocks(qsim._rot_mats(model.qweights))
+    states, q_out = qsim._forward(X, blocks, model.spec)
     acts = _head_forward(model, q_out)
     probs = acts[-1]
-    loss = _batch_loss(probs, y)
+    rows = np.arange(m)
+    p_true = probs[rows, y]
+    loss = _batch_loss(p_true)
 
     # dL/dprobs for the mean cross-entropy
-    p_y = np.clip(probs[np.arange(m), y], PROB_CLIP, None)
     upstream = np.zeros_like(probs)
-    upstream[np.arange(m), y] = -1.0 / (m * p_y)
+    upstream[rows, y] = -1.0 / (m * np.clip(p_true, PROB_CLIP, None))
 
-    head_grads = [None] * len(model.head.layers)
-    for i in range(len(model.head.layers) - 1, -1, -1):
-        gw, gb, upstream = nn.dense_backward(model.head.layers[i], acts[i], upstream)
+    layers = model.head.layers
+    head_grads = [None] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
+        gw, gb, upstream = nn._layer_backward(layers[i], acts[i], acts[i + 1], upstream)
         head_grads[i] = (gw, gb)
 
-    qw_grad = qgrad.adjoint_vjp(states, upstream, model.qweights, model.spec)
+    qw_grad = qgrad._adjoint(states, upstream, model.qweights, blocks, model.spec)
     return loss, ModelGrads(qw_grad, head_grads), probs
 
 
 def _with(obj, **fields):
     """A shallow copy of a validated dataclass with some fields replaced,
     without re-running its validation."""
-    new = copy.copy(obj)
-    new.__dict__.update(fields)
+    new = object.__new__(type(obj))
+    new.__dict__.update(obj.__dict__, **fields)
     return new
 
 
 def apply_gradients(model: HybridModel, grads: ModelGrads, eta: float) -> HybridModel:
-    """One SGD step over every trainable parameter; returns a new model.
+    """One SGD step ``params - eta * grads`` over every trainable parameter;
+    returns a new model.
 
-    A step keeps every shape, so the new model and its layers are not
-    validated again; training checks once per batch that the values stay
-    finite (:func:`_check_finite`)."""
-    layers = [_with(layer, weights=nn.sgd_update(layer.weights, gw, eta),
-                    bias=nn.sgd_update(layer.bias, gb, eta))
+    ``grads`` come from :func:`loss_and_grads` for this model, so every shape
+    matches, and neither the arrays (as :func:`nn.sgd_update` would) nor the
+    new model and its layers are validated again; training checks once per
+    batch that the values stay finite (:func:`_check_finite`)."""
+    layers = [_with(layer, weights=layer.weights - eta * gw, bias=layer.bias - eta * gb)
               for layer, (gw, gb) in zip(model.head.layers, grads.head)]
-    return _with(model, qweights=nn.sgd_update(model.qweights, grads.qweights, eta),
+    return _with(model, qweights=model.qweights - eta * grads.qweights,
                  head=_with(model.head, layers=layers))
 
 
@@ -202,7 +210,8 @@ def evaluate(model: HybridModel, X, y):
     probs = forward_probs(model, X)
     y = np.asarray(y, dtype=np.int64)
     preds = np.argmax(probs, axis=1)
-    return _batch_loss(probs, y), float(np.mean(preds == y)), probs
+    return (_batch_loss(probs[np.arange(len(y)), y]), float(np.mean(preds == y)),
+            probs)
 
 
 def _train_epoch(model: HybridModel, X, y, config: TrainConfig,
@@ -212,14 +221,17 @@ def _train_epoch(model: HybridModel, X, y, config: TrainConfig,
     total_loss = 0.0
     total_correct = 0
     batches = -(-m // config.batch_size)
-    for batch, start in enumerate(range(0, m, config.batch_size), 1):
-        idx = order[start:start + config.batch_size]
-        xb, yb = X[idx], y[idx]
-        loss, grads, probs = _loss_grads_probs(model, (xb, yb))
-        total_correct += int(np.sum(np.argmax(probs, axis=1) == yb))
-        total_loss += loss * len(idx)
-        model = apply_gradients(model, grads, config.learning_rate)
-        _check_finite(model, epoch, batch, batches)
+    # a diverging step overflows before the parameters turn non-finite;
+    # _check_finite's error, which names the batch, is then the one report
+    with np.errstate(over="ignore", invalid="ignore"):
+        for batch, start in enumerate(range(0, m, config.batch_size), 1):
+            idx = order[start:start + config.batch_size]
+            xb, yb = X[idx], y[idx]
+            loss, grads, probs = _loss_grads_probs(model, (xb, yb))
+            total_correct += int(np.sum(np.argmax(probs, axis=1) == yb))
+            total_loss += loss * len(idx)
+            model = apply_gradients(model, grads, config.learning_rate)
+            _check_finite(model, epoch, batch, batches)
     return model, total_loss / m, total_correct / m
 
 

@@ -148,22 +148,24 @@ def dense_backward(layer: DenseLayer, x, upstream_grad):
     ub = np.atleast_2d(upstream)
     if xb.shape[1] != layer.in_dim or ub.shape[1] != layer.out_dim:
         raise ShapeError("backward shapes do not match the layer")
-    z = xb @ layer.weights.T + layer.bias
-    y = _activate(layer.activation, z)
+    gw, gb, gx = _layer_backward(layer, xb, dense_forward(layer, xb), ub)
+    return gw, gb, gx[0] if single else gx
+
+
+def _layer_backward(layer: DenseLayer, x: np.ndarray, y: np.ndarray,
+                    upstream: np.ndarray):
+    """:func:`dense_backward` for a (B, in_dim) batch ``x`` whose outputs
+    ``y = dense_forward(layer, x)`` are already known, without checks: the
+    training step's kernel."""
     if layer.activation == "sigmoid":
-        dz = ub * y * (1.0 - y)
+        dz = upstream * y * (1.0 - y)
     elif layer.activation == "relu":
-        dz = ub * (z > 0)
+        dz = upstream * (y > 0)  # y > 0 exactly where the pre-activation is
     elif layer.activation == "softmax":
-        dz = y * (ub - np.sum(ub * y, axis=1, keepdims=True))
+        dz = y * (upstream - np.sum(upstream * y, axis=1, keepdims=True))
     else:
-        dz = ub
-    gw = dz.T @ xb
-    gb = dz.sum(axis=0)
-    gx = dz @ layer.weights
-    if single:
-        gx = gx[0]
-    return gw, gb, gx
+        dz = upstream
+    return dz.T @ x, dz.sum(axis=0), dz @ layer.weights
 
 
 def bce_loss(y: int, y_hat: float) -> float:

@@ -623,7 +623,8 @@ class RowTypePipeline:
         """Fit one row type's preprocessing on its table.
 
         Drops the excluded and the high-missing columns, merges classes in
-        order, splits stratified by the merged labels, and fits the encoder,
+        order (SchemaError if fewer than two classes are left), splits
+        stratified by the merged labels, and fits the encoder,
         the PCA, the component count (``components`` requested, at most
         ``width`` applied) and the angle scaling on the training split.
         Returns ``(pipeline, report, train, val, test)``, with val and test
@@ -632,7 +633,11 @@ class RowTypePipeline:
         data, dropped = drop_high_missing(data, missing_threshold)
 
         labels = _label_strings(data.column(data.label_column))
-        merged, _ = merge_labels(labels, merges, sorted(set(labels)))
+        merged, left = merge_labels(labels, merges, sorted(set(labels)))
+        if len(left) < 2:
+            chain = "; ".join(f"{src}->{dst}" for src, dst in merges)
+            held = f"merges {chain} leave" if merges else "the labels hold"
+            raise SchemaError(f"{held} one class, {left[0]!r}; a model needs at least two")
         y, class_names = encode_labels(merged)
         tr, va, te = stratified_split_indices(y, split_fractions, seed, class_names)
 

@@ -129,14 +129,21 @@ def adjoint_vjp(states: np.ndarray, upstream: np.ndarray, weights,
     and ``G_g = Rot Z Rot^dag``.  Peak memory is a few (2B, 2**n) buffers.
     """
     weights = qsim._check_weights(weights, spec)
-    n, layers, b = spec.n_qubits, spec.n_layers, states.shape[0]
+    n, b = spec.n_qubits, states.shape[0]
     upstream = np.asarray(upstream, dtype=np.float64)
     if states.shape != (b, 1 << n) or upstream.shape != (b, n):
         raise ShapeError(
             f"states (B, {1 << n}) and upstream (B, {n}) expected, got "
             f"{states.shape} and {upstream.shape}")
-    mats = qsim._rot_mats(weights)
-    blocks = qsim._layer_blocks(mats)
+    blocks = qsim._layer_blocks(qsim._rot_mats(weights))
+    return _adjoint(states, upstream, weights, blocks, spec)
+
+
+def _adjoint(states: np.ndarray, upstream: np.ndarray, weights: np.ndarray,
+             blocks: list, spec: CircuitSpec) -> np.ndarray:
+    """:func:`adjoint_vjp` through the layer blocks the forward pass used,
+    without checks: the training step's kernel."""
+    n, layers, b = spec.n_qubits, spec.n_layers, states.shape[0]
     ring = qsim._ring_permutation(n, spec.entangler_range)
     # psi in rows [:b], lambda in rows [b:], so each block is one matmul
     pair = np.concatenate([states, states * (upstream @ qsim._z_sign_matrix(n).T)])
@@ -158,13 +165,17 @@ def adjoint_vjp(states: np.ndarray, upstream: np.ndarray, weights,
             if layer:
                 pair = qsim._apply_block(pair, n, start, stop, kron[layer].conj().T)
 
-    half_a = np.exp(-0.5j * weights[..., 0])  # RZ(a) = diag(half_a, conj(half_a))
-    gen = np.zeros((3, layers, n, 2, 2), dtype=np.complex128)
-    gen[0, ..., 0, 0], gen[0, ..., 1, 1] = 1.0, -1.0
-    gen[1, ..., 0, 1] = -1j * half_a * half_a
-    gen[1, ..., 1, 0] = 1j * np.conj(half_a * half_a)
-    gen[2] = mats @ gen[0] @ np.conj(np.swapaxes(mats, -1, -2))
-    return np.moveaxis(np.einsum("klwij,lwij->klw", gen, cross).imag, 0, -1)
+    # Im sum(G * C) in closed form, with e = exp(-i a): G_a = Z;
+    # G_b = [[0, -i e], [i conj(e), 0]]; and, since RZ(g) commutes with Z,
+    # G_g = RZ(a) RY(b) Z RY(b)^dag RZ(a)^dag = cos(b) Z + sin(b) [[0, e], [conj(e), 0]]
+    c00, c01, c10, c11 = (cross[..., i, j] for i in (0, 1) for j in (0, 1))
+    e = np.exp(-1j * weights[..., 0])
+    grads = np.empty(weights.shape)
+    grads[..., 0] = (c00 - c11).imag
+    grads[..., 1] = (np.conj(e) * c10 - e * c01).real  # Im(i z) = Re(z)
+    grads[..., 2] = (np.cos(weights[..., 1]) * grads[..., 0]
+                     + np.sin(weights[..., 1]) * (e * c01 + np.conj(e) * c10).imag)
+    return grads
 
 
 def finite_diff_oracle(features, weights, spec: CircuitSpec, p: ParameterIndex,

@@ -230,7 +230,8 @@ def _product_state(features: np.ndarray, axis: str) -> np.ndarray:
 
     Each wire's rotation of |0> is a two-amplitude vector, so the embedded
     register is their tensor product (wire 0 leftmost): n - 1 broadcast
-    multiplies."""
+    multiplies, built from the last wire leftwards so that each runs over the
+    long axis innermost."""
     h = features / 2.0
     c, s = np.cos(h), np.sin(h)
     wires = np.empty(features.shape + (2,), dtype=np.complex128)
@@ -240,9 +241,9 @@ def _product_state(features: np.ndarray, axis: str) -> np.ndarray:
         wires[..., 0], wires[..., 1] = c, -1j * s
     else:
         wires[..., 0], wires[..., 1] = c - 1j * s, 0.0
-    states = wires[:, 0]
-    for w in range(1, features.shape[1]):
-        states = (states[:, :, None] * wires[:, w, None, :]).reshape(len(features), -1)
+    states = wires[:, -1]
+    for w in range(features.shape[1] - 2, -1, -1):
+        states = (wires[:, w, :, None] * states[:, None, :]).reshape(len(features), -1)
     return states
 
 
@@ -286,11 +287,10 @@ def _apply_block(states: np.ndarray, n: int, start: int, stop: int,
     return (mat @ states.reshape(-1, d, right)).reshape(states.shape)
 
 
-def _entangle(states: np.ndarray, weights: np.ndarray, spec: CircuitSpec) -> np.ndarray:
-    """Apply the entangling layers, weights (n_layers, n_qubits, 3) shared
-    across the batch, to a (B, 2**n) batch."""
+def _entangle(states: np.ndarray, blocks: list, spec: CircuitSpec) -> np.ndarray:
+    """Apply the entangling layers, given as :func:`_layer_blocks` of weights
+    shared across the batch, to a (B, 2**n) batch."""
     n = spec.n_qubits
-    blocks = _layer_blocks(_rot_mats(weights))
     ring = _ring_permutation(n, spec.entangler_range)
     for layer in range(spec.n_layers):
         for start, stop, kron in blocks:
@@ -300,6 +300,15 @@ def _entangle(states: np.ndarray, weights: np.ndarray, spec: CircuitSpec) -> np.
     return states
 
 
+def _forward(features: np.ndarray, blocks: list, spec: CircuitSpec):
+    """:func:`forward_states` through prebuilt layer blocks, without checks:
+    the training step's kernel, whose blocks the adjoint sweep reuses."""
+    states = _entangle(_product_state(features, spec.embedding_rotation_axis),
+                       blocks, spec)
+    probs = states.real * states.real + states.imag * states.imag
+    return states, probs @ _z_sign_matrix(spec.n_qubits)
+
+
 def forward_states(features: np.ndarray, weights: np.ndarray, spec: CircuitSpec):
     """Final states (B, 2**n) and expectation values <Z_i> (B, n_qubits) for
     a (B, n_qubits) feature batch under shared (L, n, 3) weights."""
@@ -307,10 +316,7 @@ def forward_states(features: np.ndarray, weights: np.ndarray, spec: CircuitSpec)
     if features.ndim != 2 or features.shape[1] != spec.n_qubits:
         raise ShapeError(f"features must be (B, {spec.n_qubits}), got {features.shape}")
     weights = _check_weights(weights, spec)
-    states = _entangle(_product_state(features, spec.embedding_rotation_axis),
-                       weights, spec)
-    probs = states.real * states.real + states.imag * states.imag
-    return states, probs @ _z_sign_matrix(spec.n_qubits)
+    return _forward(features, _layer_blocks(_rot_mats(weights)), spec)
 
 
 def forward_batch(features: np.ndarray, weights: np.ndarray, spec: CircuitSpec) -> np.ndarray:
@@ -400,7 +406,7 @@ def apply_entangling_layers(
     weights = _check_weights(np.asarray(weights, dtype=np.float64), spec)
     if state.n_qubits != spec.n_qubits:
         raise ShapeError("state width does not match spec")
-    out = _entangle(state.amplitudes[None, :], weights, spec)
+    out = _entangle(state.amplitudes[None, :], _layer_blocks(_rot_mats(weights)), spec)
     return StateVector(state.n_qubits, out[0])
 
 

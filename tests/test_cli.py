@@ -194,6 +194,7 @@ class TestConfigLoading:
         ("grid", "n_layers", "1, 0", None), ("grid", "n_qubits", "0, 2", None),
         ("grid", "batch_sizes", "8, -1", None), ("grid", "epochs", "0", None),
         ("grid", "folds", "1", "folds must be an integer >= 2"),
+        ("grid", "n_layers", "", r"^\[grid\] n_layers: n_layers must list at least one"),
         ("data", "missing_threshold", "0", r"must be a number in \(0, 1\]"),
         ("data", "missing_threshold", "1.5", r"must be a number in \(0, 1\]"),
         ("split", "train", "0.8", r"^\[split\] fractions must sum to 1"),
@@ -332,6 +333,11 @@ class TestTrain:
         assert re.search(r"row type 'T1': training diverged at epoch 1, batch \d+ of \d+",
                          err), err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverging_run_warns_nothing_first(self, workdir, tmp_path, capsys):
+        # numpy's overflow warnings, errors here, must not precede the named one
+        self.test_diverging_run_names_row_type_epoch_and_batch(workdir, tmp_path, capsys)
+
     def test_absent_exclusion_logged_once(self, workdir, tmp_path, caplog):
         p = tmp_path / "exclude.cfg"
         p.write_text(CONFIG_TEMPLATE.replace("csv = data.csv",
@@ -367,13 +373,28 @@ class TestClassMerges:
                 in capsys.readouterr().err)
 
     def test_chain_applies_in_order(self, workdir, tmp_path):
-        rc = train_with(tmp_path, workdir / "data.csv",
+        # a fourth T1 class is left beside g1 once the chain folds g3 and g2
+        # into it, so the row type still trains
+        rng = np.random.default_rng(4)
+        g4 = [f"T1,g4,{x:.4f},{y:.4f}" for x, y in rng.normal(2.8, 0.15, size=(18, 2))]
+        data = tmp_path / "four.csv"
+        data.write_text((workdir / "data.csv").read_text() + "\n".join(g4) + "\n")
+        rc = train_with(tmp_path, data,
                         "\n[row_type:T1]\nmerge_classes = g3->g2; g2->g1\n")
         assert rc == 0
         doc = json.loads((tmp_path / "out" / "preprocess_T1.json").read_text())
-        assert doc["counts_before_smote"] == {"g1": 42}
+        assert doc["counts_before_smote"] == {"g1": 42, "g4": 12}
         doc = json.loads((tmp_path / "out" / "metrics_T2.json").read_text())
         assert doc["class_names"] == ["g1", "g2", "g3"]
+
+    @pytest.mark.parametrize("command", ["train", "gridsearch"])
+    def test_chain_to_one_class_refused(self, workdir, tmp_path, capsys, command):
+        p = tmp_path / "c.cfg"
+        p.write_text(CONFIG_TEMPLATE.replace("csv = data.csv", f"csv = {workdir / 'data.csv'}")
+                     + "\n[row_type:T1]\nmerge_classes = g3->g2; g2->g1\n")
+        assert cli.main([command, "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+        assert ("row type 'T1': merges g3->g2; g2->g1 leave one class, 'g1'; "
+                "a model needs at least two" in capsys.readouterr().err)
 
     @pytest.mark.parametrize("merges, unknown", [("Los->g1", "'Los'"),
                                                  ("g3->g9", "'g9'")])

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from hyquc import hybrid, nn, serialize
+from hyquc import hybrid, nn, qgrad, qsim, serialize
 from hyquc.errors import ShapeError
 from hyquc.hybrid import HyperGrid, HybridModel, TrainConfig
 from hyquc.nn import DenseLayer, MLPHead
@@ -136,6 +136,49 @@ class TestLossAndGrads:
             hybrid.loss_and_grads(model, (np.empty((0, 2)), np.empty(0, dtype=int)))
 
 
+class TestTrainingStep:
+    """One step builds the circuit once and reuses the head's activations."""
+
+    def test_one_circuit_build_per_step(self, monkeypatch):
+        calls = {"_rot_mats": 0, "_layer_blocks": 0}
+        for name in calls:
+            def counted(arg, _name=name, _real=getattr(qsim, name)):
+                calls[_name] += 1
+                return _real(arg)
+            monkeypatch.setattr(qsim, name, counted)
+        rng = np.random.default_rng(12)
+        model = hybrid.init_model(CircuitSpec(3, 2), 3, rng)
+        X, y = rng.uniform(0, np.pi, (5, 3)), np.array([0, 1, 2, 0, 1])
+        hybrid.loss_and_grads(model, (X, y))
+        assert calls == {"_rot_mats": 1, "_layer_blocks": 1}
+
+    @pytest.mark.parametrize("hidden_activation, single_layer_head",
+                             [*((a, False) for a in nn.ACTIVATIONS), ("sigmoid", True)])
+    def test_gradients_equal_the_public_kernels(self, hidden_activation,
+                                                single_layer_head):
+        rng = np.random.default_rng(13)
+        model = hybrid.init_model(CircuitSpec(3, 2, "X", 2), 3, rng, hidden=(4, 5),
+                                  hidden_activation=hidden_activation,
+                                  single_layer_head=single_layer_head)
+        X, y = rng.uniform(0, np.pi, (6, 3)), np.array([0, 1, 2, 2, 1, 0])
+        _, grads = hybrid.loss_and_grads(model, (X, y))
+        # the same step through nn.dense_backward, which recomputes each
+        # layer's output, and qgrad.adjoint_vjp, which rebuilds the circuit
+        states, q_out = qsim.forward_states(X, model.qweights, model.spec)
+        acts = [q_out]
+        for layer in model.head.layers:
+            acts.append(nn.dense_forward(layer, acts[-1]))
+        upstream = np.zeros_like(acts[-1])
+        upstream[np.arange(6), y] = -1.0 / (6 * np.clip(acts[-1][np.arange(6), y],
+                                                          nn.PROB_CLIP, None))
+        for i in range(len(model.head.layers) - 1, -1, -1):
+            gw, gb, upstream = nn.dense_backward(model.head.layers[i], acts[i], upstream)
+            np.testing.assert_array_equal(grads.head[i][0], gw)
+            np.testing.assert_array_equal(grads.head[i][1], gb)
+        np.testing.assert_array_equal(grads.qweights, qgrad.adjoint_vjp(
+            states, upstream, model.qweights, model.spec))
+
+
 class TestTrainEpoch:
     def test_zero_learning_rate_leaves_model_unchanged(self):
         rng = np.random.default_rng(3)
@@ -225,6 +268,11 @@ class TestDivergence:
         with pytest.raises(ValueError, match=r"row type 'personal': training "
                            r"diverged at epoch 1, batch \d+ of 4"):
             hybrid.fit(model, (X, y), None, TrainConfig(2, 1e308, 4, rng_seed=0))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverging_step_warns_nothing_first(self):
+        # numpy's overflow warnings, errors here, must not precede the named one
+        self.test_diverging_step_names_row_type_epoch_and_batch()
 
 
 class TestPredict:

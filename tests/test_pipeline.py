@@ -526,6 +526,16 @@ class TestRowTypePipelineReplay:
         np.testing.assert_array_equal(back.transform_features(data), scaled)
 
 
+class TestRowTypePipelineFit:
+    def test_one_class_refused(self):
+        rows = [[f"{0.1 * i:.1f}", str(i % 3), "a"] for i in range(30)]
+        data = TabularDataset(["N1", "N2", "L"], rows, label_column="L")
+        with pytest.raises(SchemaError, match="^the labels hold one class, 'a'; "
+                                              "a model needs at least two$"):
+            pl.RowTypePipeline.fit(data, "t", seed=0, components=2, width=2,
+                                   split_fractions=(0.7, 0.15, 0.15))
+
+
 class TestLoaders:
     def test_load_csv_missing_cells(self, tmp_path):
         p = tmp_path / "d.csv"
