@@ -19,3 +19,12 @@ class AugmentationError(ValueError):
 
 class SplitError(ValueError):
     """Train/validation/test split request is invalid for the given data."""
+
+
+class DivergenceError(ValueError):
+    """Training left a model's parameters non-finite.  ``index`` is the
+    model's place in the stack that was trained (0 for a single model)."""
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index

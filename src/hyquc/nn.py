@@ -20,11 +20,10 @@ ACTIVATIONS = ("sigmoid", "relu", "softmax", "identity")
 def sigmoid(x):
     """Logistic function 1 / (1 + exp(-x))."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # exp of -|x| never overflows; it is exp(-x) where x >= 0 and exp(x)
+    # elsewhere, the two stable forms
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return float(out) if out.ndim == 0 else out
 
 
@@ -131,8 +130,15 @@ def dense_forward(layer: DenseLayer, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != layer.in_dim:
         raise ShapeError(f"expected input width {layer.in_dim}, got {x.shape}")
-    z = x @ layer.weights.T + layer.bias
-    return _activate(layer.activation, z)
+    return _dense(x, layer.weights, layer.bias, layer.activation)
+
+
+def _dense(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
+           activation: str) -> np.ndarray:
+    """activation(x W^T + b) without checks: the training step's kernel.  For
+    a stack of k layers ``weights`` is (k, out_dim, in_dim), ``bias``
+    (k, 1, out_dim) and ``x`` (k, B, in_dim)."""
+    return _activate(activation, x @ weights.swapaxes(-1, -2) + bias)
 
 
 def dense_backward(layer: DenseLayer, x, upstream_grad):
@@ -148,24 +154,26 @@ def dense_backward(layer: DenseLayer, x, upstream_grad):
     ub = np.atleast_2d(upstream)
     if xb.shape[1] != layer.in_dim or ub.shape[1] != layer.out_dim:
         raise ShapeError("backward shapes do not match the layer")
-    gw, gb, gx = _layer_backward(layer, xb, dense_forward(layer, xb), ub)
+    gw, gb, gx = _layer_backward(layer.activation, layer.weights, xb,
+                                 dense_forward(layer, xb), ub)
     return gw, gb, gx[0] if single else gx
 
 
-def _layer_backward(layer: DenseLayer, x: np.ndarray, y: np.ndarray,
-                    upstream: np.ndarray):
+def _layer_backward(activation: str, weights: np.ndarray, x: np.ndarray,
+                    y: np.ndarray, upstream: np.ndarray):
     """:func:`dense_backward` for a (B, in_dim) batch ``x`` whose outputs
-    ``y = dense_forward(layer, x)`` are already known, without checks: the
-    training step's kernel."""
-    if layer.activation == "sigmoid":
+    ``y`` are already known, without checks: the training step's kernel.
+    For a stack of k layers every argument gains a leading model axis, and
+    so does every gradient."""
+    if activation == "sigmoid":
         dz = upstream * y * (1.0 - y)
-    elif layer.activation == "relu":
+    elif activation == "relu":
         dz = upstream * (y > 0)  # y > 0 exactly where the pre-activation is
-    elif layer.activation == "softmax":
-        dz = y * (upstream - np.sum(upstream * y, axis=1, keepdims=True))
+    elif activation == "softmax":
+        dz = y * (upstream - np.sum(upstream * y, axis=-1, keepdims=True))
     else:
         dz = upstream
-    return dz.T @ x, dz.sum(axis=0), dz @ layer.weights
+    return dz.swapaxes(-1, -2) @ x, dz.sum(axis=-2), dz @ weights
 
 
 def bce_loss(y: int, y_hat: float) -> float:

@@ -135,35 +135,44 @@ def adjoint_vjp(states: np.ndarray, upstream: np.ndarray, weights,
         raise ShapeError(
             f"states (B, {1 << n}) and upstream (B, {n}) expected, got "
             f"{states.shape} and {upstream.shape}")
-    blocks = qsim._layer_blocks(qsim._rot_mats(weights))
-    return _adjoint(states, upstream, weights, blocks, spec)
+    blocks = qsim._layer_blocks(qsim._rot_mats(weights[None]))
+    return _adjoint(states[None], upstream[None], weights[None], blocks, spec)[0]
 
 
 def _adjoint(states: np.ndarray, upstream: np.ndarray, weights: np.ndarray,
              blocks: list, spec: CircuitSpec) -> np.ndarray:
-    """:func:`adjoint_vjp` through the layer blocks the forward pass used,
-    without checks: the training step's kernel."""
-    n, layers, b = spec.n_qubits, spec.n_layers, states.shape[0]
+    """:func:`adjoint_vjp` for a stack of k models through the layer blocks
+    the forward pass used, without checks: the training step's kernel.
+    ``states`` is (k, B, 2**n), ``upstream`` (k, B, n) and ``weights``
+    (k, n_layers, n_qubits, 3); returns each model's gradient, stacked like
+    ``weights``."""
+    n, layers, (k, b) = spec.n_qubits, spec.n_layers, states.shape[:2]
     ring = qsim._ring_permutation(n, spec.entangler_range)
-    # psi in rows [:b], lambda in rows [b:], so each block is one matmul
-    pair = np.concatenate([states, states * (upstream @ qsim._z_sign_matrix(n).T)])
-    cross = np.empty((layers, n, 2, 2), dtype=np.complex128)
+    # each model's psi in rows [:b], its lambda in rows [b:], so each block
+    # is one matmul per model
+    pair = np.concatenate([states, states * (upstream @ qsim._z_sign_matrix(n).T)],
+                          axis=1)
+    cross = np.empty((k, layers, n, 2, 2), dtype=np.complex128)
     for layer in range(layers - 1, -1, -1):
         if ring is not None:
-            pair = pair[:, ring[1]]
+            pair = pair[..., ring[1]]
         for start, stop, kron in blocks:
             # a wire's cross term does not change under a unitary applied to
             # psi and lambda on the other wires, so one block matrix
-            # g = lambda^H psi holds the terms of all its wires, and undoing
-            # a block does not disturb the terms still to be read
-            psi, lam = pair.reshape(2, -1, kron.shape[-1], 1 << (n - stop))
+            # g = lambda^H psi per model holds the terms of all its wires,
+            # and undoing a block does not disturb the terms still to be read
+            d = kron.shape[-1]
+            both = pair.reshape(k, 2, -1, d, 1 << (n - stop))
+            psi, lam = both[:, 0], both[:, 1]
             if stop == n:  # nothing to the right: one product, not a stack
-                g = lam[..., 0].conj().T @ psi[..., 0]
+                g = lam[..., 0].conj().swapaxes(-1, -2) @ psi[..., 0]
             else:
-                g = (lam.conj() @ np.swapaxes(psi, 1, 2)).sum(axis=0)
-            cross[layer, start:stop] = g.ravel()[_partial_trace_index(stop - start)].sum(-1)
+                g = (lam.conj() @ psi.swapaxes(-1, -2)).sum(axis=1)
+            cross[:, layer, start:stop] = g.reshape(k, -1).take(
+                _partial_trace_index(stop - start), axis=1).sum(-1)
             if layer:
-                pair = qsim._apply_block(pair, n, start, stop, kron[layer].conj().T)
+                pair = qsim._apply_block(pair, n, start, stop,
+                                         kron[:, layer].conj().swapaxes(-1, -2))
 
     # Im sum(G * C) in closed form, with e = exp(-i a): G_a = Z;
     # G_b = [[0, -i e], [i conj(e), 0]]; and, since RZ(g) commutes with Z,

@@ -207,9 +207,10 @@ def _expval_kernel(states: np.ndarray, n: int, wire: int) -> np.ndarray:
 
 def _rot_mats(weights: np.ndarray) -> np.ndarray:
     """Rot(alpha, beta, gamma) = RZ(alpha) @ RY(beta) @ RZ(gamma) for every
-    angle triple of an (n_layers, n_qubits, 3) weight tensor.
+    angle triple of a (..., 3) weight tensor, such as a stack of k models'
+    (k, n_layers, n_qubits, 3) weights.
 
-    Returns (n_layers, n_qubits, 2, 2) via the closed-form product
+    Returns (..., 2, 2) via the closed-form product
     [[e^{-i(a+g)/2} cos(b/2), -e^{-i(a-g)/2} sin(b/2)],
      [e^{ i(a-g)/2} sin(b/2),  e^{ i(a+g)/2} cos(b/2)]].
     """
@@ -226,7 +227,8 @@ def _rot_mats(weights: np.ndarray) -> np.ndarray:
 
 
 def _product_state(features: np.ndarray, axis: str) -> np.ndarray:
-    """Angle-embed a (B, n_qubits) feature batch from |0...0>.
+    """Angle-embed a (..., n_qubits) feature batch from |0...0>, giving
+    (..., 2**n_qubits) states.
 
     Each wire's rotation of |0> is a two-amplitude vector, so the embedded
     register is their tensor product (wire 0 leftmost): n - 1 broadcast
@@ -241,9 +243,10 @@ def _product_state(features: np.ndarray, axis: str) -> np.ndarray:
         wires[..., 0], wires[..., 1] = c, -1j * s
     else:
         wires[..., 0], wires[..., 1] = c - 1j * s, 0.0
-    states = wires[:, -1]
-    for w in range(features.shape[1] - 2, -1, -1):
-        states = (wires[:, w, :, None] * states[:, None, :]).reshape(len(features), -1)
+    states = wires[..., -1, :]
+    for w in range(features.shape[-1] - 2, -1, -1):
+        states = (wires[..., w, :, None] * states[..., None, :]).reshape(
+            features.shape[:-1] + (-1,))
     return states
 
 
@@ -257,52 +260,58 @@ def _wire_blocks(n: int) -> tuple:
 
 
 def _layer_blocks(mats: np.ndarray) -> list:
-    """Every layer's Rot gates, given as (n_layers, n_qubits, 2, 2) matrices,
-    grouped into dense blocks: one ``(start, stop, kron)`` per wire block,
-    where ``kron`` is the (n_layers, 2**s, 2**s) Kronecker product of the
-    block's s Rot matrices.  The Rots of one layer act on different wires, so
-    the blocks commute and their product is the whole layer's rotation."""
-    layers = mats.shape[0]
+    """Every layer's Rot gates of a stack of k models, given as
+    (k, n_layers, n_qubits, 2, 2) matrices, grouped into dense blocks: one
+    ``(start, stop, kron)`` per wire block, where ``kron`` is the
+    (k, n_layers, 2**s, 2**s) Kronecker product of the block's s Rot
+    matrices.  The Rots of one layer act on different wires, so the blocks
+    commute and their product is the whole layer's rotation."""
+    lead = mats.shape[:-3]
     blocks = []
-    for start, stop in _wire_blocks(mats.shape[1]):
+    for start, stop in _wire_blocks(mats.shape[-3]):
         # built from the last wire leftwards, so that the broadcast multiply
         # runs over the long axis innermost
-        kron = mats[:, stop - 1]
+        kron = mats[..., stop - 1, :, :]
         for w in range(stop - 2, start - 1, -1):
             d = kron.shape[-1]
-            kron = (mats[:, w, :, None, :, None] * kron[:, None, :, None, :]).reshape(
-                layers, 2 * d, 2 * d)
+            kron = (mats[..., w, :, None, :, None] * kron[..., None, :, None, :]).reshape(
+                lead + (2 * d, 2 * d))
         blocks.append((start, stop, kron))
     return blocks
 
 
 def _apply_block(states: np.ndarray, n: int, start: int, stop: int,
                  mat: np.ndarray) -> np.ndarray:
-    """Apply a (2**s, 2**s) matrix to wires [start, stop) of a (B, 2**n)
-    batch as one matmul."""
-    d = mat.shape[0]
+    """Apply each model's (2**s, 2**s) matrix, given as a (k, 2**s, 2**s)
+    stack, to wires [start, stop) of that model's rows of a (k, B, 2**n)
+    batch: one matmul per model, so a model's arithmetic does not depend on
+    the others in its stack."""
+    k, d = len(mat), mat.shape[-1]
     right = 1 << (n - stop)
     if right == 1:
-        return (states.reshape(-1, d) @ mat.T).reshape(states.shape)
-    return (mat @ states.reshape(-1, d, right)).reshape(states.shape)
+        return (states.reshape(k, -1, d) @ mat.swapaxes(-1, -2)).reshape(states.shape)
+    return (mat[:, None] @ states.reshape(k, -1, d, right)).reshape(states.shape)
 
 
 def _entangle(states: np.ndarray, blocks: list, spec: CircuitSpec) -> np.ndarray:
-    """Apply the entangling layers, given as :func:`_layer_blocks` of weights
-    shared across the batch, to a (B, 2**n) batch."""
+    """Apply the entangling layers of a stack of k models, given as their
+    :func:`_layer_blocks`, to a (k, B, 2**n) batch: each model's weights are
+    shared across its B rows."""
     n = spec.n_qubits
     ring = _ring_permutation(n, spec.entangler_range)
     for layer in range(spec.n_layers):
         for start, stop, kron in blocks:
-            states = _apply_block(states, n, start, stop, kron[layer])
+            states = _apply_block(states, n, start, stop, kron[:, layer])
         if ring is not None:
-            states = states[:, ring[0]]
+            states = states[..., ring[0]]
     return states
 
 
 def _forward(features: np.ndarray, blocks: list, spec: CircuitSpec):
-    """:func:`forward_states` through prebuilt layer blocks, without checks:
-    the training step's kernel, whose blocks the adjoint sweep reuses."""
+    """Final states (k, B, 2**n) and <Z_i> (k, B, n) of a stack of k models
+    for a (k, B, n) feature batch through prebuilt layer blocks, without
+    checks: the training step's kernel, whose blocks the adjoint sweep
+    reuses."""
     states = _entangle(_product_state(features, spec.embedding_rotation_axis),
                        blocks, spec)
     probs = states.real * states.real + states.imag * states.imag
@@ -316,7 +325,8 @@ def forward_states(features: np.ndarray, weights: np.ndarray, spec: CircuitSpec)
     if features.ndim != 2 or features.shape[1] != spec.n_qubits:
         raise ShapeError(f"features must be (B, {spec.n_qubits}), got {features.shape}")
     weights = _check_weights(weights, spec)
-    return _forward(features, _layer_blocks(_rot_mats(weights)), spec)
+    states, z = _forward(features[None], _layer_blocks(_rot_mats(weights[None])), spec)
+    return states[0], z[0]
 
 
 def forward_batch(features: np.ndarray, weights: np.ndarray, spec: CircuitSpec) -> np.ndarray:
@@ -406,8 +416,9 @@ def apply_entangling_layers(
     weights = _check_weights(np.asarray(weights, dtype=np.float64), spec)
     if state.n_qubits != spec.n_qubits:
         raise ShapeError("state width does not match spec")
-    out = _entangle(state.amplitudes[None, :], _layer_blocks(_rot_mats(weights)), spec)
-    return StateVector(state.n_qubits, out[0])
+    out = _entangle(state.amplitudes[None, None, :],
+                    _layer_blocks(_rot_mats(weights[None])), spec)
+    return StateVector(state.n_qubits, out[0, 0])
 
 
 def expval_z(state: StateVector, wire: int) -> float:

@@ -448,6 +448,20 @@ class TestGridsearch:
                             for tag in ("T1", "T2")]
         assert boards["X"] != boards["Y"]
 
+    def test_diverging_fit_names_combination_fold_epoch_and_batch(self, workdir, tmp_path,
+                                                                 capsys):
+        p = tmp_path / "diverge.cfg"
+        p.write_text(CONFIG_TEMPLATE.replace(
+            "csv = data.csv", f"csv = {workdir / 'data.csv'}").replace(
+            "learning_rates = 0.05", "learning_rates = 0.05,1e308"))
+        assert cli.main(["gridsearch", "--config", str(p), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert re.search(
+            r"^hyquc: error: row type 'T1': combination 2 of 2 \(n_layers=1, n_qubits=2, "
+            r"learning_rate=1e\+308, batch_size=8, epochs=1\), fold 1 of 2: training "
+            r"diverged at epoch 1, batch \d+ of \d+: the parameters are no longer finite",
+            err), err
+
     def test_grid_section_required(self, workdir, tmp_path, capsys):
         cfg_text = CONFIG_TEMPLATE[:CONFIG_TEMPLATE.index("[grid]")].replace(
             "csv = data.csv", f"csv = {workdir / 'data.csv'}")

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from hyquc import hybrid, nn, qgrad, qsim, serialize
-from hyquc.errors import ShapeError
+from hyquc.errors import DivergenceError, ShapeError
 from hyquc.hybrid import HyperGrid, HybridModel, TrainConfig
 from hyquc.nn import DenseLayer, MLPHead
 from hyquc.qsim import CircuitSpec
@@ -275,6 +275,79 @@ class TestDivergence:
         self.test_diverging_step_names_row_type_epoch_and_batch()
 
 
+def assert_same_model(a, b):
+    np.testing.assert_array_equal(a.qweights, b.qweights)
+    for la, lb in zip(a.head.layers, b.head.layers, strict=True):
+        np.testing.assert_array_equal(la.weights, lb.weights)
+        np.testing.assert_array_equal(la.bias, lb.bias)
+
+
+class TestStackedFit:
+    """A stack of models trains in lockstep exactly as each model alone."""
+
+    @pytest.mark.parametrize("n_qubits, n_layers, hidden_activation, single_layer_head", [
+        (1, 2, "sigmoid", False),   # one wire: no CNOT ring
+        (2, 1, "relu", False),
+        (3, 2, "softmax", False),
+        (3, 1, "identity", False),
+        (2, 2, "sigmoid", True),
+        (6, 1, "relu", False),      # two wire blocks
+    ])
+    def test_stack_equals_separate_fits(self, n_qubits, n_layers, hidden_activation,
+                                        single_layer_head):
+        rng = np.random.default_rng(81)
+        spec = CircuitSpec(n_qubits, n_layers)
+        # batch 4: 23 rows end on a short batch of 3, 17 and 9 on one of 1,
+        # and the 9-row model sits out the epoch's last three batches
+        sizes, val_sizes = (23, 17, 9), (5, 4, 6)
+        rates, seeds = (0.3, 0.05, 0.0), (11, 12, 13)
+        sets = [(rng.uniform(0, np.pi, (m, n_qubits)), rng.integers(0, 3, m))
+                for m in sizes + val_sizes]
+        models = [hybrid.init_model(spec, 3, np.random.default_rng(90 + i), hidden=(4, 5),
+                                    hidden_activation=hidden_activation,
+                                    single_layer_head=single_layer_head)
+                  for i in range(len(sizes))]
+
+        def stacked_set(parts, part_sizes):
+            return hybrid.StackedSet(np.concatenate([X for X, _ in parts]),
+                                     np.concatenate([y for _, y in parts]), part_sizes)
+
+        config = TrainConfig(3, rates, 4, rng_seed=seeds)
+        trained, histories = hybrid.fit(models, stacked_set(sets[:3], sizes),
+                                        stacked_set(sets[3:], val_sizes), config)
+        for i, model in enumerate(models):
+            alone, history = hybrid.fit(model, sets[i], sets[3 + i],
+                                        TrainConfig(3, rates[i], 4, rng_seed=seeds[i]))
+            assert_same_model(trained[i], alone)
+            assert histories[i] == history
+        assert_same_model(trained[2], models[2])  # learning rate 0
+
+    def test_stack_needs_one_layout(self):
+        rng = np.random.default_rng(82)
+        models = [hybrid.init_model(CircuitSpec(2, 1), 2, rng),
+                  hybrid.init_model(CircuitSpec(2, 1), 2, rng, hidden=(8,))]
+        X, y = toy_blobs(rng, n_per_class=4)
+        data = hybrid.StackedSet(X, y, (4, 4))
+        with pytest.raises(ShapeError, match="head layout"):
+            hybrid.fit(models, data, None, TrainConfig(1, 0.1, 4))
+        with pytest.raises(ValueError, match="broadcast"):  # 3 rates for 2 models
+            hybrid.fit(models[:1] * 2, data, None, TrainConfig(1, (0.1, 0.2, 0.3), 4))
+        with pytest.raises(ShapeError, match="2 models need a data set of 2 parts"):
+            hybrid.fit(models[:1] * 2, hybrid.StackedSet(X, y, (4, 3)), None,
+                       TrainConfig(1, 0.1, 4))
+
+    def test_stacked_divergence_names_the_first_diverged_model(self):
+        rng = np.random.default_rng(83)
+        models = [hybrid.init_model(CircuitSpec(2, 1), 2, np.random.default_rng(3),
+                                    hidden=(8,), hidden_activation="relu")] * 3
+        X, y = toy_blobs(np.random.default_rng(4), n_per_class=8)
+        data = hybrid.StackedSet(np.tile(X, (3, 1)), np.tile(y, 3), (16, 16, 16))
+        with pytest.raises(DivergenceError, match=r"^training diverged at epoch 1, "
+                           r"batch \d+ of 4") as info:
+            hybrid.fit(models, data, None, TrainConfig(2, (0.1, 1e308, 1e308), 4))
+        assert info.value.index == 1
+
+
 class TestPredict:
     def test_symmetric_tie_goes_to_class_zero(self):
         spec = CircuitSpec(2, 1)
@@ -388,6 +461,114 @@ class TestGridSearch:
             runs.append([(r.order, r.mean_val_macro_f1, r.mean_val_accuracy)
                          for r in board])
         assert runs[0] == runs[1]
+
+
+def per_fit_grid_search(grid, data, k, seed, augment=None, **model_kwargs):
+    """Grid search as a plain loop of one fit per (combination, fold): the
+    reference that the lockstep search must reproduce exactly."""
+    X, y = data
+    n_classes = int(np.max(y)) + 1
+    folds = hybrid.kfold_split(len(y), k, seed, labels=y)
+    board = []
+    for ci, params in enumerate(grid.combinations()):
+        q = params["n_qubits"]
+        spec = hybrid.circuit_spec(q, params["n_layers"])
+        f1s, accs = [], []
+        for fi, (tr, val) in enumerate(folds):
+            fold_seed = int(np.random.SeedSequence([seed, ci, fi]).generate_state(1)[0])
+            Xtr, ytr = X[tr, :q], y[tr]
+            if augment is not None:
+                Xtr, ytr = augment(Xtr, ytr, fold_seed)
+            model = hybrid.init_model(spec, n_classes, np.random.default_rng(fold_seed),
+                                      **model_kwargs)
+            config = TrainConfig(params["epochs"], params["learning_rate"],
+                                 params["batch_size"], rng_seed=fold_seed)
+            model, _ = hybrid.fit(model, (Xtr, ytr), None, config)
+            _, acc, probs = hybrid.evaluate(model, X[val, :q], y[val])
+            f1s.append(hybrid._macro_f1(y[val], np.argmax(probs, axis=1), n_classes))
+            accs.append(acc)
+        board.append(hybrid.GridResult(params, float(np.mean(f1s)), float(np.mean(accs)),
+                                       ci, f1s))
+    board.sort(key=lambda r: (-r.mean_val_macro_f1, -r.mean_val_accuracy, r.order))
+    return board[0].params, board
+
+
+def grow_by_seed(X, y, seed):
+    """An augmentation that adds 1-5 repeated rows, so that folds and
+    combinations train on unequal row counts."""
+    rng = np.random.default_rng(seed)
+    extra = rng.integers(0, len(y), size=rng.integers(1, 6))
+    return np.vstack([X, X[extra]]), np.concatenate([y, y[extra]])
+
+
+class TestLockstepGridSearch:
+    GRID = HyperGrid((1, 2), (2, 3), (0.2, 0.05), (4, 8), (2,))
+
+    def data(self):
+        X, y = toy_blobs(np.random.default_rng(62), n_per_class=12)
+        return np.hstack([X, X[:, :1]]), y
+
+    @staticmethod
+    def count_rows(monkeypatch, totals):
+        """Wrap hybrid.fit to add training rows x epochs per call, as a
+        caller that counts the training work does."""
+        fit = hybrid.fit
+
+        def counted(model, train_set, val_set, config):
+            x = train_set.X if hasattr(train_set, "X") else train_set[0]
+            totals["rows"] += len(np.asarray(x)) * config.epochs
+            totals["calls"] += 1
+            return fit(model, train_set, val_set, config)
+
+        monkeypatch.setattr(hybrid, "fit", counted)
+
+    @pytest.mark.parametrize("budget", [hybrid.MAX_STACK_AMPLITUDES, 64])
+    def test_equals_a_per_fit_loop(self, monkeypatch, budget):
+        monkeypatch.setattr(hybrid, "MAX_STACK_AMPLITUDES", budget)
+        data = self.data()
+        kwargs = dict(hidden=(4,), hidden_activation="relu")
+        best, board = hybrid.grid_search(self.GRID, data, k=3, seed=5,
+                                         augment=grow_by_seed, **kwargs)
+        ref_best, ref_board = per_fit_grid_search(self.GRID, data, 3, 5,
+                                                  augment=grow_by_seed, **kwargs)
+        assert best == ref_best
+        assert ([(r.params, r.mean_val_macro_f1, r.mean_val_accuracy, r.order, r.fold_f1)
+                 for r in board] ==
+                [(r.params, r.mean_val_macro_f1, r.mean_val_accuracy, r.order, r.fold_f1)
+                 for r in ref_board])
+
+    def test_one_model_init_per_fit(self, monkeypatch):
+        calls, init_model = [], hybrid.init_model
+        monkeypatch.setattr(hybrid, "init_model",
+                            lambda *a, **kw: calls.append(a[0]) or init_model(*a, **kw))
+        hybrid.grid_search(self.GRID, self.data(), k=3, seed=5)
+        assert len(calls) == len(self.GRID.combinations()) * 3
+
+    def test_fit_calls_count_the_rows_of_the_separate_fits(self, monkeypatch):
+        stacked, separate = {"rows": 0, "calls": 0}, {"rows": 0, "calls": 0}
+        self.count_rows(monkeypatch, stacked)
+        hybrid.grid_search(self.GRID, self.data(), k=3, seed=5, augment=grow_by_seed)
+        monkeypatch.undo()
+        self.count_rows(monkeypatch, separate)
+        per_fit_grid_search(self.GRID, self.data(), 3, 5, augment=grow_by_seed)
+        assert stacked["rows"] == separate["rows"]
+        # 8 circuit shapes, each of 2 learning rates x 3 folds
+        assert stacked["calls"] == 8 and separate["calls"] == 48
+
+    def test_ten_qubit_fits_train_alone(self, monkeypatch):
+        stacks, fit = [], hybrid.fit
+
+        def recording(model, *args):
+            stacks.append(len(model))
+            return fit(model, *args)
+
+        monkeypatch.setattr(hybrid, "fit", recording)
+        rng = np.random.default_rng(63)
+        X, y = rng.uniform(0, np.pi, (40, 10)), np.repeat([0, 1], 20)
+        grid = HyperGrid((1,), (10,), (0.1, 0.2), (16,), (1,))
+        hybrid.grid_search(grid, (X, y), k=2, seed=0)
+        # k * min(B, m) * 2**n = 16 * 1024 amplitudes exceed the budget alone
+        assert stacks == [1, 1, 1, 1]
 
 
 class TestSerialization:

@@ -24,6 +24,24 @@ class TestSigmoid:
         out = nn.sigmoid(np.array([-800.0, 0.0, 800.0]))
         assert np.all(np.isfinite(out))
 
+    def test_equals_the_two_branch_form(self):
+        def two_branch(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        rng = np.random.default_rng(16)
+        special = [0.0, -0.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf, np.nan]
+        x = np.concatenate([special, rng.normal(scale=5.0, size=50_000),
+                            rng.uniform(-800.0, 800.0, size=60_000)])
+        # NaNs compare equal whatever their sign bit, in which the forms differ
+        np.testing.assert_array_equal(nn.sigmoid(x), two_branch(x), strict=True)
+        batch = x[:-1].reshape(-1, 8)
+        np.testing.assert_array_equal(nn.sigmoid(batch), two_branch(batch))
+
 
 class TestSoftmax:
     def test_symmetry(self):
