@@ -12,6 +12,7 @@ import logging
 import os
 import re
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,9 +45,21 @@ def _fit_pipeline(raw: pl.TabularDataset, row_type: str, cfg: RunConfig, seed: i
         date_format=cfg.date_format)
 
 
-def fit_row_type(raw: pl.TabularDataset, row_type: str, cfg: RunConfig, seed: int):
-    """Full per-row-type training: preprocess, SMOTE the training split, fit,
-    evaluate on validation and test."""
+class _Prepared(NamedTuple):
+    """A row type ready to train: its fitted preprocessing, its training and
+    test splits and the training run of its fresh model, which holds the
+    SMOTE'd training rows and the validation split."""
+
+    seed: int
+    pipe: pl.RowTypePipeline
+    report: pl.PreprocessReport
+    train: pl.RowTypeDataset
+    test: pl.RowTypeDataset
+    job: hybrid.FitJob
+
+
+def _prepare(raw: pl.TabularDataset, row_type: str, cfg: RunConfig, seed: int) -> _Prepared:
+    """Preprocess a row type, SMOTE its training split and initialise its model."""
     pipe, report, train_ds, val_ds, test_ds = _fit_pipeline(
         raw, row_type, cfg, seed, components=cfg.pca_components, width=cfg.n_qubits)
     report.counts_before_smote = train_ds.class_counts()
@@ -61,25 +74,37 @@ def fit_row_type(raw: pl.TabularDataset, row_type: str, cfg: RunConfig, seed: in
         single_layer_head=cfg.single_layer_head,
     )
     tconf = TrainConfig(cfg.epochs, cfg.learning_rate, cfg.batch_size, rng_seed=seed)
-    model, history = hybrid.fit(model, train_aug, val_ds, tconf)
+    return _Prepared(seed, pipe, report, train_ds, test_ds,
+                     hybrid.FitJob(model, train_aug, val_ds, tconf))
 
-    train_loss, train_acc, _ = hybrid.evaluate(model, train_ds.X, train_ds.y)
-    val_loss, val_acc, _ = hybrid.evaluate(model, val_ds.X, val_ds.y)
-    test_loss, test_acc, probs = hybrid.evaluate(model, test_ds.X, test_ds.y)
+
+def _assess(prep: _Prepared, model, cfg: RunConfig):
+    """The evaluation report of a trained row type on its three splits."""
+    train_loss, train_acc, _ = hybrid.evaluate(model, prep.train.X, prep.train.y)
+    val_loss, val_acc, _ = hybrid.evaluate(model, prep.job.val.X, prep.job.val.y)
+    test_loss, test_acc, probs = hybrid.evaluate(model, prep.test.X, prep.test.y)
     preds = np.argmax(probs, axis=1)
-    cm = metrics.confusion_matrix(test_ds.y, preds, len(pipe.class_names),
-                                  pipe.class_names)
-    rep = metrics.build_report(cm, probs, test_ds.y, extra={
+    names = prep.pipe.class_names
+    cm = metrics.confusion_matrix(prep.test.y, preds, len(names), names)
+    return metrics.build_report(cm, probs, prep.test.y, extra={
         "train_accuracy": train_acc,
         "val_accuracy": val_acc,
         "test_accuracy": test_acc,
         "train_loss": train_loss,
         "val_loss": val_loss,
         "test_loss": test_loss,
-        "seed": seed,
+        "seed": prep.seed,
         "split_fractions": list(cfg.split_fractions),
     })
-    return model, pipe, history, rep, report
+
+
+def fit_row_type(raw: pl.TabularDataset, row_type: str, cfg: RunConfig, seed: int):
+    """Full per-row-type training: preprocess, SMOTE the training split, fit,
+    evaluate on validation and test.  The fit is a stack of one of the path
+    :func:`cmd_train` takes for every row type at once."""
+    prep = _prepare(raw, row_type, cfg, seed)
+    [(model, history)] = hybrid.fit_all([prep.job])
+    return model, prep.pipe, history, _assess(prep, model, cfg), prep.report
 
 
 def _loss_csv(history) -> str:
@@ -107,29 +132,38 @@ def _load_partitions(cfg: RunConfig):
 
 
 def cmd_train(cfg: RunConfig) -> int:
+    """Prepare every row type, train them all (row types of one model layout
+    in lockstep, see :func:`hybrid.fit_all`), then evaluate each and write
+    its artifacts; a row type whose set-up fails stops the run before any
+    training."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     partitions = _load_partitions(cfg)
-    for i, row_type in enumerate(sorted(partitions)):
-        seed = _row_type_seed(cfg.seed, i)
+    row_types = sorted(partitions)
+    prepared = []
+    for i, row_type in enumerate(row_types):
         try:
-            model, pipe, history, rep, report = fit_row_type(
-                partitions[row_type], row_type, cfg, seed
-            )
+            prepared.append(_prepare(partitions[row_type], row_type, cfg,
+                                     _row_type_seed(cfg.seed, i)))
         except (SchemaError, ShapeError, SplitError, AugmentationError) as exc:
             raise type(exc)(f"row type {row_type!r}: {exc}") from None
-        tag = _safe_name(row_type)
-        serialize.save_model(os.path.join(cfg.out_dir, f"model_{tag}.json"),
-                             model, pipe)
-        serialize.atomic_write_text(
-            os.path.join(cfg.out_dir, f"metrics_{tag}.json"), rep.to_json())
-        serialize.atomic_write_text(
-            os.path.join(cfg.out_dir, f"loss_history_{tag}.csv"), _loss_csv(history))
-        serialize.atomic_write_text(
-            os.path.join(cfg.out_dir, f"preprocess_{tag}.json"),
-            json.dumps(report.to_dict(), indent=2))
+    fits = hybrid.fit_all([prep.job for prep in prepared])
+    for row_type, prep, (model, history) in zip(row_types, prepared, fits):
+        rep = _assess(prep, model, cfg)
+        _write_artifacts(cfg.out_dir, row_type, model, prep.pipe, history, rep, prep.report)
         print(f"[{row_type}] test accuracy {rep.accuracy:.4f}, "
               f"val accuracy {rep.extra['val_accuracy']:.4f}")
     return 0
+
+
+def _write_artifacts(out_dir: str, row_type: str, model, pipe, history, rep, report):
+    """A trained row type's model, metrics, loss history and preprocessing audit."""
+    tag = _safe_name(row_type)
+    serialize.save_model(os.path.join(out_dir, f"model_{tag}.json"), model, pipe)
+    serialize.atomic_write_text(os.path.join(out_dir, f"metrics_{tag}.json"), rep.to_json())
+    serialize.atomic_write_text(
+        os.path.join(out_dir, f"loss_history_{tag}.csv"), _loss_csv(history))
+    serialize.atomic_write_text(os.path.join(out_dir, f"preprocess_{tag}.json"),
+                                json.dumps(report.to_dict(), indent=2))
 
 
 def cmd_gridsearch(cfg: RunConfig) -> int:

@@ -19,7 +19,7 @@ from .nn import MLPHead, PROB_CLIP
 from .qsim import CircuitSpec
 
 # at most k * min(batch size, rows) * 2**n_qubits amplitudes per lockstep step
-# of k grid fits.  Stacking pays while a step is bound by call overhead, not
+# of k fits.  Stacking pays while a step is bound by call overhead, not
 # arithmetic: per model, a stack of 6 stepped 4.5x faster than sequential steps
 # at 2 qubits and 1.95x at 5, while 3 stacked 10-qubit fits ran at 0.79x
 MAX_STACK_AMPLITUDES = 1 << 13
@@ -359,7 +359,7 @@ def _rows(data, k: int):
 
 def _layout(model: HybridModel):
     return (model.spec, model.n_classes,
-            [(layer.weights.shape, layer.activation) for layer in model.head.layers])
+            tuple((layer.weights.shape, layer.activation) for layer in model.head.layers))
 
 
 def fit(model, train_set, val_set, config: TrainConfig):
@@ -507,9 +507,8 @@ def grid_search(grid: HyperGrid, data, k: int, seed: int, augment=None,
     ``data`` supplies X (wide enough for the largest n_qubits choice; a model
     with q qubits consumes the first q columns) and integer labels y.
     ``augment(X, y, seed)`` is applied to each fold's training subset only.
-    Fits that share a circuit spec, batch size and epoch count train in
-    lockstep, as stacks (see :func:`fit`) of at most MAX_STACK_AMPLITUDES
-    amplitudes per step; each fit's result is the one it has alone.
+    The fits train through :func:`fit_all`, in lockstep stacks; each fit's
+    result is the one it has alone.
     Ranking: mean validation macro-F1, ties by mean validation accuracy, then
     by declaration order.  Returns (best_params, leaderboard).
     """
@@ -517,42 +516,37 @@ def grid_search(grid: HyperGrid, data, k: int, seed: int, augment=None,
     n_classes = int(np.max(y)) + 1
     folds = kfold_split(len(y), k, seed, labels=y)
     combos = grid.combinations()
-    groups = {}  # (spec, batch size, epochs) -> its fits, in declaration order
+    fits, jobs = [], []  # (combination, fold) and its FitJob, in declaration order
     for ci, params in enumerate(combos):
         q = params["n_qubits"]
         if X.shape[1] < q:
             raise ShapeError(f"data width {X.shape[1]} < n_qubits choice {q}")
         spec = circuit_spec(q, params["n_layers"], embedding_axis, entangler_range)
-        groups.setdefault((spec, params["batch_size"], params["epochs"]), []).extend(
-            (ci, fi) for fi in range(k))
-
-    scores = {}  # (ci, fi) -> (validation macro-F1, validation accuracy)
-
-    def train(stack, spec, batch_size, epochs):
-        models = _fit_stack(stack, combos, batch_size, epochs, k)
-        for f, model in zip(stack, models):
-            val = folds[f.fold][1]
-            _, acc, probs = evaluate(model, X[val, :spec.n_qubits], y[val])
-            scores[f.combination, f.fold] = (
-                _macro_f1(y[val], np.argmax(probs, axis=1), n_classes), acc)
-
-    for (spec, batch_size, epochs), fits in groups.items():
-        stack = []
-        for ci, fi in fits:
+        for fi, (tr, _) in enumerate(folds):
             fold_seed = int(np.random.SeedSequence([seed, ci, fi]).generate_state(1)[0])
-            tr = folds[fi][0]
-            Xtr, ytr = X[tr, :spec.n_qubits], y[tr]
+            Xtr, ytr = X[tr, :q], y[tr]
             if augment is not None:
                 Xtr, ytr = augment(Xtr, ytr, fold_seed)
-            rows = min(batch_size, max([len(ytr)] + [len(f.y) for f in stack]))
-            if stack and (len(stack) + 1) * rows << spec.n_qubits > MAX_STACK_AMPLITUDES:
-                train(stack, spec, batch_size, epochs)
-                stack = []
             model = init_model(spec, n_classes, np.random.default_rng(fold_seed),
                                hidden=hidden, hidden_activation=hidden_activation,
                                single_layer_head=single_layer_head)
-            stack.append(_GridFit(ci, fi, fold_seed, Xtr, ytr, model))
-        train(stack, spec, batch_size, epochs)
+            fits.append((ci, fi))
+            jobs.append(FitJob(model, (Xtr, ytr), None, TrainConfig(
+                params["epochs"], params["learning_rate"], params["batch_size"],
+                rng_seed=fold_seed)))
+    try:
+        trained = fit_all(jobs)
+    except DivergenceError as exc:
+        ci, fi = fits[exc.index]
+        params = ", ".join(f"{key}={value!r}" for key, value in combos[ci].items())
+        raise DivergenceError(f"combination {ci + 1} of {len(combos)} ({params}), "
+                              f"fold {fi + 1} of {k}: {exc}") from None
+
+    scores = {}  # (ci, fi) -> (validation macro-F1, validation accuracy)
+    for (ci, fi), (model, _) in zip(fits, trained):
+        val = folds[fi][1]
+        _, acc, probs = evaluate(model, X[val, :model.spec.n_qubits], y[val])
+        scores[ci, fi] = (_macro_f1(y[val], np.argmax(probs, axis=1), n_classes), acc)
 
     leaderboard = []
     for ci, params in enumerate(combos):
@@ -564,32 +558,73 @@ def grid_search(grid: HyperGrid, data, k: int, seed: int, augment=None,
     return leaderboard[0].params, leaderboard
 
 
-class _GridFit(NamedTuple):
-    """One (combination, fold) fit of a grid search, ready to train."""
+# ---------------------------------------------------------------------------
+# many fits at once: grid search's (combination, fold) fits and train's row
+# types
 
-    combination: int
-    fold: int
-    seed: int
-    X: np.ndarray
-    y: np.ndarray
+class FitJob(NamedTuple):
+    """One model's training run for :func:`fit_all`: ``train`` and ``val``
+    are ``(X, y)`` data sets (``val`` may be None), and ``config`` holds one
+    learning rate and one seed."""
+
     model: HybridModel
+    train: object
+    val: object
+    config: TrainConfig
 
 
-def _fit_stack(stack: list, combos: list, batch_size: int, epochs: int, k: int) -> list:
-    """Train a stack of :class:`_GridFit` through :func:`fit`, with one
-    :class:`StackedSet` of all their rows, so that a caller counting rows x
-    epochs per fit call counts what their separate fits would.  Returns the
-    trained models; a divergence names the first diverged fit's combination
-    and fold."""
-    config = TrainConfig(epochs, tuple(combos[f.combination]["learning_rate"] for f in stack),
-                         batch_size, rng_seed=tuple(f.seed for f in stack))
-    rows = StackedSet(np.concatenate([f.X for f in stack]),
-                      np.concatenate([f.y for f in stack]), tuple(len(f.y) for f in stack))
+def fit_all(jobs: list) -> list:
+    """Train every :class:`FitJob`; returns ``(trained model, history)`` per
+    job, in job order, each exactly what the job's own :func:`fit` returns.
+
+    Jobs that share a model layout (circuit spec, classes and head), batch
+    size, epoch count and whether they have a validation set train in
+    lockstep, as stacks of at most MAX_STACK_AMPLITUDES amplitudes per step,
+    split in job order.  Each stack is one :func:`fit` call on
+    :class:`StackedSet` rows, so that a caller counting rows x epochs per fit
+    call counts what the separate fits would.
+    A divergence is the :class:`DivergenceError` of the first stack that
+    diverges, with ``index`` the diverged job's place in ``jobs``.
+    """
+    groups = {}  # (layout, batch size, epochs, no val) -> job indices, in job order
+    for i, job in enumerate(jobs):
+        groups.setdefault((_layout(job.model), job.config.batch_size, job.config.epochs,
+                           job.val is None), []).append(i)
+    sizes = [len(_as_xy(job.train)[1]) for job in jobs]
+    results = [None] * len(jobs)
+    for (layout, batch_size, _, _), indices in groups.items():
+        n_qubits = layout[0].n_qubits
+        stack, longest = [], 0
+        for i in indices:
+            longest = max(longest, sizes[i])
+            amplitudes = (len(stack) + 1) * min(batch_size, longest) << n_qubits
+            if stack and amplitudes > MAX_STACK_AMPLITUDES:
+                _fit_stack(jobs, stack, results)
+                stack, longest = [], sizes[i]
+            stack.append(i)
+        _fit_stack(jobs, stack, results)
+    return results
+
+
+def _stacked_set(parts) -> StackedSet:
+    parts = [_as_xy(part) for part in parts]
+    return StackedSet(np.concatenate([X for X, _ in parts]),
+                      np.concatenate([y for _, y in parts]), tuple(len(y) for _, y in parts))
+
+
+def _fit_stack(jobs: list, stack: list, results: list) -> None:
+    """Train the jobs at indices ``stack`` as one stack through :func:`fit`
+    and store their ``(model, history)`` in ``results``."""
+    first = jobs[stack[0]]
+    config = TrainConfig(first.config.epochs,
+                         tuple(jobs[i].config.learning_rate for i in stack),
+                         first.config.batch_size,
+                         rng_seed=tuple(jobs[i].config.rng_seed for i in stack))
+    train = _stacked_set([jobs[i].train for i in stack])
+    val = None if first.val is None else _stacked_set([jobs[i].val for i in stack])
     try:
-        models, _ = fit([f.model for f in stack], rows, None, config)
+        models, histories = fit([jobs[i].model for i in stack], train, val, config)
     except DivergenceError as exc:
-        f = stack[exc.index]
-        params = ", ".join(f"{key}={value!r}" for key, value in combos[f.combination].items())
-        raise DivergenceError(f"combination {f.combination + 1} of {len(combos)} ({params}), "
-                              f"fold {f.fold + 1} of {k}: {exc}") from None
-    return models
+        raise DivergenceError(str(exc), stack[exc.index]) from None
+    for i, model, history in zip(stack, models, histories):
+        results[i] = (model, history)

@@ -357,9 +357,121 @@ class TestTrain:
         assert ("row type 'T1': class 'rare' has fewer rows than splits"
                 in capsys.readouterr().err)
 
+    def test_failed_set_up_stops_before_training(self, workdir, tmp_path, capsys,
+                                                 monkeypatch):
+        # T1 sets up; T2's merges leave one class, so nothing may train or be written
+        fits, fit = [], hybrid.fit
+        monkeypatch.setattr(hybrid, "fit", lambda *args: fits.append(args) or fit(*args))
+        assert train_with(tmp_path, workdir / "data.csv",
+                          "\n[row_type:T2]\nmerge_classes = g3->g2; g2->g1\n") == 1
+        assert ("row type 'T2': merges g3->g2; g2->g1 leave one class"
+                in capsys.readouterr().err)
+        assert fits == []
+        assert os.listdir(tmp_path / "out") == []
+
     def test_missing_config_exits_nonzero(self, capsys):
         assert cli.main(["train", "--config", "/nope/missing.cfg"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+def per_row_type_train(cfg_path, out):
+    """``hyquc train`` as a plain loop of one ``hybrid.fit`` per row type: the
+    reference that the lockstep train must reproduce byte for byte."""
+    cfg = load_config(str(cfg_path))
+    os.makedirs(out)
+    partitions = cli._load_partitions(cfg)
+    for i, row_type in enumerate(sorted(partitions)):
+        prep = cli._prepare(partitions[row_type], row_type, cfg,
+                            cli._row_type_seed(cfg.seed, i))
+        model, history = hybrid.fit(prep.job.model, prep.job.train, prep.job.val,
+                                    prep.job.config)
+        cli._write_artifacts(str(out), row_type, model, prep.pipe, history,
+                             cli._assess(prep, model, cfg), prep.report)
+
+
+def count_fits(monkeypatch, totals):
+    """Wrap hybrid.fit to add training rows x epochs per call, as the
+    benchmark's row counter does, and to record each call's stack size."""
+    fit = hybrid.fit
+
+    def counted(model, train_set, val_set, config):
+        totals["rows"] += len(train_set.X) * config.epochs
+        totals["stacks"].append(len(model) if isinstance(model, list) else 1)
+        return fit(model, train_set, val_set, config)
+
+    monkeypatch.setattr(hybrid, "fit", counted)
+
+
+class TestLockstepTrain:
+    """``train`` fits the row types of one model layout as one stack, with
+    the artifacts of a plain per-row-type loop."""
+
+    @pytest.fixture
+    def unequal(self, workdir, tmp_path):
+        """The template data with 12 more T1 rows of class g2, so that the
+        row types train on unequal row counts."""
+        rng = np.random.default_rng(5)
+        extra = [f"T1,g2,{x:.4f},{y:.4f}" for x, y in rng.normal(1.5, 0.15, size=(12, 2))]
+        data = tmp_path / "unequal.csv"
+        data.write_text((workdir / "data.csv").read_text() + "\n".join(extra) + "\n")
+        return data
+
+    def run_both(self, tmp_path, monkeypatch, cfg_text):
+        """(stacked, separate) fit counts of ``train`` and of the reference
+        loop on ``cfg_text``, whose artifacts must be byte-identical."""
+        p = tmp_path / "run.cfg"
+        p.write_text(cfg_text)
+        stacked, separate = {"rows": 0, "stacks": []}, {"rows": 0, "stacks": []}
+        count_fits(monkeypatch, stacked)
+        assert cli.main(["train", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
+        monkeypatch.undo()
+        count_fits(monkeypatch, separate)
+        per_row_type_train(p, tmp_path / "ref")
+        names = sorted(os.listdir(tmp_path / "ref"))
+        assert len(names) == 8 and sorted(os.listdir(tmp_path / "out")) == names
+        for name in names:
+            assert ((tmp_path / "out" / name).read_bytes()
+                    == (tmp_path / "ref" / name).read_bytes()), name
+        return stacked, separate
+
+    @pytest.mark.parametrize("extra, stacks", [
+        ("", [2]),
+        # T1 merged down to two classes has a head of its own
+        ("\n[row_type:T1]\nmerge_classes = g3->g2\n", [1, 1]),
+    ], ids=["one-layout", "two-layouts"])
+    def test_artifacts_equal_a_per_row_type_loop(self, unequal, tmp_path, monkeypatch,
+                                                 extra, stacks):
+        stacked, separate = self.run_both(
+            tmp_path, monkeypatch,
+            CONFIG_TEMPLATE.replace("csv = data.csv", f"csv = {unequal}") + extra)
+        assert stacked["stacks"] == stacks and separate["stacks"] == [1, 1]
+        sizes = [sum(json.loads((tmp_path / "out" / f"preprocess_{tag}.json").read_text())
+                     ["counts_after_smote"].values()) for tag in ("T1", "T2")]
+        assert sizes[0] != sizes[1]
+
+    def test_fit_calls_count_the_rows_of_the_separate_fits(self, unequal, tmp_path,
+                                                           monkeypatch):
+        stacked, separate = self.run_both(
+            tmp_path, monkeypatch, CONFIG_TEMPLATE.replace("csv = data.csv", f"csv = {unequal}"))
+        assert stacked["rows"] == separate["rows"] > 0
+
+    def test_ten_qubit_row_types_exceed_the_amplitude_budget(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(6)
+        lines = ["SEGCD,grade," + ",".join(f"F{j}" for j in range(1, 11))]
+        for seg in ("T1", "T2"):
+            for label, center in (("g1", 0.5), ("g2", 2.0)):
+                for row in rng.normal(center, 0.3, size=(20, 10)):
+                    lines.append(f"{seg},{label}," + ",".join(f"{v:.4f}" for v in row))
+        data = tmp_path / "wide.csv"
+        data.write_text("\n".join(lines) + "\n")
+        cfg_text = (CONFIG_TEMPLATE.replace("csv = data.csv", f"csv = {data}")
+                    .replace("n_qubits = 2\nn_layers = 1\npca_components = 2",
+                             "n_qubits = 10\nn_layers = 1\npca_components = 10")
+                    .replace("epochs = 25", "epochs = 1")
+                    .replace("batch_size = 8", "batch_size = 16"))
+        stacked, _ = self.run_both(tmp_path, monkeypatch, cfg_text)
+        # two models * min(B, m) * 2**n = 2 * 16 * 1024 amplitudes exceed the budget
+        assert stacked["stacks"] == [1, 1]
 
 
 class TestClassMerges:

@@ -1,4 +1,6 @@
 """Hybrid model composition, training loop, k-fold CV and grid search."""
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -346,6 +348,56 @@ class TestStackedFit:
                            r"batch \d+ of 4") as info:
             hybrid.fit(models, data, None, TrainConfig(2, (0.1, 1e308, 1e308), 4))
         assert info.value.index == 1
+
+
+class TestFitAll:
+    """Jobs of one layout, batch size, epoch count and validation presence
+    train as one stack, each exactly as alone."""
+
+    def jobs(self):
+        rng = np.random.default_rng(84)
+        jobs = []
+        # layouts A, B, A, A (2 and 3 classes); the last job has no validation
+        # set, so it trains apart from the other two of layout A
+        for i, (n_classes, rate) in enumerate([(2, 0.2), (3, 0.1), (2, 0.05), (2, 0.3)]):
+            m = 13 + 4 * i
+            data = [(rng.uniform(0, np.pi, (rows, 2)), rng.integers(0, n_classes, rows))
+                    for rows in (m, 5)]
+            model = hybrid.init_model(CircuitSpec(2, 1), n_classes,
+                                      np.random.default_rng(i), hidden=(3,),
+                                      hidden_activation="relu")
+            jobs.append(hybrid.FitJob(model, data[0], data[1] if i < 3 else None,
+                                      TrainConfig(2, rate, 4, rng_seed=20 + i)))
+        return jobs
+
+    def test_equals_separate_fits(self, monkeypatch):
+        jobs, stacks, fit = self.jobs(), [], hybrid.fit
+
+        def recording(model, *args):
+            stacks.append(len(model))
+            return fit(model, *args)
+
+        monkeypatch.setattr(hybrid, "fit", recording)
+        results = hybrid.fit_all(jobs)
+        assert stacks == [2, 1, 1]
+        for job, (model, history) in zip(jobs, results):
+            alone, alone_history = fit(job.model, job.train, job.val, job.config)
+            assert_same_model(model, alone)
+            # the job without a validation set has NaN validation figures
+            assert np.array_equal([astuple(r) for r in history],
+                                  [astuple(r) for r in alone_history], equal_nan=True)
+
+    def test_divergence_index_is_the_job_index(self):
+        data = toy_blobs(np.random.default_rng(4), n_per_class=8)
+        jobs = [hybrid.FitJob(hybrid.init_model(CircuitSpec(2, 1), n_classes,
+                                                np.random.default_rng(3), hidden=(8,),
+                                                hidden_activation="relu"),
+                              data, None, TrainConfig(2, rate, 4))
+                for n_classes, rate in [(2, 0.1), (3, 0.1), (2, 1e308)]]
+        # jobs 0 and 2 share a stack, in which the diverged job is the second
+        with pytest.raises(DivergenceError, match="training diverged") as info:
+            hybrid.fit_all(jobs)
+        assert info.value.index == 2
 
 
 class TestPredict:
