@@ -12,13 +12,14 @@ import logging
 import os
 import re
 import sys
+from contextlib import contextmanager
 from typing import NamedTuple
 
 import numpy as np
 
 from . import hybrid, metrics, pipeline as pl, serialize
 from .config import RunConfig, _unknown, load_config
-from .errors import AugmentationError, SchemaError, ShapeError, SplitError
+from .errors import SchemaError, ShapeError
 from .hybrid import TrainConfig
 
 log = logging.getLogger("hyquc")
@@ -107,6 +108,17 @@ def fit_row_type(raw: pl.TabularDataset, row_type: str, cfg: RunConfig, seed: in
     return model, prep.pipe, history, _assess(prep, model, cfg), prep.report
 
 
+@contextmanager
+def _row_type_errors(row_type: str):
+    """Prefix the message of an error raised for a row type with its name,
+    keeping the error's type."""
+    try:
+        yield
+    except ValueError as exc:
+        exc.args = (f"row type {row_type!r}: {exc}",)
+        raise
+
+
 def _loss_csv(history) -> str:
     lines = [LOSS_CSV_HEADER]
     for i, rec in enumerate(history, 1):
@@ -141,11 +153,9 @@ def cmd_train(cfg: RunConfig) -> int:
     row_types = sorted(partitions)
     prepared = []
     for i, row_type in enumerate(row_types):
-        try:
+        with _row_type_errors(row_type):
             prepared.append(_prepare(partitions[row_type], row_type, cfg,
                                      _row_type_seed(cfg.seed, i)))
-        except (SchemaError, ShapeError, SplitError, AugmentationError) as exc:
-            raise type(exc)(f"row type {row_type!r}: {exc}") from None
     fits = hybrid.fit_all([prep.job for prep in prepared])
     for row_type, prep, (model, history) in zip(row_types, prepared, fits):
         rep = _assess(prep, model, cfg)
@@ -174,7 +184,7 @@ def cmd_gridsearch(cfg: RunConfig) -> int:
     width = max(cfg.grid.n_qubits_choices)
     for i, row_type in enumerate(sorted(partitions)):
         seed = _row_type_seed(cfg.seed, i)
-        try:
+        with _row_type_errors(row_type):
             pipe, _, train_ds, _, _ = _fit_pipeline(
                 partitions[row_type], row_type, cfg, seed, components=width, width=width)
             if train_ds.X.shape[1] < width:
@@ -194,8 +204,6 @@ def cmd_gridsearch(cfg: RunConfig) -> int:
                 single_layer_head=cfg.single_layer_head,
                 embedding_axis=cfg.embedding_axis, entangler_range=cfg.entangler_range,
             )
-        except ValueError as exc:
-            raise SchemaError(f"row type {row_type!r}: {exc}") from None
         tag = _safe_name(row_type)
         lines = ["rank,n_layers,n_qubits,learning_rate,batch_size,epochs,"
                  "mean_val_macro_f1,mean_val_accuracy"]

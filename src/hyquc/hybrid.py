@@ -59,7 +59,6 @@ class TrainConfig:
     learning_rate: float
     batch_size: int
     rng_seed: int = 0
-    loss: str = "cross_entropy"
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -70,8 +69,6 @@ class TrainConfig:
         if not (np.all(np.isfinite(rates)) and np.all(rates >= 0)):
             raise ValueError(
                 f"learning_rate must be finite and nonnegative, got {self.learning_rate!r}")
-        if self.loss != "cross_entropy":
-            raise ValueError(f"unsupported loss {self.loss!r}")
 
 
 @dataclass(frozen=True)
@@ -122,13 +119,6 @@ def forward_probs(model: HybridModel, X) -> np.ndarray:
     for layer in model.head.layers:
         out = nn.dense_forward(layer, out)
     return out
-
-
-def _losses(p_true: np.ndarray) -> np.ndarray:
-    """Per-row cross-entropy, clipped as in ``nn.cross_entropy_loss``, of the
-    probabilities the model gave the true classes."""
-    return np.where(p_true >= 1.0 - PROB_CLIP, 0.0,
-                    -np.log(np.clip(p_true, PROB_CLIP, None)))
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +216,7 @@ def loss_and_grads(model: HybridModel, batch):
         raise ShapeError("batch shapes inconsistent with the model")
     p_true, _, grads = _step(_stack([model]), model, X[None], y[None])
     qweights, *head = _views(grads, _shapes(model))
-    return (float(np.mean(_losses(p_true[0]))),
+    return (float(np.mean(nn.cross_entropy_losses(p_true[0]))),
             ModelGrads(qweights[0], [(w[0], b[0, 0]) for w, b in zip(head[::2], head[1::2])]))
 
 
@@ -255,7 +245,7 @@ def evaluate(model: HybridModel, X, y):
     probs = forward_probs(model, X)
     y = np.asarray(y, dtype=np.int64)
     preds = np.argmax(probs, axis=1)
-    return (float(np.mean(_losses(probs[np.arange(len(y)), y]))),
+    return (float(np.mean(nn.cross_entropy_losses(probs[np.arange(len(y)), y]))),
             float(np.mean(preds == y)), probs)
 
 
@@ -302,7 +292,7 @@ def _train_epoch(flat: np.ndarray, models: list, X, y, sizes, batch_size: int,
                 yb = y[rows]
                 p_true, probs, grads = _step(flat[members], models[0], X[rows], yb)
                 # each model's batch mean, weighted by its batch size
-                total_loss[members] += _losses(p_true).sum(axis=-1) / m * m
+                total_loss[members] += nn.cross_entropy_losses(p_true).sum(axis=-1) / m * m
                 total_correct[members] += (probs.argmax(axis=-1) == yb).sum(axis=-1)
                 flat[members] -= etas[members, None] * grads
             if not np.isfinite(flat).all():

@@ -182,15 +182,19 @@ def bce_loss(y: int, y_hat: float) -> float:
     return float(-(y * np.log(p) + (1 - y) * np.log(1.0 - p)))
 
 
+def cross_entropy_losses(p_true: np.ndarray) -> np.ndarray:
+    """-log p of the probabilities given to the true classes, element-wise:
+    p is clipped below at PROB_CLIP, and the loss is zero within PROB_CLIP of 1."""
+    return np.where(p_true >= 1.0 - PROB_CLIP, 0.0,
+                    -np.log(np.clip(p_true, PROB_CLIP, None)))
+
+
 def cross_entropy_loss(y: int, probs) -> float:
-    """-log probs[y] with the same clipping as bce_loss."""
+    """-log probs[y], clipped as in :func:`cross_entropy_losses`."""
     probs = np.asarray(probs, dtype=np.float64)
     if not 0 <= y < probs.shape[-1]:
         raise IndexError(f"class {y} out of range for {probs.shape[-1]} classes")
-    p = float(probs[y])
-    if p >= 1.0 - PROB_CLIP:
-        return 0.0
-    return float(-np.log(max(p, PROB_CLIP)))
+    return float(cross_entropy_losses(probs[y]))
 
 
 def sgd_update(params, grads, eta: float):

@@ -26,6 +26,15 @@ NORM_TOL = 1e-12
 MAX_BLOCK = 5
 
 
+def _check_width(n_qubits: int) -> None:
+    if n_qubits < 1:
+        raise ValueError("n_qubits must be >= 1")
+    if n_qubits > MAX_QUBITS:
+        raise QubitCapError(
+            f"n_qubits={n_qubits} exceeds the simulator cap of {MAX_QUBITS}"
+        )
+
+
 @dataclass(frozen=True)
 class CircuitSpec:
     """Static description of the circuit: register width, depth, embedding axis
@@ -37,12 +46,7 @@ class CircuitSpec:
     entangler_range: int = 1
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be >= 1")
-        if self.n_qubits > MAX_QUBITS:
-            raise QubitCapError(
-                f"n_qubits={self.n_qubits} exceeds the simulator cap of {MAX_QUBITS}"
-            )
+        _check_width(self.n_qubits)
         if self.n_layers < 1:
             raise ValueError("n_layers must be >= 1")
         if self.embedding_rotation_axis not in AXES:
@@ -84,10 +88,11 @@ class StateVector:
         calculations; gates still preserve whatever norm the state has.
         """
         amps = np.asarray(amplitudes, dtype=np.complex128)
-        n = int(np.log2(amps.size))
-        if 1 << n != amps.size:
-            raise ShapeError(f"amplitude count {amps.size} is not a power of two")
-        sv = cls(max(n, 1), amps if amps.size > 1 else amps)
+        n = amps.size.bit_length() - 1
+        if n < 1 or 1 << n != amps.size:
+            raise ShapeError(
+                f"amplitude count {amps.size} is not a power of two >= 2")
+        sv = cls(n, amps)
         if require_normalized and abs(sv.norm_squared() - 1.0) > 1e-9:
             raise ValueError(f"state norm^2 = {sv.norm_squared()} is not 1")
         return sv
@@ -126,38 +131,13 @@ def rotation_matrix(axis: str, theta: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# batched kernels (shared by the single-state API and the gradient paths so
-# both produce bit-identical arithmetic)
-
-def _apply_1q_kernel(states: np.ndarray, n: int, wire: int, mat: np.ndarray) -> np.ndarray:
-    """Apply one 2x2 gate to one wire of a (B, 2**n) batch, element-wise.
-
-    Only the per-gate single-state API uses it; the circuit kernels apply
-    whole blocks of wires (:func:`_apply_block`)."""
-    b = states.shape[0]
-    left = 1 << wire
-    right = 1 << (n - wire - 1)
-    st = states.reshape(b, left, 2, right)
-    s0 = st[:, :, 0, :]
-    s1 = st[:, :, 1, :]
-    out = np.empty_like(st)
-    o0 = np.multiply(mat[0, 0], s0, out=out[:, :, 0, :])
-    o0 += mat[0, 1] * s1
-    o1 = np.multiply(mat[1, 0], s0, out=out[:, :, 1, :])
-    o1 += mat[1, 1] * s1
-    return out.reshape(b, -1)
-
+# batched kernels, shared by the circuit paths and the single-state API
 
 def _cnot_permutation(n: int, control: int, target: int) -> np.ndarray:
     k = np.arange(1 << n)
     cmask = 1 << (n - 1 - control)
     tmask = 1 << (n - 1 - target)
     return np.where(k & cmask, k ^ tmask, k)
-
-
-def _apply_cnot_kernel(states: np.ndarray, n: int, control: int, target: int) -> np.ndarray:
-    # CNOT is an involution, so gathering through the permutation is exact
-    return states[:, _cnot_permutation(n, control, target)]
 
 
 # the caches below are keyed by register width (and ring offset), which
@@ -184,11 +164,6 @@ def _ring_permutation(n: int, entangler_range: int):
     return perm, inv
 
 
-def _z_signs(n: int, wire: int) -> np.ndarray:
-    k = np.arange(1 << n)
-    return np.where(k & (1 << (n - 1 - wire)), -1.0, 1.0)
-
-
 @lru_cache(maxsize=None)
 def _z_sign_matrix(n: int) -> np.ndarray:
     """(2**n, n) eigenvalues of Z on every wire: ``probs @ signs`` reads all
@@ -198,11 +173,6 @@ def _z_sign_matrix(n: int) -> np.ndarray:
     signs = 1.0 - 2.0 * bits
     signs.flags.writeable = False
     return signs
-
-
-def _expval_kernel(states: np.ndarray, n: int, wire: int) -> np.ndarray:
-    probs = states.real * states.real + states.imag * states.imag
-    return probs @ _z_signs(n, wire)
 
 
 def _rot_mats(weights: np.ndarray) -> np.ndarray:
@@ -359,12 +329,7 @@ def random_weights(spec: CircuitSpec, rng: np.random.Generator) -> np.ndarray:
 
 def init_zero_state(n_qubits: int) -> StateVector:
     """The |0...0> register."""
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be >= 1")
-    if n_qubits > MAX_QUBITS:
-        raise QubitCapError(
-            f"n_qubits={n_qubits} exceeds the simulator cap of {MAX_QUBITS}"
-        )
+    _check_width(n_qubits)
     amps = np.zeros(1 << n_qubits, dtype=np.complex128)
     amps[0] = 1.0
     return StateVector(n_qubits, amps)
@@ -382,9 +347,9 @@ def apply_single_qubit_rotation(
     _check_wire(state, wire)
     if not np.isfinite(theta):
         raise ValueError("theta must be finite")
-    mat = rotation_matrix(axis, theta)
-    out = _apply_1q_kernel(state.amplitudes[None, :], state.n_qubits, wire, mat)
-    return StateVector(state.n_qubits, out[0])
+    out = _apply_block(state.amplitudes[None, None, :], state.n_qubits, wire, wire + 1,
+                       rotation_matrix(axis, theta)[None])
+    return StateVector(state.n_qubits, out[0, 0])
 
 
 def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
@@ -393,8 +358,9 @@ def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
     _check_wire(state, target)
     if control == target:
         raise ValueError("control and target wires must differ")
-    out = _apply_cnot_kernel(state.amplitudes[None, :], state.n_qubits, control, target)
-    return StateVector(state.n_qubits, out[0])
+    # CNOT is an involution, so gathering through the permutation is exact
+    perm = _cnot_permutation(state.n_qubits, control, target)
+    return StateVector(state.n_qubits, state.amplitudes[perm])
 
 
 def angle_embed(features, spec: CircuitSpec) -> StateVector:
@@ -413,7 +379,7 @@ def apply_entangling_layers(
 ) -> StateVector:
     """Per-wire Rot(alpha, beta, gamma) rotations followed by a CNOT ring,
     repeated for each layer."""
-    weights = _check_weights(np.asarray(weights, dtype=np.float64), spec)
+    weights = _check_weights(weights, spec)
     if state.n_qubits != spec.n_qubits:
         raise ShapeError("state width does not match spec")
     out = _entangle(state.amplitudes[None, None, :],
@@ -424,7 +390,7 @@ def apply_entangling_layers(
 def expval_z(state: StateVector, wire: int) -> float:
     """Pauli-Z expectation of one wire, in [-1, 1]."""
     _check_wire(state, wire)
-    return float(_expval_kernel(state.amplitudes[None, :], state.n_qubits, wire)[0])
+    return float(state.probabilities() @ _z_sign_matrix(state.n_qubits)[:, wire])
 
 
 def quantum_layer_forward(features, weights, spec: CircuitSpec) -> np.ndarray:
@@ -434,5 +400,4 @@ def quantum_layer_forward(features, weights, spec: CircuitSpec) -> np.ndarray:
         raise ShapeError(
             f"expected {spec.n_qubits} features, got shape {features.shape}"
         )
-    weights = _check_weights(np.asarray(weights, dtype=np.float64), spec)
     return forward_batch(features[None, :], weights, spec)[0]

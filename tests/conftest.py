@@ -61,11 +61,15 @@ def oracle_circuit_state(features, weights, n, layers, axis="Y", rng_range=1):
     return state
 
 
+def oracle_z_sign(n, wire, k):
+    """Eigenvalue of Z on one wire for the basis state |k>."""
+    return -1.0 if (k >> (n - 1 - wire)) & 1 else 1.0
+
+
 def oracle_expval_z(state, n, wire):
     total = 0.0
     for k, amp in enumerate(state):
-        sign = -1.0 if (k >> (n - 1 - wire)) & 1 else 1.0
-        total += sign * (amp.real ** 2 + amp.imag ** 2)
+        total += oracle_z_sign(n, wire, k) * (amp.real ** 2 + amp.imag ** 2)
     return total
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from hyquc import cli, hybrid, pipeline as pl, serialize
 from hyquc.config import SCHEMA, load_config
-from hyquc.errors import SchemaError
+from hyquc.errors import DivergenceError, SchemaError
 from hyquc.pipeline import TabularDataset
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -581,6 +581,26 @@ class TestGridsearch:
         p.write_text(cfg_text)
         assert cli.main(["gridsearch", "--config", str(p)]) == 1
         assert "[grid]" in capsys.readouterr().err
+
+
+class TestRowTypeErrors:
+    """train and gridsearch name the row type an error came from and keep the
+    error's type."""
+
+    @pytest.mark.parametrize("command, old, new", [
+        ("train", "learning_rate = 0.1", "learning_rate = 1e308"),
+        ("gridsearch", "learning_rates = 0.05", "learning_rates = 0.05,1e308"),
+    ])
+    def test_divergence_stays_a_divergence_error(self, workdir, tmp_path, command,
+                                                 old, new):
+        p = tmp_path / "diverge.cfg"
+        p.write_text(CONFIG_TEMPLATE.replace(
+            "csv = data.csv", f"csv = {workdir / 'data.csv'}").replace(old, new))
+        cfg = load_config(str(p))
+        cfg.out_dir = str(tmp_path / "out")
+        run = cli.cmd_train if command == "train" else cli.cmd_gridsearch
+        with pytest.raises(DivergenceError, match=r"^row type 'T1': "):
+            run(cfg)
 
 
 class TestEvaluate:

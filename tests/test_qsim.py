@@ -10,8 +10,11 @@ from hyquc.qsim import CircuitSpec, StateVector
 
 from conftest import (
     oracle_circuit_state,
+    oracle_cnot,
+    oracle_expval_z,
     oracle_quantum_layer,
     oracle_rotation,
+    oracle_z_sign,
 )
 
 
@@ -116,6 +119,17 @@ class TestCnot:
         out = qsim.apply_cnot(state([r, 0, r, 0]), 0, 1)
         np.testing.assert_allclose(out.amplitudes, [r, 0, 0, r], atol=1e-15)
 
+    def test_matches_dense_oracle(self):
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            n = int(rng.integers(2, 6))
+            control, target = (int(w) for w in rng.choice(n, size=2, replace=False))
+            amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            amps /= np.linalg.norm(amps)
+            got = qsim.apply_cnot(state(amps), control, target)
+            np.testing.assert_array_equal(got.amplitudes,
+                                          oracle_cnot(n, control, target) @ amps)
+
     def test_control_equals_target(self):
         with pytest.raises(ValueError):
             qsim.apply_cnot(state([1, 0, 0, 0]), 1, 1)
@@ -201,6 +215,15 @@ class TestExpvalZ:
         # direct summation agrees
         probs = sv.probabilities()
         assert abs(qsim.expval_z(sv, 0) - (probs[0] - probs[1])) < 1e-15
+
+    def test_matches_oracle(self):
+        rng = np.random.default_rng(29)
+        for n in range(1, 7):
+            amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            sv = state(amps / np.linalg.norm(amps))
+            for w in range(n):
+                assert abs(qsim.expval_z(sv, w)
+                           - oracle_expval_z(sv.amplitudes, n, w)) < 1e-14
 
     def test_wire_out_of_range(self):
         with pytest.raises(IndexError):
@@ -290,6 +313,11 @@ class TestStateVector:
         with pytest.raises(ShapeError):
             StateVector.from_amplitudes([1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("amps", [[], [1.0]])
+    def test_fewer_than_two_amplitudes(self, amps):
+        with pytest.raises(ShapeError, match=f"amplitude count {len(amps)} "):
+            StateVector.from_amplitudes(amps)
+
 
 @st.composite
 def ring_shapes(draw):
@@ -298,8 +326,9 @@ def ring_shapes(draw):
 
 
 class TestCachedCircuitTables:
-    """The per-spec tables the batched kernels use against the per-gate
-    kernels they replace."""
+    """The per-spec tables the batched kernels use against the dense-matrix
+    oracles: the ring against a product of dense CNOT matrices, the sign
+    matrix against the oracle's Z eigenvalue rule."""
 
     @settings(max_examples=40, deadline=None)
     @given(ring_shapes(), st.integers(0, 2**32 - 1))
@@ -310,7 +339,8 @@ class TestCachedCircuitTables:
         want = states
         pairs = [] if n == 1 else [(0, 1)] if n == 2 else [(w, (w + r) % n) for w in range(n)]
         for control, target in pairs:
-            want = qsim._apply_cnot_kernel(want, n, control, target)
+            # the rows are states, so each CNOT acts from the right, transposed
+            want = want @ oracle_cnot(n, control, target).T
         ring = qsim._ring_permutation(n, r)
         if ring is None:
             assert not pairs
@@ -324,8 +354,8 @@ class TestCachedCircuitTables:
     def test_z_sign_matrix_equals_per_wire_signs(self, n):
         signs = qsim._z_sign_matrix(n)
         assert signs.shape == (1 << n, n)
-        for w in range(n):
-            np.testing.assert_array_equal(signs[:, w], qsim._z_signs(n, w))
+        want = [[oracle_z_sign(n, w, k) for w in range(n)] for k in range(1 << n)]
+        np.testing.assert_array_equal(signs, want)
 
     def test_tables_are_read_only(self):
         perm, inv = qsim._ring_permutation(3, 1)
