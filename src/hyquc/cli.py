@@ -12,7 +12,6 @@ import logging
 import os
 import re
 import sys
-from contextlib import contextmanager
 from typing import NamedTuple
 
 import numpy as np
@@ -108,17 +107,6 @@ def fit_row_type(raw: pl.TabularDataset, row_type: str, cfg: RunConfig, seed: in
     return model, prep.pipe, history, _assess(prep, model, cfg), prep.report
 
 
-@contextmanager
-def _row_type_errors(row_type: str):
-    """Prefix the message of an error raised for a row type with its name,
-    keeping the error's type."""
-    try:
-        yield
-    except ValueError as exc:
-        exc.args = (f"row type {row_type!r}: {exc}",)
-        raise
-
-
 def _loss_csv(history) -> str:
     lines = [LOSS_CSV_HEADER]
     for i, rec in enumerate(history, 1):
@@ -143,21 +131,30 @@ def _load_partitions(cfg: RunConfig):
     return partitions
 
 
+def _set_up(cfg: RunConfig, prepare) -> dict:
+    """Row type -> ``prepare(raw, row_type, cfg, seed)``, called for every row
+    type in sorted order with its seed; an error names the row type."""
+    partitions = _load_partitions(cfg)
+    prepared = {}
+    for i, row_type in enumerate(sorted(partitions)):
+        try:
+            prepared[row_type] = prepare(partitions[row_type], row_type, cfg,
+                                         _row_type_seed(cfg.seed, i))
+        except ValueError as exc:
+            exc.args = (f"row type {row_type!r}: {exc}",)
+            raise
+    return prepared
+
+
 def cmd_train(cfg: RunConfig) -> int:
     """Prepare every row type, train them all (row types of one model layout
     in lockstep, see :func:`hybrid.fit_all`), then evaluate each and write
     its artifacts; a row type whose set-up fails stops the run before any
     training."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    partitions = _load_partitions(cfg)
-    row_types = sorted(partitions)
-    prepared = []
-    for i, row_type in enumerate(row_types):
-        with _row_type_errors(row_type):
-            prepared.append(_prepare(partitions[row_type], row_type, cfg,
-                                     _row_type_seed(cfg.seed, i)))
-    fits = hybrid.fit_all([prep.job for prep in prepared])
-    for row_type, prep, (model, history) in zip(row_types, prepared, fits):
+    prepared = _set_up(cfg, _prepare)
+    fits = hybrid.fit_all([prep.job for prep in prepared.values()])
+    for (row_type, prep), (model, history) in zip(prepared.items(), fits):
         rep = _assess(prep, model, cfg)
         _write_artifacts(cfg.out_dir, row_type, model, prep.pipe, history, rep, prep.report)
         print(f"[{row_type}] test accuracy {rep.accuracy:.4f}, "
@@ -176,56 +173,63 @@ def _write_artifacts(out_dir: str, row_type: str, model, pipe, history, rep, rep
                                 json.dumps(report.to_dict(), indent=2))
 
 
+def _prepare_search(raw: pl.TabularDataset, row_type: str, cfg: RunConfig, seed: int):
+    """A row type's grid: its (combination, fold) jobs, named by the row type,
+    and their ranking (see :func:`hybrid.grid_jobs`)."""
+    width = max(cfg.grid.n_qubits_choices)
+    pipe, _, train_ds, _, _ = _fit_pipeline(raw, row_type, cfg, seed,
+                                            components=width, width=width)
+    if train_ds.X.shape[1] < width:
+        raise ShapeError(f"only {train_ds.X.shape[1]} components available for a "
+                         f"{width}-qubit grid choice")
+
+    def augment(X, y, s):
+        out = pl.smote_oversample(pl.RowTypeDataset(row_type, X, y, pipe.class_names),
+                                  cfg.smote_k, s)
+        return out.X, out.y
+
+    jobs, rank = hybrid.grid_jobs(
+        cfg.grid, train_ds, cfg.cv_folds, seed, augment, hidden=cfg.hidden,
+        hidden_activation=cfg.hidden_activation, single_layer_head=cfg.single_layer_head,
+        embedding_axis=cfg.embedding_axis, entangler_range=cfg.entangler_range)
+    return [job._replace(name=f"row type {row_type!r}: {job.name}") for job in jobs], rank
+
+
 def cmd_gridsearch(cfg: RunConfig) -> int:
+    """:func:`cmd_train`'s path for the grid: set up every row type, train all
+    their fits at once, then rank each row type and write its results."""
     if cfg.grid is None:
         raise SchemaError("config has no [grid] section")
     os.makedirs(cfg.out_dir, exist_ok=True)
-    partitions = _load_partitions(cfg)
-    width = max(cfg.grid.n_qubits_choices)
-    for i, row_type in enumerate(sorted(partitions)):
-        seed = _row_type_seed(cfg.seed, i)
-        with _row_type_errors(row_type):
-            pipe, _, train_ds, _, _ = _fit_pipeline(
-                partitions[row_type], row_type, cfg, seed, components=width, width=width)
-            if train_ds.X.shape[1] < width:
-                raise ShapeError(
-                    f"only {train_ds.X.shape[1]} components available for a "
-                    f"{width}-qubit grid choice"
-                )
-
-            def augment(X, y, s, _names=pipe.class_names, _rt=row_type):
-                ds = pl.RowTypeDataset(_rt, X, y, _names)
-                out = pl.smote_oversample(ds, cfg.smote_k, s)
-                return out.X, out.y
-
-            best, leaderboard = hybrid.grid_search(
-                cfg.grid, train_ds, cfg.cv_folds, seed, augment=augment,
-                hidden=cfg.hidden, hidden_activation=cfg.hidden_activation,
-                single_layer_head=cfg.single_layer_head,
-                embedding_axis=cfg.embedding_axis, entangler_range=cfg.entangler_range,
-            )
-        tag = _safe_name(row_type)
-        lines = ["rank,n_layers,n_qubits,learning_rate,batch_size,epochs,"
-                 "mean_val_macro_f1,mean_val_accuracy"]
-        for rank, res in enumerate(leaderboard, 1):
-            p = res.params
-            lines.append(f"{rank},{p['n_layers']},{p['n_qubits']},"
-                         f"{p['learning_rate']!r},{p['batch_size']},{p['epochs']},"
-                         f"{res.mean_val_macro_f1!r},{res.mean_val_accuracy!r}")
-        serialize.atomic_write_text(
-            os.path.join(cfg.out_dir, f"leaderboard_{tag}.csv"),
-            "\n".join(lines) + "\n")
-        winner = ("[model]\n"
-                  f"n_qubits = {best['n_qubits']}\n"
-                  f"n_layers = {best['n_layers']}\n\n"
-                  "[train]\n"
-                  f"epochs = {best['epochs']}\n"
-                  f"learning_rate = {best['learning_rate']!r}\n"
-                  f"batch_size = {best['batch_size']}\n")
-        serialize.atomic_write_text(
-            os.path.join(cfg.out_dir, f"winner_{tag}.cfg"), winner)
+    grids = _set_up(cfg, _prepare_search)
+    fits = iter(hybrid.fit_all([job for jobs, _ in grids.values() for job in jobs]))
+    for row_type, (jobs, rank) in grids.items():
+        best, leaderboard = rank([next(fits) for _ in jobs])
+        _write_grid(cfg.out_dir, row_type, best, leaderboard)
         print(f"[{row_type}] best: {best}")
     return 0
+
+
+def _write_grid(out_dir: str, row_type: str, best: dict, leaderboard) -> None:
+    """A row type's grid-search leaderboard and winning settings."""
+    tag = _safe_name(row_type)
+    lines = ["rank,n_layers,n_qubits,learning_rate,batch_size,epochs,"
+             "mean_val_macro_f1,mean_val_accuracy"]
+    for rank, res in enumerate(leaderboard, 1):
+        p = res.params
+        lines.append(f"{rank},{p['n_layers']},{p['n_qubits']},"
+                     f"{p['learning_rate']!r},{p['batch_size']},{p['epochs']},"
+                     f"{res.mean_val_macro_f1!r},{res.mean_val_accuracy!r}")
+    serialize.atomic_write_text(os.path.join(out_dir, f"leaderboard_{tag}.csv"),
+                                "\n".join(lines) + "\n")
+    winner = ("[model]\n"
+              f"n_qubits = {best['n_qubits']}\n"
+              f"n_layers = {best['n_layers']}\n\n"
+              "[train]\n"
+              f"epochs = {best['epochs']}\n"
+              f"learning_rate = {best['learning_rate']!r}\n"
+              f"batch_size = {best['batch_size']}\n")
+    serialize.atomic_write_text(os.path.join(out_dir, f"winner_{tag}.cfg"), winner)
 
 
 def cmd_evaluate(model_path: str, data_path: str, out_path: str = None) -> int:

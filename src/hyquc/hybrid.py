@@ -492,26 +492,39 @@ def grid_search(grid: HyperGrid, data, k: int, seed: int, augment=None,
                 hidden=(8, 8), hidden_activation: str = "sigmoid",
                 single_layer_head: bool = False, embedding_axis: str = "Y",
                 entangler_range: int = 1):
-    """Exhaustive search over the grid under stratified k-fold CV.
+    """Exhaustive search over the grid under stratified k-fold CV: the
+    :func:`grid_jobs`, trained through :func:`fit_all`, then ranked.
+    Returns (best_params, leaderboard)."""
+    jobs, rank = grid_jobs(grid, data, k, seed, augment, hidden, hidden_activation,
+                           single_layer_head, embedding_axis, entangler_range)
+    return rank(fit_all(jobs))
+
+
+def grid_jobs(grid: HyperGrid, data, k: int, seed: int, augment=None,
+              hidden=(8, 8), hidden_activation: str = "sigmoid",
+              single_layer_head: bool = False, embedding_axis: str = "Y",
+              entangler_range: int = 1):
+    """The (combination, fold) fits of :func:`grid_search` and their ranking.
 
     ``data`` supplies X (wide enough for the largest n_qubits choice; a model
     with q qubits consumes the first q columns) and integer labels y.
     ``augment(X, y, seed)`` is applied to each fold's training subset only.
-    The fits train through :func:`fit_all`, in lockstep stacks; each fit's
-    result is the one it has alone.
-    Ranking: mean validation macro-F1, ties by mean validation accuracy, then
-    by declaration order.  Returns (best_params, leaderboard).
-    """
+    Returns the :class:`FitJob` per (combination, fold), in declaration order,
+    named ``combination i of N (...), fold j of k``, and ``rank(trained)``,
+    which turns :func:`fit_all`'s results for them into (best_params,
+    leaderboard): by mean validation macro-F1, ties by mean validation
+    accuracy, then by declaration order."""
     X, y = _as_xy(data)
     n_classes = int(np.max(y)) + 1
     folds = kfold_split(len(y), k, seed, labels=y)
     combos = grid.combinations()
-    fits, jobs = [], []  # (combination, fold) and its FitJob, in declaration order
+    jobs = []
     for ci, params in enumerate(combos):
         q = params["n_qubits"]
         if X.shape[1] < q:
             raise ShapeError(f"data width {X.shape[1]} < n_qubits choice {q}")
         spec = circuit_spec(q, params["n_layers"], embedding_axis, entangler_range)
+        desc = ", ".join(f"{key}={value!r}" for key, value in params.items())
         for fi, (tr, _) in enumerate(folds):
             fold_seed = int(np.random.SeedSequence([seed, ci, fi]).generate_state(1)[0])
             Xtr, ytr = X[tr, :q], y[tr]
@@ -520,32 +533,25 @@ def grid_search(grid: HyperGrid, data, k: int, seed: int, augment=None,
             model = init_model(spec, n_classes, np.random.default_rng(fold_seed),
                                hidden=hidden, hidden_activation=hidden_activation,
                                single_layer_head=single_layer_head)
-            fits.append((ci, fi))
             jobs.append(FitJob(model, (Xtr, ytr), None, TrainConfig(
                 params["epochs"], params["learning_rate"], params["batch_size"],
-                rng_seed=fold_seed)))
-    try:
-        trained = fit_all(jobs)
-    except DivergenceError as exc:
-        ci, fi = fits[exc.index]
-        params = ", ".join(f"{key}={value!r}" for key, value in combos[ci].items())
-        raise DivergenceError(f"combination {ci + 1} of {len(combos)} ({params}), "
-                              f"fold {fi + 1} of {k}: {exc}") from None
+                rng_seed=fold_seed), f"combination {ci + 1} of {len(combos)} ({desc}), "
+                                     f"fold {fi + 1} of {k}"))
 
-    scores = {}  # (ci, fi) -> (validation macro-F1, validation accuracy)
-    for (ci, fi), (model, _) in zip(fits, trained):
-        val = folds[fi][1]
-        _, acc, probs = evaluate(model, X[val, :model.spec.n_qubits], y[val])
-        scores[ci, fi] = (_macro_f1(y[val], np.argmax(probs, axis=1), n_classes), acc)
+    def rank(trained):
+        leaderboard = []
+        for ci, params in enumerate(combos):
+            f1s, accs = [], []
+            for (_, val), (model, _) in zip(folds, trained[ci * k:(ci + 1) * k]):
+                _, acc, probs = evaluate(model, X[val, :model.spec.n_qubits], y[val])
+                f1s.append(_macro_f1(y[val], np.argmax(probs, axis=1), n_classes))
+                accs.append(acc)
+            leaderboard.append(GridResult(params, float(np.mean(f1s)),
+                                          float(np.mean(accs)), ci, f1s))
+        leaderboard.sort(key=lambda r: (-r.mean_val_macro_f1, -r.mean_val_accuracy, r.order))
+        return leaderboard[0].params, leaderboard
 
-    leaderboard = []
-    for ci, params in enumerate(combos):
-        f1s = [scores[ci, fi][0] for fi in range(k)]
-        leaderboard.append(GridResult(params, float(np.mean(f1s)),
-                                      float(np.mean([scores[ci, fi][1] for fi in range(k)])),
-                                      ci, f1s))
-    leaderboard.sort(key=lambda r: (-r.mean_val_macro_f1, -r.mean_val_accuracy, r.order))
-    return leaderboard[0].params, leaderboard
+    return jobs, rank
 
 
 # ---------------------------------------------------------------------------
@@ -554,13 +560,14 @@ def grid_search(grid: HyperGrid, data, k: int, seed: int, augment=None,
 
 class FitJob(NamedTuple):
     """One model's training run for :func:`fit_all`: ``train`` and ``val``
-    are ``(X, y)`` data sets (``val`` may be None), and ``config`` holds one
-    learning rate and one seed."""
+    are ``(X, y)`` data sets (``val`` may be None), ``config`` holds one
+    learning rate and one seed, and ``name`` heads a divergence's message."""
 
     model: HybridModel
     train: object
     val: object
     config: TrainConfig
+    name: str = ""
 
 
 def fit_all(jobs: list) -> list:
@@ -574,7 +581,7 @@ def fit_all(jobs: list) -> list:
     :class:`StackedSet` rows, so that a caller counting rows x epochs per fit
     call counts what the separate fits would.
     A divergence is the :class:`DivergenceError` of the first stack that
-    diverges, with ``index`` the diverged job's place in ``jobs``.
+    diverges, headed by the job's name, with ``index`` the job's place in ``jobs``.
     """
     groups = {}  # (layout, batch size, epochs, no val) -> job indices, in job order
     for i, job in enumerate(jobs):
@@ -615,6 +622,7 @@ def _fit_stack(jobs: list, stack: list, results: list) -> None:
     try:
         models, histories = fit([jobs[i].model for i in stack], train, val, config)
     except DivergenceError as exc:
-        raise DivergenceError(str(exc), stack[exc.index]) from None
+        i = stack[exc.index]
+        raise DivergenceError(": ".join(filter(None, (jobs[i].name, str(exc)))), i) from None
     for i, model, history in zip(stack, models, histories):
         results[i] = (model, history)

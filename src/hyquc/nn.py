@@ -189,14 +189,6 @@ def cross_entropy_losses(p_true: np.ndarray) -> np.ndarray:
                     -np.log(np.clip(p_true, PROB_CLIP, None)))
 
 
-def cross_entropy_loss(y: int, probs) -> float:
-    """-log probs[y], clipped as in :func:`cross_entropy_losses`."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if not 0 <= y < probs.shape[-1]:
-        raise IndexError(f"class {y} out of range for {probs.shape[-1]} classes")
-    return float(cross_entropy_losses(probs[y]))
-
-
 def sgd_update(params, grads, eta: float):
     """Vanilla gradient step params - eta * grads."""
     if eta < 0:

@@ -322,15 +322,6 @@ class RowTypeDataset:
         return {name: int(c) for name, c in zip(self.class_names, counts)}
 
 
-def impute_and_encode(data: TabularDataset, row_type: str = "",
-                      date_format: str = None) -> RowTypeDataset:
-    """Fit-and-transform convenience for a single table."""
-    encoder = ColumnEncoder(date_format).fit(data)
-    X = encoder.transform(data)
-    y, class_names = encode_labels(data.column(data.label_column))
-    return RowTypeDataset(row_type, X, y, class_names)
-
-
 def merge_labels(labels, merges, classes):
     """Apply ``(from, into)`` class merges in order to label strings.
 
@@ -571,14 +562,6 @@ def stratified_split_indices(y, fractions, seed: int, class_names=None):
         parts[1].extend(idx[a:a + b])
         parts[2].extend(idx[a + b:])
     return tuple(np.sort(np.array(p, dtype=np.int64)) for p in parts)
-
-
-def split_train_val_test(ds: RowTypeDataset, fractions, seed: int):
-    """Seeded stratified split into three RowTypeDatasets."""
-    tr, va, te = stratified_split_indices(ds.y, fractions, seed, ds.class_names)
-    make = lambda idx: RowTypeDataset(ds.row_type, ds.X[idx], ds.y[idx],
-                                      list(ds.class_names))
-    return make(tr), make(va), make(te)
 
 
 # ---------------------------------------------------------------------------

@@ -83,12 +83,23 @@ def trained(workdir):
     return out
 
 
-def train_with(tmp_path, data, extra=""):
-    """Exit code of ``hyquc train`` on ``data`` with the template config plus
-    ``extra``, writing to ``tmp_path / "out"``."""
+def train_with(tmp_path, data, extra="", command="train"):
+    """Exit code of ``hyquc train`` (or ``command``) on ``data`` with the
+    template config plus ``extra``, writing to ``tmp_path / "out"``."""
     p = tmp_path / "extra.cfg"
     p.write_text(CONFIG_TEMPLATE.replace("csv = data.csv", f"csv = {data}") + extra)
-    return cli.main(["train", "--config", str(p), "--out", str(tmp_path / "out")])
+    return cli.main([command, "--config", str(p), "--out", str(tmp_path / "out")])
+
+
+@pytest.fixture
+def unequal(workdir, tmp_path):
+    """The template data with 12 more T1 rows of class g2, so that the row
+    types train on unequal row counts."""
+    rng = np.random.default_rng(5)
+    extra = [f"T1,g2,{x:.4f},{y:.4f}" for x, y in rng.normal(1.5, 0.15, size=(12, 2))]
+    data = tmp_path / "unequal.csv"
+    data.write_text((workdir / "data.csv").read_text() + "\n".join(extra) + "\n")
+    return data
 
 
 class TestConfigLoading:
@@ -406,16 +417,6 @@ class TestLockstepTrain:
     """``train`` fits the row types of one model layout as one stack, with
     the artifacts of a plain per-row-type loop."""
 
-    @pytest.fixture
-    def unequal(self, workdir, tmp_path):
-        """The template data with 12 more T1 rows of class g2, so that the
-        row types train on unequal row counts."""
-        rng = np.random.default_rng(5)
-        extra = [f"T1,g2,{x:.4f},{y:.4f}" for x, y in rng.normal(1.5, 0.15, size=(12, 2))]
-        data = tmp_path / "unequal.csv"
-        data.write_text((workdir / "data.csv").read_text() + "\n".join(extra) + "\n")
-        return data
-
     def run_both(self, tmp_path, monkeypatch, cfg_text):
         """(stacked, separate) fit counts of ``train`` and of the reference
         loop on ``cfg_text``, whose artifacts must be byte-identical."""
@@ -531,6 +532,32 @@ class TestClassMerges:
             assert json.loads(capsys.readouterr().out)["class_names"] == ["g1", "g2"]
 
 
+def per_row_type_gridsearch(cfg_path, out):
+    """``hyquc gridsearch`` as a plain loop of one ``hybrid.grid_search`` per
+    row type: the reference that the one-``fit_all`` gridsearch must
+    reproduce byte for byte."""
+    cfg = load_config(str(cfg_path))
+    os.makedirs(out)
+    partitions = cli._load_partitions(cfg)
+    width = max(cfg.grid.n_qubits_choices)
+    for i, row_type in enumerate(sorted(partitions)):
+        seed = cli._row_type_seed(cfg.seed, i)
+        pipe, _, train_ds, _, _ = cli._fit_pipeline(partitions[row_type], row_type, cfg,
+                                                    seed, components=width, width=width)
+
+        def augment(X, y, s, names=pipe.class_names, row_type=row_type):
+            ds = pl.smote_oversample(pl.RowTypeDataset(row_type, X, y, names),
+                                     cfg.smote_k, s)
+            return ds.X, ds.y
+
+        best, leaderboard = hybrid.grid_search(
+            cfg.grid, train_ds, cfg.cv_folds, seed, augment=augment, hidden=cfg.hidden,
+            hidden_activation=cfg.hidden_activation,
+            single_layer_head=cfg.single_layer_head,
+            embedding_axis=cfg.embedding_axis, entangler_range=cfg.entangler_range)
+        cli._write_grid(str(out), row_type, best, leaderboard)
+
+
 class TestGridsearch:
     def test_singleton_grid(self, workdir, capsys):
         out = workdir / "grid"
@@ -573,6 +600,51 @@ class TestGridsearch:
             r"learning_rate=1e\+308, batch_size=8, epochs=1\), fold 1 of 2: training "
             r"diverged at epoch 1, batch \d+ of \d+: the parameters are no longer finite",
             err), err
+
+    def test_artifacts_equal_a_per_row_type_loop(self, unequal, tmp_path, monkeypatch):
+        # two layouts (n_layers), two learning rates and two folds: per row
+        # type 8 fits, which the reference trains as two stacks of 4
+        p = tmp_path / "run.cfg"
+        p.write_text(CONFIG_TEMPLATE.replace("csv = data.csv", f"csv = {unequal}")
+                     .replace("n_layers = 1\nn_qubits = 2\nlearning_rates = 0.05",
+                              "n_layers = 1,2\nn_qubits = 2\nlearning_rates = 0.05,0.1"))
+        stacked, separate = {"rows": 0, "stacks": []}, {"rows": 0, "stacks": []}
+        count_fits(monkeypatch, stacked)
+        assert cli.main(["gridsearch", "--config", str(p), "--out",
+                         str(tmp_path / "out")]) == 0
+        monkeypatch.undo()
+        count_fits(monkeypatch, separate)
+        per_row_type_gridsearch(p, tmp_path / "ref")
+        names = sorted(os.listdir(tmp_path / "ref"))
+        assert len(names) == 4 and sorted(os.listdir(tmp_path / "out")) == names
+        for name in names:
+            assert ((tmp_path / "out" / name).read_bytes()
+                    == (tmp_path / "ref" / name).read_bytes()), name
+        assert stacked["stacks"] == [8, 8] and separate["stacks"] == [4, 4, 4, 4]
+        assert stacked["rows"] == separate["rows"] > 0
+
+    def test_failed_set_up_stops_before_training(self, workdir, tmp_path, capsys,
+                                                 monkeypatch):
+        # T1 sets up; T2's merges leave one class, so nothing may train or be written
+        fits, fit = [], hybrid.fit
+        monkeypatch.setattr(hybrid, "fit", lambda *args: fits.append(args) or fit(*args))
+        assert train_with(tmp_path, workdir / "data.csv",
+                          "\n[row_type:T2]\nmerge_classes = g3->g2; g2->g1\n",
+                          command="gridsearch") == 1
+        assert ("row type 'T2': merges g3->g2; g2->g1 leave one class"
+                in capsys.readouterr().err)
+        assert fits == []
+        assert os.listdir(tmp_path / "out") == []
+
+    def test_grid_wider_than_the_data_refused(self, workdir, tmp_path, capsys):
+        cfg_text = CONFIG_TEMPLATE.replace("n_qubits = 2\nlearning_rates",
+                                           "n_qubits = 2,3\nlearning_rates")
+        p = tmp_path / "wide.cfg"
+        p.write_text(cfg_text.replace("csv = data.csv", f"csv = {workdir / 'data.csv'}"))
+        assert cli.main(["gridsearch", "--config", str(p), "--out",
+                         str(tmp_path / "out")]) == 1
+        assert ("row type 'T1': only 2 components available for a 3-qubit grid choice"
+                in capsys.readouterr().err)
 
     def test_grid_section_required(self, workdir, tmp_path, capsys):
         cfg_text = CONFIG_TEMPLATE[:CONFIG_TEMPLATE.index("[grid]")].replace(

@@ -109,8 +109,8 @@ class TestLossAndGrads:
         y = np.array([1, 0])
         p1 = hybrid.hybrid_forward(model, X[0])
         p2 = hybrid.hybrid_forward(model, X[1])
-        assert abs(nn.cross_entropy_loss(1, p1) - 0.4587) < 2e-3
-        assert abs(nn.cross_entropy_loss(0, p2) - 0.8665) < 2e-3
+        assert abs(nn.cross_entropy_losses(p1[1]) - 0.4587) < 2e-3
+        assert abs(nn.cross_entropy_losses(p2[0]) - 0.8665) < 2e-3
         loss, _ = hybrid.loss_and_grads(model, (X, y))
         assert abs(loss - 0.6626) < 2e-3
 
@@ -392,10 +392,11 @@ class TestFitAll:
         jobs = [hybrid.FitJob(hybrid.init_model(CircuitSpec(2, 1), n_classes,
                                                 np.random.default_rng(3), hidden=(8,),
                                                 hidden_activation="relu"),
-                              data, None, TrainConfig(2, rate, 4))
-                for n_classes, rate in [(2, 0.1), (3, 0.1), (2, 1e308)]]
-        # jobs 0 and 2 share a stack, in which the diverged job is the second
-        with pytest.raises(DivergenceError, match="training diverged") as info:
+                              data, None, TrainConfig(2, rate, 4), f"job {i}")
+                for i, (n_classes, rate) in enumerate([(2, 0.1), (3, 0.1), (2, 1e308)])]
+        # jobs 0 and 2 share a stack, in which the diverged job is the second;
+        # the message starts with its name
+        with pytest.raises(DivergenceError, match="^job 2: training diverged") as info:
             hybrid.fit_all(jobs)
         assert info.value.index == 2
 

@@ -150,36 +150,41 @@ class TestDropHighMissing:
             pl.drop_high_missing(data, 0.0)
 
 
+def encoded(data: TabularDataset, date_format: str = None) -> np.ndarray:
+    """The features of ``data`` encoded by a ColumnEncoder fitted on it."""
+    return pl.ColumnEncoder(date_format).fit(data).transform(data)
+
+
 class TestImputeAndEncode:
     def test_median_imputation(self):
         data = TabularDataset(["V", "L"], [["1", "a"], [None, "a"], ["3", "b"]],
                               label_column="L")
-        ds = pl.impute_and_encode(data)
-        np.testing.assert_array_equal(ds.X[:, 0], [1.0, 2.0, 3.0])
+        X = encoded(data)
+        np.testing.assert_array_equal(X[:, 0], [1.0, 2.0, 3.0])
 
     def test_categorical_indicators(self):
         data = TabularDataset(["C", "L"],
                               [["A", "a"], ["B", "a"], [None, "b"]],
                               label_column="L")
-        ds = pl.impute_and_encode(data)
-        assert ds.X.shape == (3, 3)  # A, B, missing
-        np.testing.assert_array_equal(ds.X, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        X = encoded(data)
+        assert X.shape == (3, 3)  # A, B, missing
+        np.testing.assert_array_equal(X, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     def test_date_parsing(self):
         data = TabularDataset(["D", "L"],
                               [["1970-01-02", "a"], [None, "b"],
                                ["1970-01-04", "a"]],
                               label_column="L")
-        ds = pl.impute_and_encode(data, date_format="%Y-%m-%d")
-        np.testing.assert_array_equal(ds.X[:, 0], [1.0, 2.0, 3.0])
+        X = encoded(data, "%Y-%m-%d")
+        np.testing.assert_array_equal(X[:, 0], [1.0, 2.0, 3.0])
 
     def test_all_missing_column_dropped(self, caplog):
         data = TabularDataset(["V", "W", "L"],
                               [[None, "1", "a"], [None, "2", "b"]],
                               label_column="L")
         with caplog.at_level("INFO", logger="hyquc.pipeline"):
-            ds = pl.impute_and_encode(data)
-        assert ds.X.shape == (2, 1)
+            X = encoded(data)
+        assert X.shape == (2, 1)
         assert any("'V'" in rec.message for rec in caplog.records)
 
     def test_finiteness_on_random_fixture(self):
@@ -191,8 +196,8 @@ class TestImputeAndEncode:
             rows.append([num or None, cat or None, "a" if rng.random() < 0.5
                          else "b"])
         data = TabularDataset(["N", "C", "L"], rows, label_column="L")
-        ds = pl.impute_and_encode(data)
-        assert np.all(np.isfinite(ds.X))
+        X = encoded(data)
+        assert np.all(np.isfinite(X))
 
     def test_unseen_category_treated_missing(self):
         enc = pl.ColumnEncoder().fit(
@@ -477,10 +482,9 @@ class TestStratifiedSplit:
                 assert abs(got - n_c * frac) <= 1.0
 
     def test_small_class_error_names_class(self):
-        ds = RowTypeDataset("t", np.zeros((5, 2)),
-                            np.array([0, 0, 0, 1, 1]), ["big", "small"])
         with pytest.raises(SplitError, match="'small'"):
-            pl.split_train_val_test(ds, (0.70, 0.15, 0.15), seed=0)
+            pl.stratified_split_indices(np.array([0, 0, 0, 1, 1]), (0.70, 0.15, 0.15),
+                                        seed=0, class_names=["big", "small"])
 
     def test_seeded_determinism(self):
         y = np.random.default_rng(5).integers(0, 3, size=100)
