@@ -128,6 +128,12 @@ def _load_partitions(cfg: RunConfig):
     for name in cfg.row_types:
         if name not in partitions:
             raise _unknown(f"row type in [row_type:{name}]", name, sorted(partitions))
+    tags = {}
+    for row_type in sorted(partitions):
+        other = tags.setdefault(_safe_name(row_type), row_type)
+        if other != row_type:
+            raise SchemaError(f"row types {other!r} and {row_type!r} would overwrite "
+                              f"each other's artifact files *_{_safe_name(row_type)}.*")
     return partitions
 
 
@@ -232,10 +238,16 @@ def _write_grid(out_dir: str, row_type: str, best: dict, leaderboard) -> None:
     serialize.atomic_write_text(os.path.join(out_dir, f"winner_{tag}.cfg"), winner)
 
 
-def cmd_evaluate(model_path: str, data_path: str, out_path: str = None) -> int:
-    model, pipe = serialize.load_model(model_path)
+def _load_model(path: str):
+    """A model file's model and pipeline; SchemaError if it has no pipeline."""
+    model, pipe = serialize.load_model(path)
     if pipe is None:
-        raise SchemaError(f"{model_path}: model carries no preprocessing pipeline")
+        raise SchemaError(f"{path}: model carries no preprocessing pipeline")
+    return model, pipe
+
+
+def cmd_evaluate(model_path: str, data_path: str, out_path: str = None) -> int:
+    model, pipe = _load_model(model_path)
     data = pl.load_csv(data_path, pipe.label_column)
     if not data.rows:
         raise SchemaError(f"{data_path}: no data rows")
@@ -259,20 +271,13 @@ def _load_models(model_path: str) -> dict:
             raise SchemaError(f"no model_*.json files in {model_path!r}")
     else:
         paths = [model_path]
-    models = {}
-    for path in paths:
-        model, pipe = serialize.load_model(path)
-        if pipe is None:
-            raise SchemaError(f"{path}: model carries no preprocessing pipeline")
-        models[pipe.row_type] = (model, pipe)
-    return models
+    return {pipe.row_type: (model, pipe) for model, pipe in map(_load_model, paths)}
 
 
 def cmd_predict(model_path: str, input_path: str, out_path: str = None,
                 row_type_map_path: str = None) -> int:
     models = _load_models(model_path)
-    any_pipe = next(iter(models.values()))[1]
-    rt_col = any_pipe.row_type_column
+    rt_col = next(iter(models.values()))[1].row_type_column
     data = pl.load_csv(input_path, None)
     if not data.rows:
         raise SchemaError(f"{input_path}: no data rows")
@@ -306,10 +311,8 @@ def cmd_predict(model_path: str, input_path: str, out_path: str = None,
         model, pipe = models[rt]
         probs = hybrid.forward_probs(model, pipe.transform_features(data.take(idxs)))
         # argmax ties go to the lowest class index
-        for i, row_probs, cls in zip(idxs, probs, np.argmax(probs, axis=1)):
-            prob_text = ";".join(
-                f"{name}={float(p)!r}" for name, p in zip(pipe.class_names, row_probs)
-            )
+        for i, row_probs, cls in zip(idxs, probs.tolist(), np.argmax(probs, axis=1)):
+            prob_text = ";".join(f"{n}={p!r}" for n, p in zip(pipe.class_names, row_probs))
             results[i] = (rt, "ok", pipe.class_names[cls], prob_text)
 
     lines = ["row,row_type,status,predicted_class,probabilities"]

@@ -1,8 +1,8 @@
 """Row-type dependent data pipeline: partitioning, cleaning, encoding, class
 consolidation, PCA, angle scaling and SMOTE augmentation.
 
-Raw cells are strings (or None for missing) as read from CSV; numeric Python
-values are accepted too for programmatic fixtures.
+Each raw cell is a ``str``, or ``None`` where it is missing, as
+:func:`load_csv` reads it; no other cell type is accepted.
 """
 from __future__ import annotations
 
@@ -22,19 +22,10 @@ PCA_COMPONENT_CAP = 16  # simulator register limit
 _EPOCH = date(1970, 1, 1)
 
 
-def _is_missing(cell) -> bool:
-    if cell is None:
-        return True
-    if isinstance(cell, float) and np.isnan(cell):
-        return True
-    return isinstance(cell, str) and cell.strip() == ""
-
-
-def _as_float(cell):
-    if isinstance(cell, (int, float)) and not isinstance(cell, bool):
-        return float(cell)
+def _as_float(cell: str):
+    # strip first: str.strip() removes \x1c-\x1f, which float() rejects
     try:
-        return float(str(cell).strip())
+        return float(cell.strip())
     except ValueError:
         return None
 
@@ -43,14 +34,14 @@ def _non_finite(name: str, cells):
     """SchemaError for the first numeric cell of a column that parses to
     inf or nan (spellings such as ``inf``, ``nan`` or ``1e400``)."""
     for i, cell in enumerate(cells):
-        v = None if _is_missing(cell) else _as_float(cell)
+        v = None if cell is None else _as_float(cell)
         if v is not None and not np.isfinite(v):
             return SchemaError(f"column {name!r}, row {i}: non-finite number {cell!r}")
 
 
 def _as_days(cell, fmt):
     try:
-        dt = datetime.strptime(str(cell).strip(), fmt)
+        dt = datetime.strptime(cell.strip(), fmt)
     except ValueError:
         return None
     return float((dt.date() - _EPOCH).days)
@@ -60,7 +51,8 @@ def _as_days(cell, fmt):
 class TabularDataset:
     """Rectangular raw table with a designated label column and, optionally,
     a row-type column.  ``label_column=None`` admits unlabeled prediction
-    inputs."""
+    inputs.  Each cell is a ``str``, or ``None`` where it is missing; column
+    names are unique (SchemaError naming a repeated one)."""
 
     column_names: list
     rows: list
@@ -72,6 +64,9 @@ class TabularDataset:
         for i, row in enumerate(self.rows):
             if len(row) != width:
                 raise SchemaError(f"row {i} has {len(row)} cells, expected {width}")
+        if len(set(self.column_names)) != width:
+            dup = next(n for n in self.column_names if self.column_names.count(n) > 1)
+            raise SchemaError(f"duplicate column {dup!r}")
         if self.label_column is not None and \
                 self.label_column not in self.column_names:
             raise SchemaError(f"label column {self.label_column!r} not present")
@@ -99,7 +94,8 @@ class TabularDataset:
 
 
 def load_csv(path, label_column: str, row_type_column: str = None) -> TabularDataset:
-    """Read a CSV with a header row; empty cells become missing."""
+    """Read a CSV with a header row.  Each cell is kept as its ``str``, or
+    ``None`` where it is empty or whitespace only."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -128,7 +124,7 @@ def load_row_type_map(path) -> dict:
 def row_type_codes(data: TabularDataset, column: str) -> list:
     """The stripped code in ``column`` of every row, "" where it is missing."""
     idx = data.col_index(column)
-    return ["" if _is_missing(row[idx]) else str(row[idx]).strip() for row in data.rows]
+    return ["" if row[idx] is None else row[idx].strip() for row in data.rows]
 
 
 def partition_by_row_type(data: TabularDataset, code_map: dict = None) -> dict:
@@ -165,10 +161,7 @@ def drop_inapplicable_columns(data: TabularDataset, exclude) -> TabularDataset:
 
 def missing_fractions(data: TabularDataset) -> dict:
     n = max(len(data), 1)
-    out = {}
-    for j, name in enumerate(data.column_names):
-        out[name] = sum(_is_missing(row[j]) for row in data.rows) / n
-    return out
+    return {name: data.column(name).count(None) / n for name in data.column_names}
 
 
 def drop_high_missing(data: TabularDataset, threshold: float = 0.70):
@@ -216,7 +209,7 @@ class ColumnEncoder:
             if name in skip:
                 continue
             cells = data.column(name)
-            present = [c for c in cells if not _is_missing(c)]
+            present = [c for c in cells if c is not None]
             if not present:
                 log.info("column %r is entirely missing, dropped", name)
                 continue
@@ -233,7 +226,7 @@ class ColumnEncoder:
                     self.columns.append(ColumnSpec(name, "date",
                                                    median=float(np.median(days))))
                     continue
-            cats = sorted({str(c).strip() for c in present})
+            cats = sorted({c.strip() for c in present})
             self.columns.append(ColumnSpec(name, "categorical", categories=cats))
         return self
 
@@ -247,12 +240,11 @@ class ColumnEncoder:
         for spec in self.columns:
             cells = data.column(spec.name)
             if spec.kind in ("numeric", "date"):
+                parse = (_as_float if spec.kind == "numeric"
+                         else lambda c: _as_days(c, self.date_format))
                 col = np.empty(n)
                 for i, cell in enumerate(cells):
-                    v = None
-                    if not _is_missing(cell):
-                        v = (_as_float(cell) if spec.kind == "numeric"
-                             else _as_days(cell, self.date_format))
+                    v = None if cell is None else parse(cell)
                     col[i] = spec.median if v is None else v
                 if not np.all(np.isfinite(col)):
                     raise _non_finite(spec.name, cells)
@@ -262,10 +254,10 @@ class ColumnEncoder:
                 block = np.zeros((n, width))
                 index = {c: j for j, c in enumerate(spec.categories)}
                 for i, cell in enumerate(cells):
-                    if _is_missing(cell):
+                    if cell is None:
                         block[i, -1] = 1.0
                     else:
-                        j = index.get(str(cell).strip())
+                        j = index.get(cell.strip())
                         if j is None:
                             log.info("unseen category %r in %r treated as missing",
                                      cell, spec.name)
@@ -279,10 +271,9 @@ class ColumnEncoder:
 
 
 def _label_strings(values) -> list:
-    labels = [str(v).strip() if not _is_missing(v) else None for v in values]
-    if any(v is None for v in labels):
+    if None in values:
         raise SchemaError("missing value in the label column")
-    return labels
+    return [v.strip() for v in values]
 
 
 def encode_labels(values, class_names=None):
@@ -640,14 +631,10 @@ class RowTypePipeline:
                 pipe.transform(data.take(va)), pipe.transform(data.take(te)))
 
     def transform_features(self, data: TabularDataset) -> np.ndarray:
-        """Replay drops, encoding, PCA projection and angle scaling.
-
-        Only the columns present are dropped: an absent exclusion was logged
-        when the pipeline was fitted, and is not logged again per replay."""
-        drop = set(self.exclude_columns) | set(self.dropped_missing)
-        data = drop_inapplicable_columns(data, drop & set(data.column_names))
-        X = self.encoder.transform(data)
-        z = pca_transform(self.pca, X)[:, :self.n_components]
+        """Replay encoding, PCA projection and angle scaling on raw cells (each
+        a ``str``, or ``None`` where missing).  The encoder reads only its own
+        columns, so the table is not copied and may hold the dropped ones."""
+        z = pca_transform(self.pca, self.encoder.transform(data))[:, :self.n_components]
         return apply_angle_scaling(z, self.bounds)
 
     def transform(self, data: TabularDataset) -> RowTypeDataset:

@@ -675,6 +675,30 @@ class TestRowTypeErrors:
             run(cfg)
 
 
+class TestArtifactNameCollision:
+    """Row types whose artifact file names collide are refused before anything
+    trains or is written."""
+
+    @pytest.mark.parametrize("command", ["train", "gridsearch"])
+    @pytest.mark.parametrize("first, second, tag", [
+        ("a b", "a_b", "a_b"),
+        ("", "default", "default"),
+    ])
+    def test_colliding_row_types_refused(self, workdir, tmp_path, capsys, monkeypatch,
+                                         command, first, second, tag):
+        fits, fit = [], hybrid.fit
+        monkeypatch.setattr(hybrid, "fit", lambda *args: fits.append(args) or fit(*args))
+        text = (workdir / "data.csv").read_text()
+        data = tmp_path / "data.csv"
+        data.write_text(text.replace("\nT1,", f"\n{first},")
+                        .replace("\nT2,", f"\n{second},"))
+        assert train_with(tmp_path, data, command=command) == 1
+        assert (f"row types {first!r} and {second!r} would overwrite each other's "
+                f"artifact files *_{tag}.*") in capsys.readouterr().err
+        assert fits == []
+        assert os.listdir(tmp_path / "out") == []
+
+
 class TestEvaluate:
     def test_report_written(self, workdir, trained, tmp_path, capsys):
         out = tmp_path / "eval.json"

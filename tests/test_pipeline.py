@@ -230,6 +230,35 @@ class TestImputeAndEncode:
                                          label_column="L"))
 
 
+# characters str.strip() removes; float() rejects the last four
+PADDING = ["\t", " ", "\u2003", "\x1c", "\x1d", "\x1e", "\x1f"]
+
+
+class TestPaddedCells:
+    """A cell padded with whitespace encodes bit for bit like the bare cell."""
+
+    def table(self, pad):
+        rows = [["1.5", "1970-01-02", "A", "a", "T1"],
+                ["-2", "1970-01-04", "B", "b", "T2"],
+                ["3e1", "1970-01-05", "A", "a", "T1"],
+                [None, None, None, "b", "T2"]]
+        return TabularDataset(
+            ["N", "D", "C", "L", "T"],
+            [[None if c is None else pad + c + pad for c in row] for row in rows],
+            label_column="L", row_type_column="T")
+
+    @pytest.mark.parametrize("pad", PADDING)
+    def test_padded_cells_encode_like_bare_ones(self, pad):
+        bare, padded = self.table(""), self.table(pad)
+        enc = pl.ColumnEncoder("%Y-%m-%d").fit(bare)
+        assert [s.kind for s in enc.columns] == ["numeric", "date", "categorical"]
+        assert pl.ColumnEncoder("%Y-%m-%d").fit(padded).columns == enc.columns
+        assert enc.transform(padded).tobytes() == enc.transform(bare).tobytes()
+        (y, names), (y0, names0) = (pl.encode_labels(t.column("L")) for t in (padded, bare))
+        assert (y.tobytes(), names) == (y0.tobytes(), names0)
+        assert pl.row_type_codes(padded, "T") == ["T1", "T2", "T1", "T2"]
+
+
 class TestMergeMinorityClass:
     def published_personal(self):
         labels = []
@@ -530,6 +559,39 @@ class TestRowTypePipelineReplay:
         np.testing.assert_array_equal(back.transform_features(data), scaled)
 
 
+class TestReplayReadsOnlyTheEncoderColumns:
+    """A fitted pipeline replays on the raw table without copying it: the
+    columns dropped before the encoder was fitted change nothing."""
+
+    def fit(self):
+        rng = np.random.default_rng(11)
+        names = ["N1", "X", "N2", "S", "C", "L"]
+        rows = [[f"{rng.normal():.4f}", f"{rng.normal():.4f}", f"{rng.normal():.4f}",
+                 f"{rng.normal():.4f}" if i % 5 == 0 else None,
+                 rng.choice(["p", "q"]), "a" if i % 2 else "b"] for i in range(40)]
+        data = TabularDataset(names, rows, label_column="L")
+        pipe = pl.RowTypePipeline.fit(data, "t", seed=0, components=2, width=2,
+                                      split_fractions=(0.6, 0.2, 0.2),
+                                      exclude_columns=["X"])[0]
+        return data, pipe
+
+    def test_dropped_columns_change_no_bit(self):
+        data, pipe = self.fit()
+        assert (pipe.exclude_columns, pipe.dropped_missing) == (["X"], ["S"])
+        keep = [j for j, name in enumerate(data.column_names) if name not in ("X", "S")]
+        slim = TabularDataset([data.column_names[j] for j in keep],
+                              [[row[j] for j in keep] for row in data.rows],
+                              label_column="L")
+        assert pipe.transform_features(data).tobytes() == \
+            pipe.transform_features(slim).tobytes()
+
+    def test_input_left_unmodified(self):
+        data, pipe = self.fit()
+        names, rows = list(data.column_names), [list(row) for row in data.rows]
+        pipe.transform_features(data)
+        assert (data.column_names, data.rows) == (names, rows)
+
+
 class TestRowTypePipelineFit:
     def test_one_class_refused(self):
         rows = [[f"{0.1 * i:.1f}", str(i % 3), "a"] for i in range(30)]
@@ -563,6 +625,17 @@ class TestLoaders:
         p.write_text("just a line\n")
         with pytest.raises(SchemaError):
             pl.load_row_type_map(str(p))
+
+    def test_duplicate_column_refused(self):
+        with pytest.raises(SchemaError, match="^duplicate column 'F1'$"):
+            TabularDataset(["F1", "F1", "L"], [["1", "2", "a"]], label_column="L")
+
+    def test_load_csv_duplicate_header_refused(self, tmp_path):
+        # the second F1's values would otherwise be lost behind the first's
+        p = tmp_path / "d.csv"
+        p.write_text("F1,F1,L\n1,4,a\n2,5,b\n3,6,a\n")
+        with pytest.raises(SchemaError, match="duplicate column 'F1'"):
+            pl.load_csv(str(p), label_column="L")
 
     def test_rectangularity(self):
         with pytest.raises(SchemaError):
