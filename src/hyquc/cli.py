@@ -219,13 +219,10 @@ def cmd_gridsearch(cfg: RunConfig) -> int:
 def _write_grid(out_dir: str, row_type: str, best: dict, leaderboard) -> None:
     """A row type's grid-search leaderboard and winning settings."""
     tag = _safe_name(row_type)
-    lines = ["rank,n_layers,n_qubits,learning_rate,batch_size,epochs,"
-             "mean_val_macro_f1,mean_val_accuracy"]
+    lines = [",".join(["rank", *best, "mean_val_macro_f1", "mean_val_accuracy"])]
     for rank, res in enumerate(leaderboard, 1):
-        p = res.params
-        lines.append(f"{rank},{p['n_layers']},{p['n_qubits']},"
-                     f"{p['learning_rate']!r},{p['batch_size']},{p['epochs']},"
-                     f"{res.mean_val_macro_f1!r},{res.mean_val_accuracy!r}")
+        lines.append(",".join(map(repr, [rank, *res.params.values(),
+                                         res.mean_val_macro_f1, res.mean_val_accuracy])))
     serialize.atomic_write_text(os.path.join(out_dir, f"leaderboard_{tag}.csv"),
                                 "\n".join(lines) + "\n")
     winner = ("[model]\n"
@@ -247,6 +244,9 @@ def _load_model(path: str):
 
 
 def cmd_evaluate(model_path: str, data_path: str, out_path: str = None) -> int:
+    if os.path.isdir(model_path):
+        raise SchemaError(f"{model_path!r} is a directory; evaluate takes one "
+                          "model_<type>.json file")
     model, pipe = _load_model(model_path)
     data = pl.load_csv(data_path, pipe.label_column)
     if not data.rows:

@@ -7,7 +7,6 @@ All randomness flows through seeded ``numpy.random.Generator`` instances so a
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
@@ -127,33 +126,27 @@ def forward_probs(model: HybridModel, X) -> np.ndarray:
 # one.  Each model's arithmetic is its own (one matmul per model, one
 # reduction per row), so it trains exactly as it would alone.
 
-def _shapes(model: HybridModel) -> list:
-    """Shapes of a model's parameter tensors, in the order a stack lays them
-    out: the angles, then each head layer's weights and its bias as a row."""
-    shapes = [model.qweights.shape]
-    for layer in model.head.layers:
-        shapes += [layer.weights.shape, (1, layer.out_dim)]
-    return shapes
+def _tensors(model: HybridModel) -> list:
+    """A model's parameter tensors in the order a stack lays them out: the
+    angles, then each head layer's weights and its bias as a row."""
+    return [model.qweights, *(t for layer in model.head.layers
+                              for t in (layer.weights, layer.bias[None]))]
 
 
-def _views(flat: np.ndarray, shapes: list) -> list:
-    """The (k, *shape) views of a stack's (k, P) rows, one per tensor."""
+def _split(flat: np.ndarray, model: HybridModel):
+    """``(angles, [(weights, bias), ...])``: the (k, *shape) views of a
+    stack's (k, P) rows laid out like ``model``."""
     views, start = [], 0
-    for shape in shapes:
-        stop = start + math.prod(shape)
-        views.append(flat[:, start:stop].reshape((len(flat),) + shape))
-        start = stop
-    return views
-
-
-def _flatten(tensors) -> np.ndarray:
-    return np.concatenate([t.ravel() for t in tensors])
+    for t in _tensors(model):
+        views.append(flat[:, start:start + t.size].reshape((len(flat),) + t.shape))
+        start += t.size
+    qweights, *head = views
+    return qweights, list(zip(head[::2], head[1::2]))
 
 
 def _stack(models: list) -> np.ndarray:
     """The (k, P) parameter rows of a stack of models of one layout."""
-    return np.array([_flatten([model.qweights, *(a for layer in model.head.layers
-                                                 for a in (layer.weights, layer.bias))])
+    return np.array([np.concatenate([t.ravel() for t in _tensors(model)])
                      for model in models])
 
 
@@ -161,10 +154,10 @@ def _unstack(flat: np.ndarray, models: list) -> list:
     """New models with ``models``' layouts and the parameters of the rows
     of ``flat``.  The values were checked finite during training, and the
     shapes are the models' own, so nothing is validated again."""
-    qweights, *head = _views(flat, _shapes(models[0]))
+    qweights, head = _split(flat, models[0])
     return [_with(model, qweights=qweights[i].copy(), head=_with(model.head, layers=[
         _with(layer, weights=w[i].copy(), bias=b[i, 0].copy())
-        for layer, w, b in zip(model.head.layers, head[::2], head[1::2])]))
+        for layer, (w, b) in zip(model.head.layers, head)]))
         for i, model in enumerate(models)]
 
 
@@ -180,12 +173,12 @@ def _step(flat: np.ndarray, model: HybridModel, X: np.ndarray, y: np.ndarray):
     pulled back through the circuit by the adjoint vector-Jacobian product,
     which reuses the forward pass's gate blocks."""
     k, m = y.shape
-    qweights, *head = _views(flat, _shapes(model))
+    qweights, head = _split(flat, model)
     layers = model.head.layers
     blocks = qsim._layer_blocks(qsim._rot_mats(qweights))
     states, q_out = qsim._forward(X, blocks, model.spec)
     acts = [q_out]
-    for layer, w, b in zip(layers, head[::2], head[1::2]):
+    for layer, (w, b) in zip(layers, head):
         acts.append(nn._dense(acts[-1], w, b, layer.activation))
     probs = acts[-1]
     true = (np.arange(k)[:, None], np.arange(m), y)
@@ -195,10 +188,10 @@ def _step(flat: np.ndarray, model: HybridModel, X: np.ndarray, y: np.ndarray):
     upstream = np.zeros_like(probs)
     upstream[true] = -1.0 / (m * np.clip(p_true, PROB_CLIP, None))
 
-    grads = [None] * len(head)
-    for i in range(len(layers) - 1, -1, -1):
-        grads[2 * i], grads[2 * i + 1], upstream = nn._layer_backward(
-            layers[i].activation, head[2 * i], acts[i], acts[i + 1], upstream)
+    grads = []
+    for layer, (w, _), x, out in reversed(list(zip(layers, head, acts, acts[1:]))):
+        grad_w, grad_b, upstream = nn._layer_backward(layer.activation, w, x, out, upstream)
+        grads[:0] = (grad_w, grad_b)
     grads.insert(0, qgrad._adjoint(states, upstream, qweights, blocks, model.spec))
     return p_true, probs, np.concatenate([g.reshape(k, -1) for g in grads], axis=1)
 
@@ -215,9 +208,9 @@ def loss_and_grads(model: HybridModel, batch):
     if X.shape[1] != model.spec.n_qubits or len(y) != len(X):
         raise ShapeError("batch shapes inconsistent with the model")
     p_true, _, grads = _step(_stack([model]), model, X[None], y[None])
-    qweights, *head = _views(grads, _shapes(model))
+    qweights, head = _split(grads, model)
     return (float(np.mean(nn.cross_entropy_losses(p_true[0]))),
-            ModelGrads(qweights[0], [(w[0], b[0, 0]) for w, b in zip(head[::2], head[1::2])]))
+            ModelGrads(qweights[0], [(w[0], b[0, 0]) for w, b in head]))
 
 
 def _with(obj, **fields):
@@ -236,7 +229,10 @@ def apply_gradients(model: HybridModel, grads: ModelGrads, eta: float) -> Hybrid
     matches, and neither the arrays (as :func:`nn.sgd_update` would) nor the
     new model and its layers are validated again."""
     flat = _stack([model])
-    flat -= eta * _flatten([grads.qweights, *(g for pair in grads.head for g in pair)])
+    qweights, head = _split(flat, model)
+    for view, grad in zip([qweights, *itertools.chain(*head)],
+                          [grads.qweights, *itertools.chain(*grads.head)]):
+        view[0] -= eta * grad
     return _unstack(flat, [model])[0]
 
 

@@ -3,7 +3,7 @@ accuracy, macro/weighted averages, one-vs-rest ROC AUC and Cohen's kappa."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -164,7 +164,7 @@ class MetricsReport:
     """Everything a per-row-type evaluation emits, with stable JSON key order."""
 
     class_names: list
-    per_class: list          # dicts: precision/recall/f1/support/degenerate
+    per_class: list          # dicts: the class name, then the ClassMetrics fields
     accuracy: float
     macro: dict              # precision/recall/f1
     weighted: dict
@@ -173,28 +173,15 @@ class MetricsReport:
     extra: dict = field(default_factory=dict)  # e.g. train/val/test accuracy
 
     def to_json(self) -> str:
-        doc = {
-            "format": "hyquc-metrics",
-            "version": 1,
-            "class_names": self.class_names,
-            "per_class": self.per_class,
-            "accuracy": self.accuracy,
-            "macro": self.macro,
-            "weighted": self.weighted,
-            "roc_auc": self.roc_auc,
-            "kappa": self.kappa,
-            "extra": self.extra,
-        }
-        return json.dumps(doc, indent=2)
+        return json.dumps({"format": "hyquc-metrics", "version": 1, **asdict(self)},
+                          indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "MetricsReport":
         doc = json.loads(text)
         if doc.get("format") != "hyquc-metrics":
             raise ValueError("not a metrics report document")
-        return cls(doc["class_names"], doc["per_class"], doc["accuracy"],
-                   doc["macro"], doc["weighted"], doc["roc_auc"], doc["kappa"],
-                   doc.get("extra", {}))
+        return cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc})
 
 
 def build_report(cm: ConfusionMatrix, scores, y_true, extra=None) -> MetricsReport:
@@ -206,14 +193,8 @@ def build_report(cm: ConfusionMatrix, scores, y_true, extra=None) -> MetricsRepo
     macro_f, weighted_f = macro_weighted_avg([m.f1 for m in per_class], supports)
     return MetricsReport(
         class_names=list(cm.class_names),
-        per_class=[{
-            "class": cm.class_names[c],
-            "precision": m.precision,
-            "recall": m.recall,
-            "f1": m.f1,
-            "support": m.support,
-            "degenerate": m.degenerate,
-        } for c, m in enumerate(per_class)],
+        per_class=[{"class": cm.class_names[c], **asdict(m)}
+                   for c, m in enumerate(per_class)],
         accuracy=accuracy(cm),
         macro={"precision": macro_p, "recall": macro_r, "f1": macro_f},
         weighted={"precision": weighted_p, "recall": weighted_r, "f1": weighted_f},

@@ -6,15 +6,13 @@ a batch are summed over the rows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError
 
 PROB_CLIP = 1e-12
-
-ACTIVATIONS = ("sigmoid", "relu", "softmax", "identity")
 
 
 def sigmoid(x):
@@ -43,16 +41,14 @@ def softmax(logits) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "sigmoid":
-        return sigmoid(z)
-    if name == "relu":
-        return relu(z)
-    if name == "softmax":
-        return softmax(z)
-    if name == "identity":
-        return z
-    raise ValueError(f"unknown activation {name!r}")
+# name -> (function, derivative): the derivative maps the layer output y and
+# dL/dy to dL/dz (relu's y is positive exactly where its pre-activation z is)
+ACTIVATIONS = {
+    "sigmoid": (sigmoid, lambda y, dy: dy * y * (1.0 - y)),
+    "relu": (relu, lambda y, dy: dy * (y > 0)),
+    "softmax": (softmax, lambda y, dy: y * (dy - np.sum(dy * y, axis=-1, keepdims=True))),
+    "identity": (lambda z: z, lambda y, dy: dy),
+}
 
 
 @dataclass
@@ -138,7 +134,7 @@ def _dense(x: np.ndarray, weights: np.ndarray, bias: np.ndarray,
     """activation(x W^T + b) without checks: the training step's kernel.  For
     a stack of k layers ``weights`` is (k, out_dim, in_dim), ``bias``
     (k, 1, out_dim) and ``x`` (k, B, in_dim)."""
-    return _activate(activation, x @ weights.swapaxes(-1, -2) + bias)
+    return ACTIVATIONS[activation][0](x @ weights.swapaxes(-1, -2) + bias)
 
 
 def dense_backward(layer: DenseLayer, x, upstream_grad):
@@ -165,14 +161,7 @@ def _layer_backward(activation: str, weights: np.ndarray, x: np.ndarray,
     ``y`` are already known, without checks: the training step's kernel.
     For a stack of k layers every argument gains a leading model axis, and
     so does every gradient."""
-    if activation == "sigmoid":
-        dz = upstream * y * (1.0 - y)
-    elif activation == "relu":
-        dz = upstream * (y > 0)  # y > 0 exactly where the pre-activation is
-    elif activation == "softmax":
-        dz = y * (upstream - np.sum(upstream * y, axis=-1, keepdims=True))
-    else:
-        dz = upstream
+    dz = ACTIVATIONS[activation][1](y, upstream)
     return dz.swapaxes(-1, -2) @ x, dz.sum(axis=-2), dz @ weights
 
 

@@ -18,7 +18,6 @@ from .errors import AugmentationError, SchemaError, ShapeError, SplitError
 log = logging.getLogger(__name__)
 
 ANGLE_MAX = np.pi
-PCA_COMPONENT_CAP = 16  # simulator register limit
 _EPOCH = date(1970, 1, 1)
 
 
@@ -117,7 +116,9 @@ def load_row_type_map(path) -> dict:
             if "=" not in line:
                 raise SchemaError(f"{path}:{lineno}: expected 'code = row_type'")
             code, row_type = (part.strip() for part in line.split("=", 1))
-            mapping[code] = row_type
+            if mapping.setdefault(code, row_type) != row_type:
+                raise SchemaError(f"{path}:{lineno}: code {code!r} maps to {row_type!r}, "
+                                  f"but an earlier line maps it to {mapping[code]!r}")
     return mapping
 
 
@@ -396,7 +397,7 @@ def pca_inverse(model: PCAModel, Z) -> np.ndarray:
     return Z @ model.components + model.mean
 
 
-def select_components(model: PCAModel, requested: int, cap: int = PCA_COMPONENT_CAP) -> int:
+def select_components(model: PCAModel, requested: int, cap: int) -> int:
     """Clamp the requested component count to the cap and availability."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -657,11 +658,7 @@ class RowTypePipeline:
             "merges": [list(m) for m in self.merges],
             "class_names": list(self.class_names),
             "date_format": self.encoder.date_format,
-            "encoder_columns": [
-                {"name": s.name, "kind": s.kind, "median": s.median,
-                 "categories": s.categories}
-                for s in self.encoder.columns
-            ],
+            "encoder_columns": [asdict(s) for s in self.encoder.columns],
             "pca_mean": self.pca.mean.tolist(),
             "pca_components": self.pca.components.tolist(),
             "pca_explained_variance": self.pca.explained_variance.tolist(),
@@ -675,10 +672,7 @@ class RowTypePipeline:
     @classmethod
     def from_dict(cls, doc: dict) -> "RowTypePipeline":
         encoder = ColumnEncoder(doc.get("date_format"))
-        encoder.columns = [
-            ColumnSpec(c["name"], c["kind"], c.get("median"), c.get("categories"))
-            for c in doc["encoder_columns"]
-        ]
+        encoder.columns = [ColumnSpec(**c) for c in doc["encoder_columns"]]
         return cls(
             row_type=doc["row_type"],
             exclude_columns=list(doc["exclude_columns"]),

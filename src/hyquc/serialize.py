@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -42,12 +43,7 @@ def model_to_dict(model: HybridModel, pipeline: RowTypePipeline = None) -> dict:
         "version": VERSION,
         "row_type": model.row_type,
         "n_classes": model.n_classes,
-        "spec": {
-            "n_qubits": model.spec.n_qubits,
-            "n_layers": model.spec.n_layers,
-            "embedding_rotation_axis": model.spec.embedding_rotation_axis,
-            "entangler_range": model.spec.entangler_range,
-        },
+        "spec": asdict(model.spec),
         "qweights": model.qweights.tolist(),
         "head": [
             {

@@ -699,6 +699,32 @@ class TestArtifactNameCollision:
         assert os.listdir(tmp_path / "out") == []
 
 
+class TestArtifactLayout:
+    """The key order of every artifact document is part of its format."""
+
+    def test_model_file_keys(self, trained):
+        doc = json.loads((trained / "model_T1.json").read_text())
+        assert list(doc["spec"]) == ["n_qubits", "n_layers", "embedding_rotation_axis",
+                                     "entangler_range"]
+        for column in doc["pipeline"]["encoder_columns"]:
+            assert list(column) == ["name", "kind", "median", "categories"]
+
+    def test_metrics_file_keys(self, trained):
+        doc = json.loads((trained / "metrics_T1.json").read_text())
+        assert list(doc) == ["format", "version", "class_names", "per_class", "accuracy",
+                             "macro", "weighted", "roc_auc", "kappa", "extra"]
+        for entry in doc["per_class"]:
+            assert list(entry) == ["class", "precision", "recall", "f1", "support",
+                                   "degenerate"]
+
+    def test_leaderboard_header(self, workdir, tmp_path):
+        assert cli.main(["gridsearch", "--config", str(workdir / "run.cfg"),
+                         "--out", str(tmp_path)]) == 0
+        header = (tmp_path / "leaderboard_T1.csv").read_text().splitlines()[0]
+        assert header == ("rank,n_layers,n_qubits,learning_rate,batch_size,epochs,"
+                          "mean_val_macro_f1,mean_val_accuracy")
+
+
 class TestEvaluate:
     def test_report_written(self, workdir, trained, tmp_path, capsys):
         out = tmp_path / "eval.json"
@@ -728,6 +754,15 @@ class TestEvaluate:
                        "--data", str(p)])
         assert rc == 1
         assert "no data rows" in capsys.readouterr().err
+
+    def test_model_directory_refused(self, workdir, trained, capsys):
+        # predict takes a directory of models; evaluate takes one model file
+        rc = cli.main(["evaluate", "--model", str(trained),
+                       "--data", str(workdir / "data.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"hyquc: error: {str(trained)!r} is a directory; evaluate takes one "
+            "model_<type>.json file\n")
 
 
 class TestPredict:

@@ -148,8 +148,7 @@ class TestDenseBackward:
             gw, gb, gx = nn.dense_backward(layer, [x], [upstream])
             assert abs(gw[0, 0] - want) < 5e-3
 
-    @pytest.mark.parametrize("activation", ["sigmoid", "relu", "softmax",
-                                            "identity"])
+    @pytest.mark.parametrize("activation", list(nn.ACTIVATIONS))
     def test_matches_finite_differences(self, activation):
         rng = np.random.default_rng(19)
         layer = DenseLayer(rng.normal(size=(3, 4)), rng.normal(size=3), activation)

@@ -1,5 +1,7 @@
 """Data pipeline: partitioning, cleaning, encoding, merge, PCA, scaling,
 SMOTE and stratified splitting."""
+import re
+
 import numpy as np
 import pytest
 
@@ -617,8 +619,17 @@ class TestLoaders:
 
     def test_row_type_map(self, tmp_path):
         p = tmp_path / "m.map"
-        p.write_text("# comment\nA1 = agri\nB1 = personal  # trailing\n\n")
+        p.write_text("# comment\nA1 = agri\nB1 = personal  # trailing\n\nA1 = agri\n")
         assert pl.load_row_type_map(str(p)) == {"A1": "agri", "B1": "personal"}
+
+    def test_row_type_map_code_with_two_row_types_refused(self, tmp_path):
+        # the last line would otherwise win and route A1's rows to another model
+        p = tmp_path / "m.map"
+        p.write_text("A1 = agri\nB1 = personal\nA1 = personal\n")
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{p}:3: code 'A1' maps to 'personal', but an earlier line maps it "
+                "to 'agri'")):
+            pl.load_row_type_map(str(p))
 
     def test_row_type_map_malformed(self, tmp_path):
         p = tmp_path / "m.map"
