@@ -274,6 +274,26 @@ def _load_models(model_path: str) -> dict:
     return {pipe.row_type: (model, pipe) for model, pipe in map(_load_model, paths)}
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted where csv.QUOTE_MINIMAL quotes it."""
+    return '"%s"' % text.replace('"', '""') if re.search('[,"\r\n]', text) else text
+
+
+def _scored_fields(row_type: str, class_names, probs) -> list:
+    """The row_type, status, predicted_class and probabilities fields of each
+    scored row, formatted a class column at a time; argmax ties go to the
+    lowest class index."""
+    names = [_csv_field(name) for name in class_names]
+    cols = [map(f"{name}=".__add__, map(repr, col))
+            for name, col in zip(class_names, probs.T.tolist())]
+    probs_text = map(";".join, zip(*cols))
+    if names != class_names:  # a name that needs quotes quotes the field
+        probs_text = map(_csv_field, probs_text)
+    head = f"{_csv_field(row_type)},ok,"
+    return [f"{head}{names[k]},{text}"
+            for k, text in zip(np.argmax(probs, axis=1).tolist(), probs_text)]
+
+
 def cmd_predict(model_path: str, input_path: str, out_path: str = None,
                 row_type_map_path: str = None) -> int:
     models = _load_models(model_path)
@@ -281,49 +301,39 @@ def cmd_predict(model_path: str, input_path: str, out_path: str = None,
     data = pl.load_csv(input_path, None)
     if not data.rows:
         raise SchemaError(f"{input_path}: no data rows")
-    has_rt = rt_col is not None and rt_col in data.column_names
-    code_map = (pl.load_row_type_map(row_type_map_path)
-                if row_type_map_path else None)
+    code_map = pl.load_row_type_map(row_type_map_path) if row_type_map_path else None
 
-    if has_rt:
+    if rt_col in data.column_names:
         # an unmapped code keeps its raw value and is flagged below
         codes = pl.row_type_codes(data, rt_col)
-        row_types = codes if code_map is None else [code_map.get(c, c) for c in codes]
+        row_types = codes if code_map is None else list(map(code_map.get, codes, codes))
     elif len(models) == 1:
         row_types = [next(iter(models))] * len(data.rows)
     else:
-        raise SchemaError(
-            f"input has no {rt_col!r} column and multiple models are loaded"
-        )
+        raise SchemaError(f"input has no {rt_col!r} column and multiple models are loaded")
 
-    results = [None] * len(data.rows)
-    flagged = 0
+    lines = [None] * len(row_types)
     by_type = {}
     for i, rt in enumerate(row_types):
         by_type.setdefault(rt, []).append(i)
-    for rt in sorted(by_type):
-        idxs = by_type[rt]
-        if rt not in models:
-            for i in idxs:
-                results[i] = (rt, "no_model", "", "")
-            flagged += len(idxs)
-            continue
-        model, pipe = models[rt]
-        probs = hybrid.forward_probs(model, pipe.transform_features(data.take(idxs)))
-        # argmax ties go to the lowest class index
-        for i, row_probs, cls in zip(idxs, probs.tolist(), np.argmax(probs, axis=1)):
-            prob_text = ";".join(f"{n}={p!r}" for n, p in zip(pipe.class_names, row_probs))
-            results[i] = (rt, "ok", pipe.class_names[cls], prob_text)
-
-    lines = ["row,row_type,status,predicted_class,probabilities"]
-    for i, (rt, status, cls, probs) in enumerate(results):
-        lines.append(f"{i},{rt},{status},{cls},{probs}")
-    text = "\n".join(lines) + "\n"
+    for rt, idxs in sorted(by_type.items()):
+        fields = [f"{_csv_field(rt)},no_model,,"] * len(idxs)
+        if rt in models:
+            model, pipe = models[rt]
+            try:  # an error names the input row, as the output does
+                X = pipe.transform_features(data.take(idxs), rows=idxs)
+            except ValueError as exc:
+                exc.args = (f"row type {rt!r}: {exc}",)
+                raise
+            fields = _scored_fields(rt, pipe.class_names, hybrid.forward_probs(model, X))
+        for i, text in zip(idxs, fields):
+            lines[i] = f"{i},{text}"
+    text = "\n".join(["row,row_type,status,predicted_class,probabilities", *lines]) + "\n"
     if out_path:
         serialize.atomic_write_text(out_path, text)
     else:
         print(text, end="")
-    return 2 if flagged else 0
+    return 0 if set(by_type) <= set(models) else 2
 
 
 def _build_parser() -> argparse.ArgumentParser:

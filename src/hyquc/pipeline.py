@@ -29,21 +29,26 @@ def _as_float(cell: str):
         return None
 
 
-def _non_finite(name: str, cells):
+def _parse_column(cells, fill=None, parse=_as_float):
+    """Each cell parsed, ``fill`` where it is missing or does not parse; None if
+    one does not and there is no ``fill``.  float() fails on U+001C-U+001F padding."""
+    if parse is _as_float:
+        try:
+            return np.fromiter(map(float, [fill if c is None else c for c in cells]), float)
+        except ValueError:
+            pass
+    values = [None if c is None else parse(c) for c in cells]
+    if fill is not None or None not in values:
+        return np.array([fill if v is None else v for v in values], float)
+
+
+def _non_finite(name: str, cells, rows=None):
     """SchemaError for the first numeric cell of a column that parses to
-    inf or nan (spellings such as ``inf``, ``nan`` or ``1e400``)."""
-    for i, cell in enumerate(cells):
-        v = None if cell is None else _as_float(cell)
-        if v is not None and not np.isfinite(v):
-            return SchemaError(f"column {name!r}, row {i}: non-finite number {cell!r}")
-
-
-def _as_days(cell, fmt):
-    try:
-        dt = datetime.strptime(cell.strip(), fmt)
-    except ValueError:
-        return None
-    return float((dt.date() - _EPOCH).days)
+    inf or nan (spellings such as ``inf``, ``nan`` or ``1e400``), naming the
+    cell's row as ``rows`` gives it (by default its index)."""
+    i = int(np.flatnonzero(~np.isfinite(_parse_column(cells, 0.0)))[0])
+    return SchemaError(f"column {name!r}, row {i if rows is None else rows[i]}: "
+                       f"non-finite number {cells[i]!r}")
 
 
 @dataclass
@@ -60,9 +65,9 @@ class TabularDataset:
 
     def __post_init__(self):
         width = len(self.column_names)
-        for i, row in enumerate(self.rows):
-            if len(row) != width:
-                raise SchemaError(f"row {i} has {len(row)} cells, expected {width}")
+        if not set(map(len, self.rows)) <= {width}:
+            i, row = next((i, r) for i, r in enumerate(self.rows) if len(r) != width)
+            raise SchemaError(f"row {i} has {len(row)} cells, expected {width}")
         if len(set(self.column_names)) != width:
             dup = next(n for n in self.column_names if self.column_names.count(n) > 1)
             raise SchemaError(f"duplicate column {dup!r}")
@@ -73,14 +78,11 @@ class TabularDataset:
                 self.row_type_column not in self.column_names:
             raise SchemaError(f"row-type column {self.row_type_column!r} not present")
 
-    def col_index(self, name: str) -> int:
+    def column(self, name: str) -> list:
         try:
-            return self.column_names.index(name)
+            i = self.column_names.index(name)
         except ValueError:
             raise SchemaError(f"column {name!r} not present") from None
-
-    def column(self, name: str) -> list:
-        i = self.col_index(name)
         return [row[i] for row in self.rows]
 
     def __len__(self) -> int:
@@ -101,8 +103,16 @@ def load_csv(path, label_column: str, row_type_column: str = None) -> TabularDat
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
-        rows = [[c if c.strip() != "" else None for c in row] for row in reader]
-    return TabularDataset(header, rows, label_column, row_type_column)
+        data = TabularDataset(header, list(reader), label_column, row_type_column)
+    # blank cells per column, in blocks of rows that stay in cache across columns
+    for start in range(0, len(data.rows), 1024):
+        block = data.rows[start:start + 1024]
+        for j in range(len(header)):
+            cells = [row[j] for row in block]
+            if not all(map(str.strip, cells)):
+                for i in [i for i, c in enumerate(cells) if not c.strip()]:
+                    block[i][j] = None
+    return data
 
 
 def load_row_type_map(path) -> dict:
@@ -116,6 +126,8 @@ def load_row_type_map(path) -> dict:
             if "=" not in line:
                 raise SchemaError(f"{path}:{lineno}: expected 'code = row_type'")
             code, row_type = (part.strip() for part in line.split("=", 1))
+            if not row_type:
+                raise SchemaError(f"{path}:{lineno}: code {code!r} has an empty row type")
             if mapping.setdefault(code, row_type) != row_type:
                 raise SchemaError(f"{path}:{lineno}: code {code!r} maps to {row_type!r}, "
                                   f"but an earlier line maps it to {mapping[code]!r}")
@@ -124,8 +136,7 @@ def load_row_type_map(path) -> dict:
 
 def row_type_codes(data: TabularDataset, column: str) -> list:
     """The stripped code in ``column`` of every row, "" where it is missing."""
-    idx = data.col_index(column)
-    return ["" if row[idx] is None else row[idx].strip() for row in data.rows]
+    return ["" if c is None else c.strip() for c in data.column(column)]
 
 
 def partition_by_row_type(data: TabularDataset, code_map: dict = None) -> dict:
@@ -198,7 +209,8 @@ class ColumnEncoder:
     """Median imputation for numeric/date columns, one-hot with an explicit
     missing category for categoricals.  A numeric cell that parses to inf or
     nan makes ``fit`` and ``transform`` raise SchemaError naming the column
-    and the row (counted from 0 within the table given)."""
+    and the row (counted from 0 within the table given, or as ``transform``'s
+    ``rows`` numbers them)."""
 
     date_format: str = None
     columns: list = field(default_factory=list)
@@ -214,24 +226,31 @@ class ColumnEncoder:
             if not present:
                 log.info("column %r is entirely missing, dropped", name)
                 continue
-            floats = [_as_float(c) for c in present]
-            if all(v is not None for v in floats):
+            floats = _parse_column(present)
+            if floats is not None:
                 if not np.all(np.isfinite(floats)):
                     raise _non_finite(name, cells)
                 self.columns.append(ColumnSpec(name, "numeric",
                                                median=float(np.median(floats))))
                 continue
             if self.date_format:
-                days = [_as_days(c, self.date_format) for c in present]
-                if all(v is not None for v in days):
+                days = _parse_column(present, parse=self._as_days)
+                if days is not None:
                     self.columns.append(ColumnSpec(name, "date",
                                                    median=float(np.median(days))))
                     continue
-            cats = sorted({c.strip() for c in present})
+            cats = sorted(set(map(str.strip, present)))
             self.columns.append(ColumnSpec(name, "categorical", categories=cats))
         return self
 
-    def transform(self, data: TabularDataset) -> np.ndarray:
+    def _as_days(self, cell: str):
+        try:
+            dt = datetime.strptime(cell.strip(), self.date_format)
+        except ValueError:
+            return None
+        return float((dt.date() - _EPOCH).days)
+
+    def transform(self, data: TabularDataset, rows=None) -> np.ndarray:
         missing_cols = [s.name for s in self.columns
                         if s.name not in data.column_names]
         if missing_cols:
@@ -241,30 +260,22 @@ class ColumnEncoder:
         for spec in self.columns:
             cells = data.column(spec.name)
             if spec.kind in ("numeric", "date"):
-                parse = (_as_float if spec.kind == "numeric"
-                         else lambda c: _as_days(c, self.date_format))
-                col = np.empty(n)
-                for i, cell in enumerate(cells):
-                    v = None if cell is None else parse(cell)
-                    col[i] = spec.median if v is None else v
+                parse = _as_float if spec.kind == "numeric" else self._as_days
+                col = _parse_column(cells, spec.median, parse)
                 if not np.all(np.isfinite(col)):
-                    raise _non_finite(spec.name, cells)
+                    raise _non_finite(spec.name, cells, rows)
                 blocks.append(col[:, None])
             else:
-                width = len(spec.categories) + 1
-                block = np.zeros((n, width))
-                index = {c: j for j, c in enumerate(spec.categories)}
-                for i, cell in enumerate(cells):
-                    if cell is None:
-                        block[i, -1] = 1.0
-                    else:
-                        j = index.get(cell.strip())
-                        if j is None:
-                            log.info("unseen category %r in %r treated as missing",
-                                     cell, spec.name)
-                            block[i, -1] = 1.0
-                        else:
-                            block[i, j] = 1.0
+                index = {c: j for j, c in enumerate([*spec.categories, None])}
+                js = list(map(index.get, cells))
+                for i in [i for i, j in enumerate(js) if j is None]:  # padded or unseen
+                    js[i] = index.get(cells[i].strip(), index[None])
+                unseen = js.count(index[None]) - cells.count(None)
+                if unseen:
+                    log.info("unseen categories in %d of %d cells of %r treated as missing",
+                             unseen, n, spec.name)
+                block = np.zeros((n, len(index)))
+                block[np.arange(n), js] = 1.0
                 blocks.append(block)
         if not blocks:
             raise SchemaError("no usable feature columns")
@@ -274,7 +285,7 @@ class ColumnEncoder:
 def _label_strings(values) -> list:
     if None in values:
         raise SchemaError("missing value in the label column")
-    return [v.strip() for v in values]
+    return list(map(str.strip, values))
 
 
 def encode_labels(values, class_names=None):
@@ -284,7 +295,7 @@ def encode_labels(values, class_names=None):
         class_names = sorted(set(labels))
     index = {name: i for i, name in enumerate(class_names)}
     try:
-        y = np.array([index[v] for v in labels], dtype=np.int64)
+        y = np.fromiter(map(index.__getitem__, labels), np.int64, len(labels))
     except KeyError as exc:
         raise SchemaError(f"unknown class label {exc.args[0]!r}") from None
     return y, list(class_names)
@@ -631,11 +642,12 @@ class RowTypePipeline:
         return (pipe, report, RowTypeDataset(row_type, Z, y[tr], class_names),
                 pipe.transform(data.take(va)), pipe.transform(data.take(te)))
 
-    def transform_features(self, data: TabularDataset) -> np.ndarray:
+    def transform_features(self, data: TabularDataset, rows=None) -> np.ndarray:
         """Replay encoding, PCA projection and angle scaling on raw cells (each
-        a ``str``, or ``None`` where missing).  The encoder reads only its own
-        columns, so the table is not copied and may hold the dropped ones."""
-        z = pca_transform(self.pca, self.encoder.transform(data))[:, :self.n_components]
+        a ``str``, or ``None`` where missing).  The encoder picks its columns by
+        name, so the table may hold the dropped ones; an error names a row by
+        its number in ``rows``, when given."""
+        z = pca_transform(self.pca, self.encoder.transform(data, rows))[:, :self.n_components]
         return apply_angle_scaling(z, self.bounds)
 
     def transform(self, data: TabularDataset) -> RowTypeDataset:

@@ -2,6 +2,7 @@
 exit codes."""
 import configparser
 import csv
+import io
 import json
 import os
 import re
@@ -860,6 +861,39 @@ class TestPredict:
                         "--input", str(p)]) == 0
         assert capsys.readouterr().out.startswith(
             "row,row_type,status,predicted_class,probabilities")
+
+    def test_non_finite_cell_names_row_type_and_input_row(self, trained, tmp_path, capsys):
+        # input row 3 is the second T2 row: the error names it as the output would
+        p = tmp_path / "in.csv"
+        self.write_input(p, [("T1", 0.2, 0.2), ("T2", 1.5, 1.5), ("T1", 2.8, 0.4),
+                             ("T2", "inf", 0.4)])
+        assert cli.main(["predict", "--model", str(trained), "--input", str(p)]) == 1
+        assert capsys.readouterr().err == (
+            "hyquc: error: row type 'T2': column 'F1', row 3: non-finite number 'inf'\n")
+
+    def test_output_fields_quoted_as_csv(self, trained, tmp_path):
+        # a row type or class name holding a comma or a quote stays one field
+        doc = json.loads((trained / "model_T1.json").read_text())
+        doc["row_type"] = doc["pipeline"]["row_type"] = 'T1, "north"'
+        doc["pipeline"]["class_names"] = ["g,1", 'g"2', "g3"]
+        (tmp_path / "models").mkdir()
+        (tmp_path / "models" / "model_T1.json").write_text(json.dumps(doc))
+        (tmp_path / "codes.map").write_text('T1 = T1, "north"\nT2 = agri,culture\n')
+        p = tmp_path / "in.csv"
+        self.write_input(p, [("T1", 0.2, 0.2), ("T2", 1.5, 1.5), ("T1", 1.5, 1.5)])
+        out = tmp_path / "pred.csv"
+        assert cli.main(["predict", "--model", str(tmp_path / "models"), "--input", str(p),
+                         "--row-type-map", str(tmp_path / "codes.map"),
+                         "--out", str(out)]) == 2
+        text = out.read_text()
+        rows = list(csv.reader(io.StringIO(text)))
+        assert [row[:4] for row in rows[1:]] == [
+            ["0", 'T1, "north"', "ok", "g,1"], ["1", "agri,culture", "no_model", ""],
+            ["2", 'T1, "north"', "ok", 'g"2']]
+        assert [kv.split("=")[0] for kv in rows[1][4].split(";")] == ["g,1", 'g"2', "g3"]
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        assert buf.getvalue() == text
 
     def test_empty_model_dir(self, tmp_path, capsys):
         p = tmp_path / "in.csv"

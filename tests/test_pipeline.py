@@ -631,6 +631,14 @@ class TestLoaders:
                 "to 'agri'")):
             pl.load_row_type_map(str(p))
 
+    def test_row_type_map_empty_row_type_refused(self, tmp_path):
+        # the code's rows would otherwise go to a row type named ""
+        p = tmp_path / "m.map"
+        p.write_text("A1 = agri\nB1 =   # personal\n")
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{p}:2: code 'B1' has an empty row type")):
+            pl.load_row_type_map(str(p))
+
     def test_row_type_map_malformed(self, tmp_path):
         p = tmp_path / "m.map"
         p.write_text("just a line\n")
