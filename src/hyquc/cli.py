@@ -189,10 +189,16 @@ def _prepare_search(raw: pl.TabularDataset, row_type: str, cfg: RunConfig, seed:
         raise ShapeError(f"only {train_ds.X.shape[1]} components available for a "
                          f"{width}-qubit grid choice")
 
-    def augment(X, y, s):
-        out = pl.smote_oversample(pl.RowTypeDataset(row_type, X, y, pipe.class_names),
-                                  cfg.smote_k, s)
-        return out.X, out.y
+    def augment(X, y):
+        # one neighbour table per fold and width serves every combination's draw
+        ds = pl.RowTypeDataset(row_type, X, y, pipe.class_names)
+        table = pl.smote_neighbors(ds, cfg.smote_k)
+
+        def draw(s):
+            out = pl.smote_oversample(ds, cfg.smote_k, s, table)
+            return out.X, out.y
+
+        return draw
 
     jobs, rank = hybrid.grid_jobs(
         cfg.grid, train_ds, cfg.cv_folds, seed, augment, hidden=cfg.hidden,
@@ -336,6 +342,11 @@ def cmd_predict(model_path: str, input_path: str, out_path: str = None,
     return 0 if set(by_type) <= set(models) else 2
 
 
+# built by the first main call of a process: parse_args keeps no state
+# between calls, so one parser serves them all
+_PARSER = None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyquc",
@@ -365,7 +376,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    args = _build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         if args.command in ("train", "gridsearch"):
             cfg = load_config(args.config)

@@ -18,7 +18,8 @@ from .nn import MLPHead, PROB_CLIP
 from .qsim import CircuitSpec
 
 # at most k * min(batch size, rows) * 2**n_qubits amplitudes per lockstep step
-# of k fits.  Stacking pays while a step is bound by call overhead, not
+# of k fits (and k * rows * 2**n_qubits per stack that _stacked_probs
+# scores).  Stacking pays while a step is bound by call overhead, not
 # arithmetic: per model, a stack of 6 stepped 4.5x faster than sequential steps
 # at 2 qubits and 1.95x at 5, while 3 stacked 10-qubit fits ran at 0.79x
 MAX_STACK_AMPLITUDES = 1 << 13
@@ -161,19 +162,20 @@ def _unstack(flat: np.ndarray, models: list) -> list:
         for i, model in enumerate(models)]
 
 
-def _step(flat: np.ndarray, model: HybridModel, X: np.ndarray, y: np.ndarray):
+def _step(params, model: HybridModel, X: np.ndarray, y: np.ndarray):
     """One training step of a stack laid out like ``model``, whose k models'
-    parameters are the rows of ``flat``, on a (k, m, n_qubits) batch ``X``
-    with (k, m) labels ``y``.  Returns the probabilities each model gave the
-    true classes (k, m), all its class probabilities (k, m, n_classes) and
-    the gradients of each model's mean cross-entropy, laid out like ``flat``.
+    parameters are ``params``, the :func:`_split` views of their (k, P)
+    rows, on a (k, m, n_qubits) batch ``X`` with (k, m) labels ``y``.
+    Returns the probabilities each model gave the true classes (k, m), all
+    its class probabilities (k, m, n_classes) and the gradients of each
+    model's mean cross-entropy, laid out like the (k, P) rows.
 
     Head gradients come from backpropagation through the activations of the
     forward pass; quantum-angle gradients are the head's input gradient
     pulled back through the circuit by the adjoint vector-Jacobian product,
     which reuses the forward pass's gate blocks."""
     k, m = y.shape
-    qweights, head = _split(flat, model)
+    qweights, head = params
     layers = model.head.layers
     blocks = qsim._layer_blocks(qsim._rot_mats(qweights))
     states, q_out = qsim._forward(X, blocks, model.spec)
@@ -186,7 +188,7 @@ def _step(flat: np.ndarray, model: HybridModel, X: np.ndarray, y: np.ndarray):
 
     # dL/dprobs for each model's mean cross-entropy
     upstream = np.zeros_like(probs)
-    upstream[true] = -1.0 / (m * np.clip(p_true, PROB_CLIP, None))
+    upstream[true] = -1.0 / (m * np.maximum(p_true, PROB_CLIP))
 
     grads = []
     for layer, (w, _), x, out in reversed(list(zip(layers, head, acts, acts[1:]))):
@@ -207,7 +209,7 @@ def loss_and_grads(model: HybridModel, batch):
         raise ValueError("batch must be a nonempty (m, n_qubits) matrix")
     if X.shape[1] != model.spec.n_qubits or len(y) != len(X):
         raise ShapeError("batch shapes inconsistent with the model")
-    p_true, _, grads = _step(_stack([model]), model, X[None], y[None])
+    p_true, _, grads = _step(_split(_stack([model]), model), model, X[None], y[None])
     qweights, head = _split(grads, model)
     return (float(np.mean(nn.cross_entropy_losses(p_true[0]))),
             ModelGrads(qweights[0], [(w[0], b[0, 0]) for w, b in head]))
@@ -276,6 +278,10 @@ def _train_epoch(flat: np.ndarray, models: list, X, y, sizes, batch_size: int,
     index = np.zeros((k, max(sizes)), dtype=np.intp)
     for i, (rng, size) in enumerate(zip(rngs, sizes)):
         index[i, :size] = offsets[i] + rng.permutation(size)
+    # the epoch's rows in each model's shuffled order: a batch is a slice
+    Xs, ys = X[index], y[index]
+    # flat is updated in place, so its views serve every full-stack step
+    views = _split(flat, models[0])
     total_loss = np.zeros(k)
     total_correct = np.zeros(k, dtype=np.int64)
     batches = -(-np.asarray(sizes) // batch_size)
@@ -284,9 +290,11 @@ def _train_epoch(flat: np.ndarray, models: list, X, y, sizes, batch_size: int,
     with np.errstate(over="ignore", invalid="ignore"):
         for batch, start, steps in _batches(sizes, batch_size):
             for m, members in steps:
-                rows = index[members, start:start + m]
-                yb = y[rows]
-                p_true, probs, grads = _step(flat[members], models[0], X[rows], yb)
+                yb = ys[members, start:start + m]
+                params = (views if isinstance(members, slice)
+                          else _split(flat[members], models[0]))
+                p_true, probs, grads = _step(params, models[0], Xs[members, start:start + m],
+                                             yb)
                 # each model's batch mean, weighted by its batch size
                 total_loss[members] += nn.cross_entropy_losses(p_true).sum(axis=-1) / m * m
                 total_correct[members] += (probs.argmax(axis=-1) == yb).sum(axis=-1)
@@ -504,7 +512,9 @@ def grid_jobs(grid: HyperGrid, data, k: int, seed: int, augment=None,
 
     ``data`` supplies X (wide enough for the largest n_qubits choice; a model
     with q qubits consumes the first q columns) and integer labels y.
-    ``augment(X, y, seed)`` is applied to each fold's training subset only.
+    ``augment(X, y)`` is called once per fold and width with the fold's
+    training rows and returns ``draw(seed)``, which gives the augmented
+    ``(X, y)`` of each fit on them.
     Returns the :class:`FitJob` per (combination, fold), in declaration order,
     named ``combination i of N (...), fold j of k``, and ``rank(trained)``,
     which turns :func:`fit_all`'s results for them into (best_params,
@@ -514,7 +524,7 @@ def grid_jobs(grid: HyperGrid, data, k: int, seed: int, augment=None,
     n_classes = int(np.max(y)) + 1
     folds = kfold_split(len(y), k, seed, labels=y)
     combos = grid.combinations()
-    jobs = []
+    jobs, draws = [], {}
     for ci, params in enumerate(combos):
         q = params["n_qubits"]
         if X.shape[1] < q:
@@ -525,7 +535,14 @@ def grid_jobs(grid: HyperGrid, data, k: int, seed: int, augment=None,
             fold_seed = int(np.random.SeedSequence([seed, ci, fi]).generate_state(1)[0])
             Xtr, ytr = X[tr, :q], y[tr]
             if augment is not None:
-                Xtr, ytr = augment(Xtr, ytr, fold_seed)
+                if (fi, q) not in draws:
+                    try:
+                        draws[fi, q] = augment(Xtr, ytr)
+                    except ValueError as exc:
+                        exc.args = (f"fold {fi + 1} of {k}'s training rows at "
+                                    f"n_qubits={q}: {exc}",)
+                        raise
+                Xtr, ytr = draws[fi, q](fold_seed)
             model = init_model(spec, n_classes, np.random.default_rng(fold_seed),
                                hidden=hidden, hidden_activation=hidden_activation,
                                single_layer_head=single_layer_head)
@@ -535,19 +552,51 @@ def grid_jobs(grid: HyperGrid, data, k: int, seed: int, augment=None,
                                      f"fold {fi + 1} of {k}"))
 
     def rank(trained):
+        models = [model for model, _ in trained]
+        vals = [folds[i % k][1] for i in range(len(models))]
+        probs = _stacked_probs(models, [X[val, :model.spec.n_qubits]
+                                       for model, val in zip(models, vals)])
         leaderboard = []
         for ci, params in enumerate(combos):
             f1s, accs = [], []
-            for (_, val), (model, _) in zip(folds, trained[ci * k:(ci + 1) * k]):
-                _, acc, probs = evaluate(model, X[val, :model.spec.n_qubits], y[val])
-                f1s.append(_macro_f1(y[val], np.argmax(probs, axis=1), n_classes))
-                accs.append(acc)
+            for val, p in zip(vals[ci * k:(ci + 1) * k], probs[ci * k:(ci + 1) * k]):
+                preds = np.argmax(p, axis=1)
+                f1s.append(_macro_f1(y[val], preds, n_classes))
+                accs.append(float(np.mean(preds == y[val])))
             leaderboard.append(GridResult(params, float(np.mean(f1s)),
                                           float(np.mean(accs)), ci, f1s))
         leaderboard.sort(key=lambda r: (-r.mean_val_macro_f1, -r.mean_val_accuracy, r.order))
         return leaderboard[0].params, leaderboard
 
     return jobs, rank
+
+
+def _stacked_probs(models: list, Xs: list) -> list:
+    """``[forward_probs(model, X) for model, X in zip(models, Xs)]``, bit for
+    bit.  Models that share a layout and a row count are scored as stacks
+    of at most MAX_STACK_AMPLITUDES amplitudes (a model whose rows alone
+    exceed it is scored alone), through the kernels forward_probs ends in
+    with a leading model axis, so that each model's products keep their
+    shapes.  One-row models are scored alone: a single row's products go
+    through gemv, which a stack of them (its (k, 1, 2**n) probabilities
+    strided across the models) does not take."""
+    groups = {}  # (layout, rows) -> model indices, in order
+    for i, (model, X) in enumerate(zip(models, Xs)):
+        groups.setdefault((_layout(model), len(X)), []).append(i)
+    probs = [None] * len(models)
+    for (layout, m), indices in groups.items():
+        size = 1 if m <= 1 else max(1, MAX_STACK_AMPLITUDES // (m << layout[0].n_qubits))
+        for start in range(0, len(indices), size):
+            part = indices[start:start + size]
+            first = models[part[0]]
+            qweights, head = _split(_stack([models[i] for i in part]), first)
+            _, out = qsim._forward(np.stack([Xs[i] for i in part]),
+                                   qsim._layer_blocks(qsim._rot_mats(qweights)), first.spec)
+            for layer, (w, b) in zip(first.head.layers, head):
+                out = nn._dense(out, w, b, layer.activation)
+            for i, p in zip(part, out):
+                probs[i] = p
+    return probs
 
 
 # ---------------------------------------------------------------------------

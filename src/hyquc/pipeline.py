@@ -454,32 +454,70 @@ def apply_angle_scaling(X, bounds: ScaleBounds) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # SMOTE
 
-def smote_oversample(ds: RowTypeDataset, k_neighbors: int, seed: int) -> RowTypeDataset:
-    """Grow every minority class to the majority count by interpolating between
-    same-class nearest neighbors: s = x_i + lam * (x_nn - x_i), lam ~ U[0, 1].
+# the (rows, class size, d) difference tensor of one block of a class's
+# neighbour search holds at most this many float64s (8 MB)
+SMOTE_BLOCK_ELEMENTS = 1 << 20
 
-    Originals are preserved; synthetics are appended grouped by class index.
+
+def smote_neighbors(ds: RowTypeDataset, k_neighbors: int) -> list:
+    """SMOTE's neighbour table for ``ds``: per class index, the (count, k)
+    indices, within the class's rows, of each row's k nearest same-class
+    rows, nearest first and ties in row order, with
+    k = min(k_neighbors, count - 1); None for a class that
+    :func:`smote_oversample` does not grow (the largest and absent ones).
+
+    The table depends only on the rows, not on a seed, so one table serves
+    every draw from the same rows.  Squared distances are taken a block of
+    rows at a time, at most SMOTE_BLOCK_ELEMENTS differences per block,
+    with the stable argsort each row gets in the whole (c, c, d) tensor.
     """
     if k_neighbors < 1:
         raise ValueError("k_neighbors must be >= 1")
-    rng = np.random.default_rng(seed)
-    counts = np.bincount(ds.y, minlength=len(ds.class_names))
-    majority = counts.max() if len(counts) else 0
-    new_X, new_y = [ds.X], [ds.y]
-    for c in range(len(ds.class_names)):
-        count = int(counts[c])
-        need = majority - count
-        if need <= 0 or count == 0:
+    counts = np.bincount(ds.y, minlength=len(ds.class_names)).tolist()
+    majority = max(counts, default=0)
+    table = []
+    for c, count in enumerate(counts):
+        if count in (0, majority):
+            table.append(None)
             continue
         if count < 2:
             raise AugmentationError(
                 f"class {ds.class_names[c]!r} has a single sample, cannot oversample"
             )
         Xc = ds.X[ds.y == c]
-        k = min(k_neighbors, count - 1)
-        d2 = np.sum((Xc[:, None, :] - Xc[None, :, :]) ** 2, axis=2)
-        np.fill_diagonal(d2, np.inf)
-        neighbors = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        neighbors = np.empty((count, min(k_neighbors, count - 1)), dtype=np.intp)
+        step = max(1, SMOTE_BLOCK_ELEMENTS // max(1, count * Xc.shape[1]))
+        for start in range(0, count, step):
+            rows = Xc[start:start + step]
+            d2 = np.sum((rows[:, None, :] - Xc[None, :, :]) ** 2, axis=2)
+            own = np.arange(len(rows))
+            d2[own, start + own] = np.inf
+            neighbors[start:start + step] = np.argsort(
+                d2, axis=1, kind="stable")[:, :neighbors.shape[1]]
+        table.append(neighbors)
+    return table
+
+
+def smote_oversample(ds: RowTypeDataset, k_neighbors: int, seed: int,
+                     table: list = None) -> RowTypeDataset:
+    """Grow every minority class to the majority count by interpolating between
+    same-class nearest neighbors: s = x_i + lam * (x_nn - x_i), lam ~ U[0, 1].
+
+    ``table`` is :func:`smote_neighbors`'s table for ``ds``, built here when
+    not given.  Originals are preserved; synthetics are appended grouped by
+    class index.
+    """
+    if table is None:
+        table = smote_neighbors(ds, k_neighbors)
+    rng = np.random.default_rng(seed)
+    majority = max(np.bincount(ds.y, minlength=len(ds.class_names)).tolist(), default=0)
+    new_X, new_y = [ds.X], [ds.y]
+    for c, neighbors in enumerate(table):
+        if neighbors is None:
+            continue
+        count, k = neighbors.shape
+        need = majority - count
+        Xc = ds.X[ds.y == c]
         base = rng.integers(0, count, size=need)
         pick = rng.integers(0, k, size=need)
         lam = rng.uniform(0.0, 1.0, size=need)

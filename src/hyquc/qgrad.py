@@ -152,11 +152,13 @@ def _adjoint(states: np.ndarray, upstream: np.ndarray, weights: np.ndarray,
     # is one matmul per model
     pair = np.concatenate([states, states * (upstream @ qsim._z_sign_matrix(n).T)],
                           axis=1)
-    cross = np.empty((k, layers, n, 2, 2), dtype=np.complex128)
+    # each block's matrices g of every layer, partial-traced after the sweep
+    gs = [np.empty((k, layers, kron.shape[-1] ** 2), dtype=np.complex128)
+          for _, _, kron in blocks]
     for layer in range(layers - 1, -1, -1):
         if ring is not None:
             pair = pair[..., ring[1]]
-        for start, stop, kron in blocks:
+        for (start, stop, kron), g_all in zip(blocks, gs):
             # a wire's cross term does not change under a unitary applied to
             # psi and lambda on the other wires, so one block matrix
             # g = lambda^H psi per model holds the terms of all its wires,
@@ -168,11 +170,15 @@ def _adjoint(states: np.ndarray, upstream: np.ndarray, weights: np.ndarray,
                 g = lam[..., 0].conj().swapaxes(-1, -2) @ psi[..., 0]
             else:
                 g = (lam.conj() @ psi.swapaxes(-1, -2)).sum(axis=1)
-            cross[:, layer, start:stop] = g.reshape(k, -1).take(
-                _partial_trace_index(stop - start), axis=1).sum(-1)
+            g_all[:, layer] = g.reshape(k, -1)
             if layer:
                 pair = qsim._apply_block(pair, n, start, stop,
                                          kron[:, layer].conj().swapaxes(-1, -2))
+
+    cross = np.empty((k, layers, n, 2, 2), dtype=np.complex128)
+    for (start, stop, _), g_all in zip(blocks, gs):
+        cross[:, :, start:stop] = g_all.take(_partial_trace_index(stop - start),
+                                             axis=2).sum(-1)
 
     # Im sum(G * C) in closed form, with e = exp(-i a): G_a = Z;
     # G_b = [[0, -i e], [i conj(e), 0]]; and, since RZ(g) commutes with Z,
@@ -181,9 +187,10 @@ def _adjoint(states: np.ndarray, upstream: np.ndarray, weights: np.ndarray,
     e = np.exp(-1j * weights[..., 0])
     grads = np.empty(weights.shape)
     grads[..., 0] = (c00 - c11).imag
-    grads[..., 1] = (np.conj(e) * c10 - e * c01).real  # Im(i z) = Re(z)
+    e01, e10 = e * c01, np.conj(e) * c10
+    grads[..., 1] = (e10 - e01).real  # Im(i z) = Re(z)
     grads[..., 2] = (np.cos(weights[..., 1]) * grads[..., 0]
-                     + np.sin(weights[..., 1]) * (e * c01 + np.conj(e) * c10).imag)
+                     + np.sin(weights[..., 1]) * (e01 + e10).imag)
     return grads
 
 

@@ -89,3 +89,20 @@ def oracle_auc_pairs(pos, neg):
             elif p == q:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def oracle_smote_neighbors(X, y, n_classes, k_neighbors):
+    """SMOTE's neighbour table from the whole (c, c, d) distance tensor of
+    each class that needs growing, as the package computed it before it
+    worked in row blocks: the dense reference for the blocked table."""
+    counts = np.bincount(y, minlength=n_classes)
+    table = []
+    for c, count in enumerate(counts):
+        if count in (0, counts.max()):
+            table.append(None)
+            continue
+        Xc = X[y == c]
+        d2 = np.sum((Xc[:, None, :] - Xc[None, :, :]) ** 2, axis=2)
+        np.fill_diagonal(d2, np.inf)
+        table.append(np.argsort(d2, axis=1, kind="stable")[:, :min(k_neighbors, count - 1)])
+    return table

@@ -14,6 +14,7 @@ from hyquc import cli, hybrid, pipeline as pl, serialize
 from hyquc.config import SCHEMA, load_config
 from hyquc.errors import DivergenceError, SchemaError
 from hyquc.pipeline import TabularDataset
+from test_hybrid import per_fit_rank
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -534,9 +535,11 @@ class TestClassMerges:
 
 
 def per_row_type_gridsearch(cfg_path, out):
-    """``hyquc gridsearch`` as a plain loop of one ``hybrid.grid_search`` per
-    row type: the reference that the one-``fit_all`` gridsearch must
-    reproduce byte for byte."""
+    """``hyquc gridsearch`` as a plain loop over the row types of one
+    ``hybrid.fit_all`` of the row type's grid, with a SMOTE call of its own
+    per fit and one ``hybrid.evaluate`` per fit: the reference that the
+    one-``fit_all`` gridsearch, with its shared neighbour tables and
+    stacked fold scoring, must reproduce byte for byte."""
     cfg = load_config(str(cfg_path))
     os.makedirs(out)
     partitions = cli._load_partitions(cfg)
@@ -546,16 +549,22 @@ def per_row_type_gridsearch(cfg_path, out):
         pipe, _, train_ds, _, _ = cli._fit_pipeline(partitions[row_type], row_type, cfg,
                                                     seed, components=width, width=width)
 
-        def augment(X, y, s, names=pipe.class_names, row_type=row_type):
-            ds = pl.smote_oversample(pl.RowTypeDataset(row_type, X, y, names),
-                                     cfg.smote_k, s)
-            return ds.X, ds.y
+        def augment(X, y, names=pipe.class_names, row_type=row_type):
+            def draw(s):
+                ds = pl.smote_oversample(pl.RowTypeDataset(row_type, X, y, names),
+                                         cfg.smote_k, s)
+                return ds.X, ds.y
 
-        best, leaderboard = hybrid.grid_search(
+            return draw
+
+        jobs, _ = hybrid.grid_jobs(
             cfg.grid, train_ds, cfg.cv_folds, seed, augment=augment, hidden=cfg.hidden,
             hidden_activation=cfg.hidden_activation,
             single_layer_head=cfg.single_layer_head,
             embedding_axis=cfg.embedding_axis, entangler_range=cfg.entangler_range)
+        folds = hybrid.kfold_split(len(train_ds.y), cfg.cv_folds, seed, labels=train_ds.y)
+        best, leaderboard = per_fit_rank(cfg.grid, (train_ds.X, train_ds.y), folds,
+                                         [model for model, _ in hybrid.fit_all(jobs)])
         cli._write_grid(str(out), row_type, best, leaderboard)
 
 
@@ -654,6 +663,77 @@ class TestGridsearch:
         p.write_text(cfg_text)
         assert cli.main(["gridsearch", "--config", str(p)]) == 1
         assert "[grid]" in capsys.readouterr().err
+
+
+def fixture_config(tmp_path, csv_text, epochs=None):
+    """The committed run.cfg over ``csv_text``, with its epochs replaced."""
+    text = open(os.path.join(DATA_DIR, "run.cfg")).read()
+    (tmp_path / "rowtypes.map").write_text(
+        open(os.path.join(DATA_DIR, "rowtypes.map")).read())
+    (tmp_path / "synth.csv").write_text(csv_text)
+    if epochs is not None:
+        text = text.replace("epochs = 50", f"epochs = {epochs}")
+    p = tmp_path / "run.cfg"
+    p.write_text(text)
+    return str(p)
+
+
+class TestGridsearchSmote:
+    """gridsearch builds one SMOTE neighbour table per fold and width and
+    draws every combination's rows from it."""
+
+    def test_one_table_per_fold_and_width(self, tmp_path, monkeypatch):
+        tables, draws = [], []
+        neighbors, oversample = pl.smote_neighbors, pl.smote_oversample
+        monkeypatch.setattr(pl, "smote_neighbors", lambda ds, k: tables.append(
+            (ds.row_type, ds.X.tobytes())) or neighbors(ds, k))
+        monkeypatch.setattr(pl, "smote_oversample", lambda ds, k, seed, table=None: (
+            draws.append(table is not None) or oversample(ds, k, seed, table)))
+        assert cli.main(["gridsearch", "--config", os.path.join(DATA_DIR, "run.cfg"),
+                         "--out", str(tmp_path)]) == 0
+        # one table per row type, fold and width (2 x 3 x 2), and one draw
+        # from a table per combination, fold and row type (8 x 3 x 2)
+        assert len(tables) == len(set(tables)) == 12
+        assert draws == [True] * 48
+
+    def test_a_single_sample_class_in_a_fold_names_the_fold(self, tmp_path, capsys):
+        # 3 personal rows of g3: the training split holds 2 of them, and the
+        # training rows of folds 1 and 2 hold one each
+        lines = open(os.path.join(DATA_DIR, "synth.csv")).read().splitlines()
+        g3 = [i for i, line in enumerate(lines) if line.startswith("PL01,g3,")]
+        cfg = fixture_config(tmp_path, "\n".join(
+            line for i, line in enumerate(lines) if i not in g3[3:]) + "\n", epochs=1)
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "train")]) == 0
+        capsys.readouterr()
+        assert cli.main(["gridsearch", "--config", cfg, "--out",
+                         str(tmp_path / "grid")]) == 1
+        assert capsys.readouterr().err == (
+            "hyquc: error: row type 'personal': fold 1 of 3's training rows at "
+            "n_qubits=2: class 'g3' has a single sample, cannot oversample\n")
+        assert os.listdir(tmp_path / "grid") == []
+
+
+class TestParser:
+    def test_two_main_calls_build_one_parser(self, monkeypatch, capsys):
+        builds, build = [], cli._build_parser
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
+        for _ in range(2):
+            assert cli.main(["evaluate", "--model", "missing.json", "--data", "x.csv"]) == 1
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["train", "--help"], ["bogus"],
+                                      ["predict", "--model", "m"]])
+    def test_help_and_usage_errors_repeat_byte_for_byte(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr(cli, "_PARSER", None)
+        outputs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(argv)
+            outputs.append((exit_info.value.code, *capsys.readouterr()))
+        with pytest.raises(SystemExit) as exit_info:
+            cli._build_parser().parse_args(argv)
+        assert outputs == [(exit_info.value.code, *capsys.readouterr())] * 2
 
 
 class TestRowTypeErrors:

@@ -87,6 +87,32 @@ class TestHybridForward:
             HybridModel(spec, np.zeros((1, 2, 3)), head, 3)
 
 
+class TestStackedScoring:
+    """Grid search scores its folds as stacks; each model's probabilities
+    are bit for bit its own forward_probs."""
+
+    @pytest.mark.parametrize("budget", [hybrid.MAX_STACK_AMPLITUDES, 40])
+    def test_equals_per_model_forward_probs(self, monkeypatch, budget):
+        monkeypatch.setattr(hybrid, "MAX_STACK_AMPLITUDES", budget)
+        rng = np.random.default_rng(64)
+        # unequal fold sizes, and one-row folds, whose products are gemv
+        folds = (5, 1, 4, 5, 1, 5)
+        layouts = [(CircuitSpec(2, 1), (8, 8), "sigmoid", folds),
+                   (CircuitSpec(3, 2), (4,), "relu", folds),
+                   (CircuitSpec(3, 2), (), "relu", folds),
+                   (CircuitSpec(10, 1), (4,), "relu", (2, 1, 2, 2))]
+        models, Xs = [], []
+        for spec, hidden, act, rows in layouts:
+            for m in rows:
+                models.append(hybrid.init_model(spec, 3, rng, hidden=hidden,
+                                                hidden_activation=act))
+                Xs.append(rng.uniform(0, np.pi, (m, spec.n_qubits)))
+        probs = hybrid._stacked_probs(models, Xs)
+        for model, X, p in zip(models, Xs, probs):
+            want = hybrid.forward_probs(model, X)
+            assert p.shape == want.shape and p.tobytes() == want.tobytes()
+
+
 class TestLossAndGrads:
     def test_one_hot_correct_zero_loss_zero_grads(self):
         spec = CircuitSpec(2, 1)
@@ -516,28 +542,18 @@ class TestGridSearch:
         assert runs[0] == runs[1]
 
 
-def per_fit_grid_search(grid, data, k, seed, augment=None, **model_kwargs):
-    """Grid search as a plain loop of one fit per (combination, fold): the
-    reference that the lockstep search must reproduce exactly."""
+def per_fit_rank(grid, data, folds, models):
+    """Grid search's ranking of its trained (combination, fold) models, in
+    declaration order, as a plain loop of one ``hybrid.evaluate`` per fit:
+    the reference that the stacked fold scoring must reproduce exactly."""
     X, y = data
     n_classes = int(np.max(y)) + 1
-    folds = hybrid.kfold_split(len(y), k, seed, labels=y)
+    k = len(folds)
     board = []
     for ci, params in enumerate(grid.combinations()):
-        q = params["n_qubits"]
-        spec = hybrid.circuit_spec(q, params["n_layers"])
         f1s, accs = [], []
-        for fi, (tr, val) in enumerate(folds):
-            fold_seed = int(np.random.SeedSequence([seed, ci, fi]).generate_state(1)[0])
-            Xtr, ytr = X[tr, :q], y[tr]
-            if augment is not None:
-                Xtr, ytr = augment(Xtr, ytr, fold_seed)
-            model = hybrid.init_model(spec, n_classes, np.random.default_rng(fold_seed),
-                                      **model_kwargs)
-            config = TrainConfig(params["epochs"], params["learning_rate"],
-                                 params["batch_size"], rng_seed=fold_seed)
-            model, _ = hybrid.fit(model, (Xtr, ytr), None, config)
-            _, acc, probs = hybrid.evaluate(model, X[val, :q], y[val])
+        for (_, val), model in zip(folds, models[ci * k:(ci + 1) * k]):
+            _, acc, probs = hybrid.evaluate(model, X[val, :model.spec.n_qubits], y[val])
             f1s.append(hybrid._macro_f1(y[val], np.argmax(probs, axis=1), n_classes))
             accs.append(acc)
         board.append(hybrid.GridResult(params, float(np.mean(f1s)), float(np.mean(accs)),
@@ -546,12 +562,39 @@ def per_fit_grid_search(grid, data, k, seed, augment=None, **model_kwargs):
     return board[0].params, board
 
 
-def grow_by_seed(X, y, seed):
-    """An augmentation that adds 1-5 repeated rows, so that folds and
-    combinations train on unequal row counts."""
-    rng = np.random.default_rng(seed)
-    extra = rng.integers(0, len(y), size=rng.integers(1, 6))
-    return np.vstack([X, X[extra]]), np.concatenate([y, y[extra]])
+def per_fit_grid_search(grid, data, k, seed, augment=None, **model_kwargs):
+    """Grid search as a plain loop of one augmentation, fit and evaluation
+    per (combination, fold): the reference that the lockstep search must
+    reproduce exactly."""
+    X, y = data
+    n_classes = int(np.max(y)) + 1
+    folds = hybrid.kfold_split(len(y), k, seed, labels=y)
+    models = []
+    for ci, params in enumerate(grid.combinations()):
+        q = params["n_qubits"]
+        spec = hybrid.circuit_spec(q, params["n_layers"])
+        for fi, (tr, _) in enumerate(folds):
+            fold_seed = int(np.random.SeedSequence([seed, ci, fi]).generate_state(1)[0])
+            Xtr, ytr = X[tr, :q], y[tr]
+            if augment is not None:
+                Xtr, ytr = augment(Xtr, ytr)(fold_seed)
+            model = hybrid.init_model(spec, n_classes, np.random.default_rng(fold_seed),
+                                      **model_kwargs)
+            config = TrainConfig(params["epochs"], params["learning_rate"],
+                                 params["batch_size"], rng_seed=fold_seed)
+            models.append(hybrid.fit(model, (Xtr, ytr), None, config)[0])
+    return per_fit_rank(grid, (X, y), folds, models)
+
+
+def grow_by_seed(X, y):
+    """An augmentation that adds 1-5 repeated rows per draw, so that folds
+    and combinations train on unequal row counts."""
+    def draw(seed):
+        rng = np.random.default_rng(seed)
+        extra = rng.integers(0, len(y), size=rng.integers(1, 6))
+        return np.vstack([X, X[extra]]), np.concatenate([y, y[extra]])
+
+    return draw
 
 
 class TestLockstepGridSearch:

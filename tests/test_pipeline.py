@@ -1,9 +1,13 @@
 """Data pipeline: partitioning, cleaning, encoding, merge, PCA, scaling,
 SMOTE and stratified splitting."""
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import oracle_smote_neighbors
 
 from hyquc import pipeline as pl
 from hyquc.errors import AugmentationError, SchemaError, ShapeError, SplitError
@@ -485,6 +489,91 @@ class TestSmote:
         a = pl.smote_oversample(ds, 3, seed=11)
         b = pl.smote_oversample(ds, 3, seed=11)
         np.testing.assert_array_equal(a.X, b.X)
+
+
+def tied_rows(seed, d, counts):
+    """A RowTypeDataset of coordinates on a coarse grid, so that duplicate
+    rows and tied distances are common."""
+    X = np.random.default_rng(seed).integers(-2, 3, size=(sum(counts), d)) / 2.0
+    y = np.repeat(np.arange(len(counts)), counts)
+    return RowTypeDataset("t", X, y, [str(c) for c in range(len(counts))])
+
+
+def assert_same_table(table, ref):
+    assert len(table) == len(ref)
+    for got, want in zip(table, ref):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
+
+class TestSmoteNeighbors:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 16),
+           counts=st.lists(st.integers(2, 24), min_size=2, max_size=4),
+           k=st.integers(1, 6), budget=st.integers(1, 600))
+    def test_blocked_table_equals_the_dense_tensor(self, seed, d, counts, k, budget):
+        ds = tied_rows(seed, d, counts)
+        ref = oracle_smote_neighbors(ds.X, ds.y, len(counts), k)
+        assert_same_table(pl.smote_neighbors(ds, k), ref)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pl, "SMOTE_BLOCK_ELEMENTS", budget)
+            assert_same_table(pl.smote_neighbors(ds, k), ref)
+
+    @pytest.mark.parametrize("count", [3, 4, 5, 8, 9, 13])
+    def test_class_sizes_around_a_block_boundary(self, monkeypatch, count):
+        # blocks of 4 rows: a class of 3 takes one partial block, 4 one
+        # full one, 5 a full one and one row, and so on
+        d = 3
+        monkeypatch.setattr(pl, "SMOTE_BLOCK_ELEMENTS", 4 * count * d)
+        rng = np.random.default_rng(count)
+        X = rng.integers(0, 2, size=(count + 20, d)).astype(float)
+        y = np.repeat([0, 1], [count, 20])
+        ds = RowTypeDataset("t", X, y, ["a", "b"])
+        assert_same_table(pl.smote_neighbors(ds, 3),
+                          oracle_smote_neighbors(X, y, 2, 3))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 6),
+           counts=st.lists(st.integers(2, 15), min_size=2, max_size=3),
+           k=st.integers(1, 5))
+    def test_synthetics_lie_between_a_row_and_its_neighbours(self, seed, d, counts, k):
+        ds = tied_rows(seed, d, counts)
+        table = pl.smote_neighbors(ds, k)
+        out = pl.smote_oversample(ds, k, seed, table)
+        same = pl.smote_oversample(ds, k, seed)
+        np.testing.assert_array_equal(out.X, same.X)
+        np.testing.assert_array_equal(out.y, same.y)
+        synth_X, synth_y = out.X[len(ds.X):], out.y[len(ds.y):]
+        for c, neighbors in enumerate(table):
+            if neighbors is None:
+                assert not np.any(synth_y == c)
+                continue
+            Xc = ds.X[ds.y == c]
+            # every (row, neighbour) segment of the class, as base + lam * seg
+            base = np.repeat(Xc, neighbors.shape[1], axis=0)
+            seg = Xc[neighbors.ravel()] - base
+            norm = (seg * seg).sum(axis=1)
+            for s in synth_X[synth_y == c]:
+                r = s - base
+                lam = (r * seg).sum(axis=1) / np.where(norm > 0, norm, 1.0)
+                off = np.linalg.norm(r - lam[:, None] * seg, axis=1)
+                assert np.any((off < 1e-9) & (lam >= -1e-12) & (lam <= 1 + 1e-12))
+
+    def test_a_3000_row_class_builds_its_table_in_bounded_memory(self):
+        # the whole (c, c, d) tensor of this class is 3000**2 * 5 * 8 B = 360 MB
+        rng = np.random.default_rng(9)
+        y = np.repeat([0, 1], [3001, 3000])
+        ds = RowTypeDataset("t", rng.normal(size=(len(y), 5)), y, ["a", "b"])
+        tracemalloc.start()
+        try:
+            table = pl.smote_neighbors(ds, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table[0] is None and table[1].shape == (3000, 5)
+        assert peak < 64 * 2 ** 20, peak
 
 
 class TestStratifiedSplit:
