@@ -271,13 +271,27 @@ def cmd_evaluate(model_path: str, data_path: str, out_path: str = None) -> int:
 
 
 def _load_models(model_path: str) -> dict:
+    """Row type -> (model, pipeline) of one model file or of a directory's
+    model_*.json files, which must hold one model per row type and name one
+    row-type column."""
     if os.path.isdir(model_path):
         paths = sorted(glob.glob(os.path.join(model_path, "model_*.json")))
         if not paths:
             raise SchemaError(f"no model_*.json files in {model_path!r}")
     else:
         paths = [model_path]
-    return {pipe.row_type: (model, pipe) for model, pipe in map(_load_model, paths)}
+    loaded = [(path, *_load_model(path)) for path in paths]
+    column = loaded[0][2].row_type_column
+    models, sources = {}, {}
+    for path, model, pipe in loaded:
+        if pipe.row_type_column != column:
+            raise SchemaError(f"{paths[0]} and {path} name different row-type columns, "
+                              f"{column!r} and {pipe.row_type_column!r}")
+        if pipe.row_type in models:
+            raise SchemaError(f"{sources[pipe.row_type]} and {path} both hold a model "
+                              f"for row type {pipe.row_type!r}")
+        models[pipe.row_type], sources[pipe.row_type] = (model, pipe), path
+    return models
 
 
 def _csv_field(text: str) -> str:

@@ -17,12 +17,17 @@ from .errors import DivergenceError, ShapeError
 from .nn import MLPHead, PROB_CLIP
 from .qsim import CircuitSpec
 
-# at most k * min(batch size, rows) * 2**n_qubits amplitudes per lockstep step
-# of k fits (and k * rows * 2**n_qubits per stack that _stacked_probs
-# scores).  Stacking pays while a step is bound by call overhead, not
-# arithmetic: per model, a stack of 6 stepped 4.5x faster than sequential steps
-# at 2 qubits and 1.95x at 5, while 3 stacked 10-qubit fits ran at 0.79x
+# at most k * m * 2**n_qubits amplitudes in a forward pass of k stacked models on m
+# rows each, in training or scoring.  Stacking pays while a step is bound by call
+# overhead, not arithmetic: per model, a stack of 6 stepped 4.5x faster than
+# sequential steps at 2 qubits and 1.95x at 5, while 3 stacked 10-qubit fits ran at 0.79x
 MAX_STACK_AMPLITUDES = 1 << 13
+
+# fit_all refuses up front a fit whose training step would hold more than
+# MAX_STEP_BYTES: a step on B rows of n qubits keeps at most STEP_STATE_BATCHES
+# buffers of B * 2**n complex amplitudes live (measured with tracemalloc)
+MAX_STEP_BYTES = 1 << 30
+STEP_STATE_BATCHES = 10
 
 
 @dataclass
@@ -111,14 +116,11 @@ def hybrid_forward(model: HybridModel, x) -> np.ndarray:
 
 
 def forward_probs(model: HybridModel, X) -> np.ndarray:
-    """Class probabilities for a (m, n_qubits) batch."""
+    """Class probabilities for a (m, n_qubits) batch, scored as a stack of one."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.spec.n_qubits:
         raise ShapeError(f"expected (m, {model.spec.n_qubits}), got {X.shape}")
-    out = qsim.forward_batch(X, model.qweights, model.spec)
-    for layer in model.head.layers:
-        out = nn.dense_forward(layer, out)
-    return out
+    return _stacked_probs([model], [X])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -162,26 +164,33 @@ def _unstack(flat: np.ndarray, models: list) -> list:
         for i, model in enumerate(models)]
 
 
+def _forward(params, model: HybridModel, X: np.ndarray):
+    """The gate blocks, final states (k, m, 2**n) and every layer's outputs,
+    from <Z_i> to the class probabilities, of a stack laid out like ``model``
+    on a (k, m, n_qubits) batch ``X``; ``params`` are the :func:`_split`
+    views of the k models' (k, P) parameter rows."""
+    qweights, head = params
+    blocks = qsim._layer_blocks(qsim._rot_mats(qweights))
+    states, out = qsim._forward(X, blocks, model.spec)
+    acts = [out]
+    for layer, (w, b) in zip(model.head.layers, head):
+        acts.append(nn._dense(acts[-1], w, b, layer.activation))
+    return blocks, states, acts
+
+
 def _step(params, model: HybridModel, X: np.ndarray, y: np.ndarray):
-    """One training step of a stack laid out like ``model``, whose k models'
-    parameters are ``params``, the :func:`_split` views of their (k, P)
-    rows, on a (k, m, n_qubits) batch ``X`` with (k, m) labels ``y``.
-    Returns the probabilities each model gave the true classes (k, m), all
-    its class probabilities (k, m, n_classes) and the gradients of each
-    model's mean cross-entropy, laid out like the (k, P) rows.
+    """One training step of :func:`_forward`'s stack, with (k, m) labels
+    ``y``.  Returns the probabilities each model gave the true classes
+    (k, m), all its class probabilities (k, m, n_classes) and the gradients
+    of each model's mean cross-entropy, laid out like the (k, P) rows.
 
     Head gradients come from backpropagation through the activations of the
     forward pass; quantum-angle gradients are the head's input gradient
     pulled back through the circuit by the adjoint vector-Jacobian product,
     which reuses the forward pass's gate blocks."""
     k, m = y.shape
-    qweights, head = params
-    layers = model.head.layers
-    blocks = qsim._layer_blocks(qsim._rot_mats(qweights))
-    states, q_out = qsim._forward(X, blocks, model.spec)
-    acts = [q_out]
-    for layer, (w, b) in zip(layers, head):
-        acts.append(nn._dense(acts[-1], w, b, layer.activation))
+    (qweights, head), layers = params, model.head.layers
+    blocks, states, acts = _forward(params, model, X)
     probs = acts[-1]
     true = (np.arange(k)[:, None], np.arange(m), y)
     p_true = probs[true]
@@ -572,31 +581,37 @@ def grid_jobs(grid: HyperGrid, data, k: int, seed: int, augment=None,
 
 
 def _stacked_probs(models: list, Xs: list) -> list:
-    """``[forward_probs(model, X) for model, X in zip(models, Xs)]``, bit for
-    bit.  Models that share a layout and a row count are scored as stacks
-    of at most MAX_STACK_AMPLITUDES amplitudes (a model whose rows alone
-    exceed it is scored alone), through the kernels forward_probs ends in
-    with a leading model axis, so that each model's products keep their
-    shapes.  One-row models are scored alone: a single row's products go
-    through gemv, which a stack of them (its (k, 1, 2**n) probabilities
-    strided across the models) does not take."""
-    groups = {}  # (layout, rows) -> model indices, in order
-    for i, (model, X) in enumerate(zip(models, Xs)):
-        groups.setdefault((_layout(model), len(X)), []).append(i)
+    """Each model's class probabilities for its (m, n_qubits) rows of ``Xs``,
+    unchecked: models of one layout and row count are scored in
+    :func:`_stacks` through :func:`_forward`, where each model's products
+    keep their shapes, so its probabilities are those of a stack of one."""
     probs = [None] * len(models)
-    for (layout, m), indices in groups.items():
-        size = 1 if m <= 1 else max(1, MAX_STACK_AMPLITUDES // (m << layout[0].n_qubits))
-        for start in range(0, len(indices), size):
-            part = indices[start:start + size]
-            first = models[part[0]]
-            qweights, head = _split(_stack([models[i] for i in part]), first)
-            _, out = qsim._forward(np.stack([Xs[i] for i in part]),
-                                   qsim._layer_blocks(qsim._rot_mats(qweights)), first.spec)
-            for layer, (w, b) in zip(first.head.layers, head):
-                out = nn._dense(out, w, b, layer.activation)
-            for i, p in zip(part, out):
-                probs[i] = p
+    for part in _stacks([(_layout(model), len(X)) for model, X in zip(models, Xs)],
+                        [len(X) << model.spec.n_qubits for model, X in zip(models, Xs)]):
+        first = models[part[0]]
+        _, _, acts = _forward(_split(_stack([models[i] for i in part]), first), first,
+                              np.stack([Xs[i] for i in part]))
+        for i, p in zip(part, acts[-1]):
+            probs[i] = p
     return probs
+
+
+def _stacks(keys: list, amplitudes: list):
+    """The indices of ``keys`` grouped by key, in order, and split into stacks
+    of at most MAX_STACK_AMPLITUDES amplitudes, k times the largest of a stack's
+    k ``amplitudes``.  A model over the budget alone is a stack of one."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    for indices in groups.values():
+        stack, most = [], 0
+        for i in indices:
+            most = max(most, amplitudes[i])
+            if stack and (len(stack) + 1) * most > MAX_STACK_AMPLITUDES:
+                yield stack
+                stack, most = [], amplitudes[i]
+            stack.append(i)
+        yield stack
 
 
 # ---------------------------------------------------------------------------
@@ -621,29 +636,27 @@ def fit_all(jobs: list) -> list:
 
     Jobs that share a model layout (circuit spec, classes and head), batch
     size, epoch count and whether they have a validation set train in
-    lockstep, as stacks of at most MAX_STACK_AMPLITUDES amplitudes per step,
-    split in job order.  Each stack is one :func:`fit` call on
-    :class:`StackedSet` rows, so that a caller counting rows x epochs per fit
-    call counts what the separate fits would.
-    A divergence is the :class:`DivergenceError` of the first stack that
-    diverges, headed by the job's name, with ``index`` the job's place in ``jobs``.
+    lockstep, in the :func:`_stacks` of their steps.  Each stack is one
+    :func:`fit` call on :class:`StackedSet` rows, so that a caller counting
+    rows x epochs per fit call counts what the separate fits would.
+    A job whose step would hold over MAX_STEP_BYTES is refused before any
+    training.  A divergence is the :class:`DivergenceError` of the first
+    stack that diverges, headed by the job's name, with ``index`` the job's
+    place in ``jobs``.
     """
-    groups = {}  # (layout, batch size, epochs, no val) -> job indices, in job order
-    for i, job in enumerate(jobs):
-        groups.setdefault((_layout(job.model), job.config.batch_size, job.config.epochs,
-                           job.val is None), []).append(i)
-    sizes = [len(_as_xy(job.train)[1]) for job in jobs]
+    amplitudes = [min(job.config.batch_size, len(_as_xy(job.train)[1]))
+                  << job.model.spec.n_qubits for job in jobs]
+    for job, amps in zip(jobs, amplitudes):
+        step = amps * 16 * STEP_STATE_BATCHES  # 16 B per complex128 amplitude
+        if step > MAX_STEP_BYTES:
+            name = job.name or f"row type {job.model.row_type!r}"
+            raise ValueError(
+                f"{name}: a training step at batch_size = {job.config.batch_size} on "
+                f"{job.model.spec.n_qubits} qubits would hold about {step / 2**30:.1f} GiB, "
+                f"over the {MAX_STEP_BYTES / 2**30:g} GiB step budget; lower batch_size")
     results = [None] * len(jobs)
-    for (layout, batch_size, _, _), indices in groups.items():
-        n_qubits = layout[0].n_qubits
-        stack, longest = [], 0
-        for i in indices:
-            longest = max(longest, sizes[i])
-            amplitudes = (len(stack) + 1) * min(batch_size, longest) << n_qubits
-            if stack and amplitudes > MAX_STACK_AMPLITUDES:
-                _fit_stack(jobs, stack, results)
-                stack, longest = [], sizes[i]
-            stack.append(i)
+    for stack in _stacks([(_layout(job.model), job.config.batch_size, job.config.epochs,
+                           job.val is None) for job in jobs], amplitudes):
         _fit_stack(jobs, stack, results)
     return results
 

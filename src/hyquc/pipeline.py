@@ -468,8 +468,9 @@ def smote_neighbors(ds: RowTypeDataset, k_neighbors: int) -> list:
 
     The table depends only on the rows, not on a seed, so one table serves
     every draw from the same rows.  Squared distances are taken a block of
-    rows at a time, at most SMOTE_BLOCK_ELEMENTS differences per block,
-    with the stable argsort each row gets in the whole (c, c, d) tensor.
+    rows at a time, at most SMOTE_BLOCK_ELEMENTS differences per block, and
+    each row's k nearest are those of its stable argsort in the whole
+    (c, c, d) tensor (see :func:`_nearest`).
     """
     if k_neighbors < 1:
         raise ValueError("k_neighbors must be >= 1")
@@ -492,10 +493,20 @@ def smote_neighbors(ds: RowTypeDataset, k_neighbors: int) -> list:
             d2 = np.sum((rows[:, None, :] - Xc[None, :, :]) ** 2, axis=2)
             own = np.arange(len(rows))
             d2[own, start + own] = np.inf
-            neighbors[start:start + step] = np.argsort(
-                d2, axis=1, kind="stable")[:, :neighbors.shape[1]]
+            neighbors[start:start + step] = _nearest(d2, neighbors.shape[1])
         table.append(neighbors)
     return table
+
+
+def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(d2, axis=1, kind="stable")[:, :k]`` without the full
+    sort: a partition finds each row's k-th smallest value, and only the
+    entries at or below it are sorted, by row and then value, stably, so
+    that ties stay in column order."""
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    rows, cols = np.nonzero(d2 <= kth)  # row-major: each row's columns in order
+    order = np.lexsort((d2[rows, cols], rows))
+    return cols[order][np.searchsorted(rows, np.arange(len(d2)))[:, None] + np.arange(k)]
 
 
 def smote_oversample(ds: RowTypeDataset, k_neighbors: int, seed: int,

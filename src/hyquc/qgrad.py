@@ -157,7 +157,7 @@ def _adjoint(states: np.ndarray, upstream: np.ndarray, weights: np.ndarray,
           for _, _, kron in blocks]
     for layer in range(layers - 1, -1, -1):
         if ring is not None:
-            pair = pair[..., ring[1]]
+            pair = np.take(pair, ring[1], axis=-1)
         for (start, stop, kron), g_all in zip(blocks, gs):
             # a wire's cross term does not change under a unitary applied to
             # psi and lambda on the other wires, so one block matrix

@@ -146,7 +146,7 @@ def _cnot_permutation(n: int, control: int, target: int) -> np.ndarray:
 def _ring_permutation(n: int, entangler_range: int):
     """One layer's CNOT ring (w -> w + entangler_range mod n for each wire in
     turn) composed into a single gather index, with its inverse:
-    ``states[:, perm]`` applies the ring and ``states[:, inv]`` undoes it.
+    ``np.take(states, perm, axis=-1)`` applies the ring and ``inv`` undoes it.
     ``None`` for a one-wire register, which has no ring.  The arrays are
     shared by every caller, so they are read-only."""
     if n == 1:
@@ -273,7 +273,9 @@ def _entangle(states: np.ndarray, blocks: list, spec: CircuitSpec) -> np.ndarray
         for start, stop, kron in blocks:
             states = _apply_block(states, n, start, stop, kron[:, layer])
         if ring is not None:
-            states = states[..., ring[0]]
+            # C-contiguous, unlike a fancy index, so that a model's products
+            # (one-row ones too) do not depend on its stack
+            states = np.take(states, ring[0], axis=-1)
     return states
 
 

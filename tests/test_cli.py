@@ -981,3 +981,26 @@ class TestPredict:
         assert cli.main(["predict", "--model", str(tmp_path),
                         "--input", str(p)]) == 1
         assert "model_*.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        # a second T1 model, which sorts after the first, with one angle changed
+        (lambda doc: doc["qweights"][0][0].__setitem__(0, 0.5),
+         "{0}/model_T1.json and {0}/model_zz_copy.json both hold a model for row type 'T1'"),
+        (lambda doc: doc["pipeline"].update(row_type="T3", row_type_column="SEG"),
+         "{0}/model_T1.json and {0}/model_zz_copy.json name different row-type "
+         "columns, 'SEGCD' and 'SEG'"),
+    ])
+    def test_conflicting_model_files_refused(self, trained, tmp_path, capsys, edit, message):
+        models = tmp_path / "models"
+        models.mkdir()
+        for name in ("model_T1.json", "model_T2.json"):
+            (models / name).write_text((trained / name).read_text())
+        doc = json.loads((trained / "model_T1.json").read_text())
+        edit(doc)
+        (models / "model_zz_copy.json").write_text(json.dumps(doc))
+        p, out = tmp_path / "in.csv", tmp_path / "pred.csv"
+        self.write_input(p, [("T1", 0.2, 0.2), ("T2", 1.5, 1.5)])
+        assert cli.main(["predict", "--model", str(models), "--input", str(p),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"hyquc: error: {message.format(models)}\n"
+        assert not out.exists()

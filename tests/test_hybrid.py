@@ -1,4 +1,5 @@
 """Hybrid model composition, training loop, k-fold CV and grid search."""
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -89,13 +90,15 @@ class TestHybridForward:
 
 class TestStackedScoring:
     """Grid search scores its folds as stacks; each model's probabilities
-    are bit for bit its own forward_probs."""
+    are bit for bit those of the public per-model chain, the circuit's
+    forward_batch and then each head layer's dense_forward."""
 
     @pytest.mark.parametrize("budget", [hybrid.MAX_STACK_AMPLITUDES, 40])
     def test_equals_per_model_forward_probs(self, monkeypatch, budget):
         monkeypatch.setattr(hybrid, "MAX_STACK_AMPLITUDES", budget)
         rng = np.random.default_rng(64)
-        # unequal fold sizes, and one-row folds, whose products are gemv
+        # unequal fold sizes, and one-row folds, whose products are gemv and
+        # which are stacked like the others
         folds = (5, 1, 4, 5, 1, 5)
         layouts = [(CircuitSpec(2, 1), (8, 8), "sigmoid", folds),
                    (CircuitSpec(3, 2), (4,), "relu", folds),
@@ -109,8 +112,11 @@ class TestStackedScoring:
                 Xs.append(rng.uniform(0, np.pi, (m, spec.n_qubits)))
         probs = hybrid._stacked_probs(models, Xs)
         for model, X, p in zip(models, Xs, probs):
-            want = hybrid.forward_probs(model, X)
+            want = qsim.forward_batch(X, model.qweights, model.spec)
+            for layer in model.head.layers:
+                want = nn.dense_forward(layer, want)
             assert p.shape == want.shape and p.tobytes() == want.tobytes()
+            assert hybrid.forward_probs(model, X).tobytes() == want.tobytes()
 
 
 class TestLossAndGrads:
@@ -326,9 +332,11 @@ class TestStackedFit:
         rng = np.random.default_rng(81)
         spec = CircuitSpec(n_qubits, n_layers)
         # batch 4: 23 rows end on a short batch of 3, 17 and 9 on one of 1,
-        # and the 9-row model sits out the epoch's last three batches
-        sizes, val_sizes = (23, 17, 9), (5, 4, 6)
-        rates, seeds = (0.3, 0.05, 0.0), (11, 12, 13)
+        # the 9-row model sits out the epoch's last three batches, and the two
+        # 17-row models take their one-row step together
+        sizes, val_sizes = (23, 17, 9, 17), (5, 4, 6, 4)
+        rates, seeds = (0.3, 0.05, 0.0, 0.2), (11, 12, 13, 14)
+        k = len(sizes)
         sets = [(rng.uniform(0, np.pi, (m, n_qubits)), rng.integers(0, 3, m))
                 for m in sizes + val_sizes]
         models = [hybrid.init_model(spec, 3, np.random.default_rng(90 + i), hidden=(4, 5),
@@ -341,10 +349,10 @@ class TestStackedFit:
                                      np.concatenate([y for _, y in parts]), part_sizes)
 
         config = TrainConfig(3, rates, 4, rng_seed=seeds)
-        trained, histories = hybrid.fit(models, stacked_set(sets[:3], sizes),
-                                        stacked_set(sets[3:], val_sizes), config)
+        trained, histories = hybrid.fit(models, stacked_set(sets[:k], sizes),
+                                        stacked_set(sets[k:], val_sizes), config)
         for i, model in enumerate(models):
-            alone, history = hybrid.fit(model, sets[i], sets[3 + i],
+            alone, history = hybrid.fit(model, sets[i], sets[k + i],
                                         TrainConfig(3, rates[i], 4, rng_seed=seeds[i]))
             assert_same_model(trained[i], alone)
             assert histories[i] == history
@@ -425,6 +433,56 @@ class TestFitAll:
         with pytest.raises(DivergenceError, match="^job 2: training diverged") as info:
             hybrid.fit_all(jobs)
         assert info.value.index == 2
+
+
+class TestStepBudget:
+    """fit_all refuses a fit whose training step would hold over
+    MAX_STEP_BYTES, counted as STEP_STATE_BATCHES state batches."""
+
+    @pytest.mark.parametrize("n_qubits, n_layers, batch", [(12, 2, 16), (10, 3, 64),
+                                                           (14, 1, 4)])
+    def test_step_holds_at_most_the_counted_state_batches(self, n_qubits, n_layers,
+                                                          batch):
+        rng = np.random.default_rng(n_qubits)
+        model = hybrid.init_model(CircuitSpec(n_qubits, n_layers), 3, rng)
+        params = hybrid._split(hybrid._stack([model]), model)
+        X = rng.uniform(0, np.pi, (1, batch, n_qubits))
+        y = rng.integers(0, 3, (1, batch))
+        hybrid._step(params, model, X, y)  # fills the per-width table caches
+        tracemalloc.start()
+        try:
+            hybrid._step(params, model, X, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= hybrid.STEP_STATE_BATCHES * 16 * (batch << n_qubits)
+
+    def test_oversize_step_refused_before_any_fit(self, monkeypatch):
+        calls = []
+
+        def recording(models, *args):
+            calls.append(len(models))
+            return models, [[] for _ in models]
+
+        monkeypatch.setattr(hybrid, "fit", recording)
+        rng = np.random.default_rng(85)
+        small = hybrid.FitJob(hybrid.init_model(CircuitSpec(2, 1), 2, rng),
+                              toy_blobs(rng, n_per_class=4), None, TrainConfig(1, 0.1, 4))
+        wide = hybrid.FitJob(hybrid.init_model(CircuitSpec(16, 1), 2, rng, "wide"),
+                             (rng.uniform(0, np.pi, (300, 16)), rng.integers(0, 2, 300)),
+                             None, TrainConfig(1, 0.1, 256))
+        # 256 rows x 2**16 amplitudes x 16 B x 10 state batches
+        with pytest.raises(ValueError, match=r"^row type 'wide': a training step at "
+                           r"batch_size = 256 on 16 qubits would hold about 2\.5 GiB, "
+                           r"over the 1 GiB step budget; lower batch_size$"):
+            hybrid.fit_all([small, wide])
+        with pytest.raises(ValueError, match=r"^combination 2 of 2 \(\.\.\.\), fold 1 of "
+                           r"3: a training step at batch_size = 256"):
+            hybrid.fit_all([small, wide._replace(name="combination 2 of 2 (...), fold 1 of 3")])
+        assert calls == []
+        # a short data set steps on its rows, not the batch size
+        hybrid.fit_all([wide._replace(train=(wide.train[0][:8], wide.train[1][:8]))])
+        assert calls == [1]
 
 
 class TestPredict:
