@@ -117,7 +117,7 @@ def _loss_csv(history) -> str:
 
 def _load_partitions(cfg: RunConfig):
     data = pl.load_csv(cfg.csv_path, cfg.label_column, cfg.row_type_column)
-    if not data.rows:
+    if not len(data):
         raise SchemaError(f"{cfg.csv_path}: no data rows")
     partitions = {"default": data}
     if cfg.row_type_column is not None:
@@ -255,7 +255,7 @@ def cmd_evaluate(model_path: str, data_path: str, out_path: str = None) -> int:
                           "model_<type>.json file")
     model, pipe = _load_model(model_path)
     data = pl.load_csv(data_path, pipe.label_column)
-    if not data.rows:
+    if not len(data):
         raise SchemaError(f"{data_path}: no data rows")
     ds = pipe.transform(data)
     _, acc, probs = hybrid.evaluate(model, ds.X, ds.y)
@@ -319,7 +319,7 @@ def cmd_predict(model_path: str, input_path: str, out_path: str = None,
     models = _load_models(model_path)
     rt_col = next(iter(models.values()))[1].row_type_column
     data = pl.load_csv(input_path, None)
-    if not data.rows:
+    if not len(data):
         raise SchemaError(f"{input_path}: no data rows")
     code_map = pl.load_row_type_map(row_type_map_path) if row_type_map_path else None
 
@@ -328,7 +328,7 @@ def cmd_predict(model_path: str, input_path: str, out_path: str = None,
         codes = pl.row_type_codes(data, rt_col)
         row_types = codes if code_map is None else list(map(code_map.get, codes, codes))
     elif len(models) == 1:
-        row_types = [next(iter(models))] * len(data.rows)
+        row_types = [next(iter(models))] * len(data)
     else:
         raise SchemaError(f"input has no {rt_col!r} column and multiple models are loaded")
 

@@ -1,15 +1,17 @@
 """Row-type dependent data pipeline: partitioning, cleaning, encoding, class
 consolidation, PCA, angle scaling and SMOTE augmentation.
 
-Each raw cell is a ``str``, or ``None`` where it is missing, as
-:func:`load_csv` reads it; no other cell type is accepted.
+A cell is stripped text, or ``None`` where it is missing; only
+:meth:`TabularDataset.from_rows` cleans raw cells, and the rest read them as is.
 """
 from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, date
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -22,24 +24,27 @@ _EPOCH = date(1970, 1, 1)
 
 
 def _as_float(cell: str):
-    # strip first: str.strip() removes \x1c-\x1f, which float() rejects
     try:
-        return float(cell.strip())
+        return float(cell)
     except ValueError:
         return None
 
 
 def _parse_column(cells, fill=None, parse=_as_float):
-    """Each cell parsed, ``fill`` where it is missing or does not parse; None if
-    one does not and there is no ``fill``.  float() fails on U+001C-U+001F padding."""
+    """Each cell parsed, ``fill`` where it is missing or does not parse; None,
+    from the first cell that does not parse, when there is no ``fill``."""
     if parse is _as_float:
         try:
             return np.fromiter(map(float, [fill if c is None else c for c in cells]), float)
         except ValueError:
-            pass
-    values = [None if c is None else parse(c) for c in cells]
-    if fill is not None or None not in values:
-        return np.array([fill if v is None else v for v in values], float)
+            if fill is None:
+                return None
+    values = []
+    for v in (None if c is None else parse(c) for c in cells):
+        if v is None and fill is None:
+            return None
+        values.append(fill if v is None else v)
+    return np.array(values, float)
 
 
 def _non_finite(name: str, cells, rows=None):
@@ -53,22 +58,20 @@ def _non_finite(name: str, cells, rows=None):
 
 @dataclass
 class TabularDataset:
-    """Rectangular raw table with a designated label column and, optionally,
-    a row-type column.  ``label_column=None`` admits unlabeled prediction
-    inputs.  Each cell is a ``str``, or ``None`` where it is missing; column
-    names are unique (SchemaError naming a repeated one)."""
+    """Rectangular table held as columns, with a designated label column
+    and, optionally, a row-type column.  ``label_column=None`` admits unlabeled
+    prediction inputs.  Each cell is stripped text, or ``None`` where it is
+    missing (see :meth:`from_rows`); column names are unique (SchemaError
+    naming a repeated one).  A table with no columns keeps its row count."""
 
     column_names: list
-    rows: list
+    columns: list
+    n_rows: int
     label_column: str = None
     row_type_column: str = None
 
     def __post_init__(self):
-        width = len(self.column_names)
-        if not set(map(len, self.rows)) <= {width}:
-            i, row = next((i, r) for i, r in enumerate(self.rows) if len(r) != width)
-            raise SchemaError(f"row {i} has {len(row)} cells, expected {width}")
-        if len(set(self.column_names)) != width:
+        if len(set(self.column_names)) != len(self.column_names):
             dup = next(n for n in self.column_names if self.column_names.count(n) > 1)
             raise SchemaError(f"duplicate column {dup!r}")
         if self.label_column is not None and \
@@ -78,41 +81,45 @@ class TabularDataset:
                 self.row_type_column not in self.column_names:
             raise SchemaError(f"row-type column {self.row_type_column!r} not present")
 
+    @classmethod
+    def from_rows(cls, names, rows, label_column: str = None,
+                  row_type_column: str = None) -> "TabularDataset":
+        """The table of raw ``rows`` (lists of one ``str`` per name), each cell
+        stripped by ``str.strip`` and ``None`` where that leaves it empty."""
+        width = len(names)
+        if not set(map(len, rows)) <= {width}:
+            i, row = next((i, r) for i, r in enumerate(rows) if len(r) != width)
+            raise SchemaError(f"row {i} has {len(row)} cells, expected {width}")
+        columns = [list(map(str.strip, map(itemgetter(j), rows))) for j in range(width)]
+        columns = [col if all(col) else [c or None for c in col] for col in columns]
+        return cls(list(names), columns, len(rows), label_column, row_type_column)
+
     def column(self, name: str) -> list:
+        """Column ``name``'s cells: the table's own list, read-only."""
         try:
-            i = self.column_names.index(name)
+            return self.columns[self.column_names.index(name)]
         except ValueError:
             raise SchemaError(f"column {name!r} not present") from None
-        return [row[i] for row in self.rows]
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self.n_rows
 
     def take(self, idx) -> "TabularDataset":
         """The rows at ``idx``, in that order, as a new table."""
-        return TabularDataset(list(self.column_names), [self.rows[i] for i in idx],
-                              self.label_column, self.row_type_column)
+        return replace(self, columns=[list(map(col.__getitem__, idx)) for col in self.columns],
+                       n_rows=len(idx))
 
 
 def load_csv(path, label_column: str, row_type_column: str = None) -> TabularDataset:
-    """Read a CSV with a header row.  Each cell is kept as its ``str``, or
-    ``None`` where it is empty or whitespace only."""
+    """Read a CSV with a header row into a table of cleaned cells (see
+    :meth:`TabularDataset.from_rows`)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
-        data = TabularDataset(header, list(reader), label_column, row_type_column)
-    # blank cells per column, in blocks of rows that stay in cache across columns
-    for start in range(0, len(data.rows), 1024):
-        block = data.rows[start:start + 1024]
-        for j in range(len(header)):
-            cells = [row[j] for row in block]
-            if not all(map(str.strip, cells)):
-                for i in [i for i, c in enumerate(cells) if not c.strip()]:
-                    block[i][j] = None
-    return data
+        return TabularDataset.from_rows(header, list(reader), label_column, row_type_column)
 
 
 def load_row_type_map(path) -> dict:
@@ -135,8 +142,8 @@ def load_row_type_map(path) -> dict:
 
 
 def row_type_codes(data: TabularDataset, column: str) -> list:
-    """The stripped code in ``column`` of every row, "" where it is missing."""
-    return ["" if c is None else c.strip() for c in data.column(column)]
+    """The code in ``column`` of every row, "" where it is missing."""
+    return [c or "" for c in data.column(column)]
 
 
 def partition_by_row_type(data: TabularDataset, code_map: dict = None) -> dict:
@@ -163,12 +170,8 @@ def drop_inapplicable_columns(data: TabularDataset, exclude) -> TabularDataset:
     for name in sorted(missing):
         log.info("exclusion list column %r not present, ignored", name)
     keep = [i for i, name in enumerate(data.column_names) if name not in exclude]
-    return TabularDataset(
-        [data.column_names[i] for i in keep],
-        [[row[i] for i in keep] for row in data.rows],
-        data.label_column,
-        data.row_type_column,
-    )
+    return replace(data, column_names=[data.column_names[i] for i in keep],
+                   columns=[data.columns[i] for i in keep])
 
 
 def missing_fractions(data: TabularDataset) -> dict:
@@ -239,13 +242,13 @@ class ColumnEncoder:
                     self.columns.append(ColumnSpec(name, "date",
                                                    median=float(np.median(days))))
                     continue
-            cats = sorted(set(map(str.strip, present)))
+            cats = sorted(set(present))
             self.columns.append(ColumnSpec(name, "categorical", categories=cats))
         return self
 
     def _as_days(self, cell: str):
         try:
-            dt = datetime.strptime(cell.strip(), self.date_format)
+            dt = datetime.strptime(cell, self.date_format)
         except ValueError:
             return None
         return float((dt.date() - _EPOCH).days)
@@ -266,15 +269,13 @@ class ColumnEncoder:
                     raise _non_finite(spec.name, cells, rows)
                 blocks.append(col[:, None])
             else:
-                index = {c: j for j, c in enumerate([*spec.categories, None])}
-                js = list(map(index.get, cells))
-                for i in [i for i, j in enumerate(js) if j is None]:  # padded or unseen
-                    js[i] = index.get(cells[i].strip(), index[None])
-                unseen = js.count(index[None]) - cells.count(None)
+                index = {c: j for j, c in enumerate(spec.categories)}
+                js = list(map(index.get, cells, repeat(len(index))))  # last: missing
+                unseen = js.count(len(index)) - cells.count(None)
                 if unseen:
                     log.info("unseen categories in %d of %d cells of %r treated as missing",
                              unseen, n, spec.name)
-                block = np.zeros((n, len(index)))
+                block = np.zeros((n, len(index) + 1))
                 block[np.arange(n), js] = 1.0
                 blocks.append(block)
         if not blocks:
@@ -285,11 +286,11 @@ class ColumnEncoder:
 def _label_strings(values) -> list:
     if None in values:
         raise SchemaError("missing value in the label column")
-    return list(map(str.strip, values))
+    return values
 
 
 def encode_labels(values, class_names=None):
-    """Map raw label cells to class indices; class names sort lexically."""
+    """Map label cells to class indices; class names sort lexically."""
     labels = _label_strings(values)
     if class_names is None:
         class_names = sorted(set(labels))
@@ -454,8 +455,9 @@ def apply_angle_scaling(X, bounds: ScaleBounds) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # SMOTE
 
-# the (rows, class size, d) difference tensor of one block of a class's
-# neighbour search holds at most this many float64s (8 MB)
+# one block of a class's neighbour search holds the (rows, class size) squared
+# distances of at most this many float64s (8 MB); from 8 features on, numpy's
+# eight summation lanes keep eight such blocks alive
 SMOTE_BLOCK_ELEMENTS = 1 << 20
 
 
@@ -468,9 +470,10 @@ def smote_neighbors(ds: RowTypeDataset, k_neighbors: int) -> list:
 
     The table depends only on the rows, not on a seed, so one table serves
     every draw from the same rows.  Squared distances are taken a block of
-    rows at a time, at most SMOTE_BLOCK_ELEMENTS differences per block, and
-    each row's k nearest are those of its stable argsort in the whole
-    (c, c, d) tensor (see :func:`_nearest`).
+    rows at a time, at most SMOTE_BLOCK_ELEMENTS per block, with the bits of
+    ``np.sum`` over the (c, c, d) difference tensor (see
+    :func:`_squared_distances`), and each row's k nearest are those of its
+    stable argsort (see :func:`_nearest`).
     """
     if k_neighbors < 1:
         raise ValueError("k_neighbors must be >= 1")
@@ -486,16 +489,39 @@ def smote_neighbors(ds: RowTypeDataset, k_neighbors: int) -> list:
                 f"class {ds.class_names[c]!r} has a single sample, cannot oversample"
             )
         Xc = ds.X[ds.y == c]
+        columns = np.ascontiguousarray(Xc.T)
         neighbors = np.empty((count, min(k_neighbors, count - 1)), dtype=np.intp)
-        step = max(1, SMOTE_BLOCK_ELEMENTS // max(1, count * Xc.shape[1]))
+        step = max(1, SMOTE_BLOCK_ELEMENTS // count)
         for start in range(0, count, step):
-            rows = Xc[start:start + step]
-            d2 = np.sum((rows[:, None, :] - Xc[None, :, :]) ** 2, axis=2)
-            own = np.arange(len(rows))
+            d2 = _squared_distances(Xc[start:start + step], columns)
+            own = np.arange(len(d2))
             d2[own, start + own] = np.inf
             neighbors[start:start + step] = _nearest(d2, neighbors.shape[1])
         table.append(neighbors)
     return table
+
+
+def _squared_distances(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``np.sum((rows[:, None, :] - X[None, :, :]) ** 2, axis=2)`` for the
+    (d, c) array ``columns`` = ``X.T``, without the (rows, c, d) tensor: the
+    d squares are added one feature at a time in numpy's pairwise summation
+    order (below 8 features left to right; from 8 on into eight lanes, which
+    are combined pairwise before the rest is added; exact up to 128)."""
+    def square(j):
+        diff = np.subtract.outer(rows[:, j], columns[j])
+        return np.square(diff, out=diff)
+
+    d = len(columns)
+    width = 8 if d >= 8 else 1
+    lanes = [square(j) for j in range(width)]
+    tail = d - d % width
+    for j in range(width, tail):
+        lanes[j % width] += square(j)
+    while len(lanes) > 1:  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        lanes = [np.add(a, b, out=a) for a, b in zip(lanes[::2], lanes[1::2])]
+    for j in range(tail, d):
+        lanes[0] += square(j)
+    return lanes[0]
 
 
 def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
@@ -692,8 +718,8 @@ class RowTypePipeline:
                 pipe.transform(data.take(va)), pipe.transform(data.take(te)))
 
     def transform_features(self, data: TabularDataset, rows=None) -> np.ndarray:
-        """Replay encoding, PCA projection and angle scaling on raw cells (each
-        a ``str``, or ``None`` where missing).  The encoder picks its columns by
+        """Replay encoding, PCA projection and angle scaling on a table's
+        cells.  The encoder picks its columns by
         name, so the table may hold the dropped ones; an error names a row by
         its number in ``rows``, when given."""
         z = pca_transform(self.pca, self.encoder.transform(data, rows))[:, :self.n_components]

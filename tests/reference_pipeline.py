@@ -2,8 +2,9 @@
 
 This is the loader and encoder that ``hyquc.pipeline`` used before they
 worked a column at a time, kept as an independent oracle: the columnar code
-must match it bit for bit, errors included.  It parses, imputes and one-hot
-encodes one cell at a time and shares no parsing code with the package.
+must match it bit for bit, errors included.  The loader strips each cell and
+takes a blank one as missing; the encoder parses, imputes and one-hot encodes
+one cell at a time.  Neither shares parsing code with the package.
 """
 import csv
 import logging
@@ -49,8 +50,9 @@ def load_csv(path, label_column: str, row_type_column: str = None) -> TabularDat
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
-        rows = [[c if c.strip() != "" else None for c in row] for row in reader]
-    return TabularDataset(header, rows, label_column, row_type_column)
+        rows = [[c.strip() or None for c in row] for row in reader]
+    columns = [[row[j] for row in rows] for j in range(len(header))]
+    return TabularDataset(header, columns, len(rows), label_column, row_type_column)
 
 
 class ColumnEncoder:

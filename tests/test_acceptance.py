@@ -239,8 +239,8 @@ class TestCriterion6EndToEndTraining:
             # the committed dataset: 600 rows per row-type code, 3 classes
             data = pl.load_csv(load_config(cfg_path).csv_path, "grade", "SEGCD")
             codes = {}
-            for row in data.rows:
-                codes[row[0]] = codes.get(row[0], 0) + 1
+            for code in data.column("SEGCD"):
+                codes[code] = codes.get(code, 0) + 1
             code_map = pl.load_row_type_map(
                 os.path.join(DATA_DIR, "rowtypes.map"))
             per_type = {}

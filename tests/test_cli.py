@@ -13,7 +13,6 @@ import pytest
 from hyquc import cli, hybrid, pipeline as pl, serialize
 from hyquc.config import SCHEMA, load_config
 from hyquc.errors import DivergenceError, SchemaError
-from hyquc.pipeline import TabularDataset
 from test_hybrid import per_fit_rank
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -904,7 +903,7 @@ class TestPredict:
         for rt in ("T1", "T2"):
             model, pipe = serialize.load_model(trained / f"model_{rt}.json")
             idx = [i for i, row in enumerate(rows) if row[0] == rt]
-            sub = TabularDataset(data.column_names, [data.rows[i] for i in idx])
+            sub = data.take(idx)
             want = hybrid.forward_probs(model, pipe.transform_features(sub))
             for i, w in zip(idx, want):
                 got = [float(kv.split("=")[1])

@@ -90,7 +90,7 @@ def test_load_fit_and_transform_match_per_cell_reference(csv_dir, tables, date_f
     fit_text, replay_text = tables
     data = loaded(pl.load_csv, csv_dir, fit_text)
     want = loaded(ref.load_csv, csv_dir, fit_text)
-    assert (data.column_names, data.rows) == (want.column_names, want.rows)
+    assert (data.column_names, data.columns) == (want.column_names, want.columns)
 
     enc, ref_enc = pl.ColumnEncoder(date_format), ref.ColumnEncoder(date_format)
     fitted = outcome(lambda: repr(enc.fit(data).columns))
@@ -103,33 +103,64 @@ def test_load_fit_and_transform_match_per_cell_reference(csv_dir, tables, date_f
 
 
 def test_load_matches_reference_across_row_blocks(csv_dir):
-    # the loader finds blank cells a block of rows at a time: put blank and
-    # padded cells on both sides of every block boundary of a 2,100-row file
+    # a 2,100-row file, with blank and padded cells on both sides of the
+    # 1,024-row block edges that an earlier loader cleaned its rows in
     rng = np.random.default_rng(0)
     cells = rng.choice(["1.5", "a", " b ", "", " ", "\x1c", "\u2003x"], size=(2100, 3))
     cells[[1023, 1024, 2047, 2048], 0] = [" ", "", "\x1c", ""]
     buf = io.StringIO()
     csv.writer(buf).writerows([["C0", "C1", "L"], *cells.tolist()])
     data = loaded(pl.load_csv, csv_dir, buf.getvalue())
-    assert data.rows == loaded(ref.load_csv, csv_dir, buf.getvalue()).rows
+    assert data.columns == loaded(ref.load_csv, csv_dir, buf.getvalue()).columns
+
+
+PADS = st.text(alphabet="".join(PADDING), max_size=2)
+
+
+@st.composite
+def bare_and_padded(draw):
+    """The same CSV twice, under one quoting rule: as drawn, and with each
+    data cell padded on either side with what ``str.strip`` removes."""
+    width = draw(st.integers(1, 4))
+    cell = st.tuples(st.one_of(NUMBERS, DATES, WORDS, BLANKS), PADS, PADS)
+    rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width), max_size=10))
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+
+    def text(cells):
+        buf = io.StringIO()
+        writer = csv.writer(buf, quoting=quoting)
+        writer.writerow([f"C{j}" for j in range(width)] + ["L"])
+        writer.writerows([*row, "a"] for row in cells)
+        return buf.getvalue()
+
+    return (text([[c for c, _, _ in row] for row in rows]),
+            text([[left + c + right for c, left, right in row] for row in rows]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(bare_and_padded())
+def test_padded_cells_load_like_bare_ones(csv_dir, texts):
+    bare, padded = (loaded(pl.load_csv, csv_dir, text) for text in texts)
+    assert (padded.column_names, padded.columns, len(padded)) == \
+        (bare.column_names, bare.columns, len(bare))
 
 
 @pytest.mark.parametrize("cell", ["inf", " nan", "1e400\x1c"])
 def test_transform_names_the_row_it_is_given(cell):
     enc = pl.ColumnEncoder().fit(
-        pl.TabularDataset(["V"], [["1"], ["2"]]))
-    data = pl.TabularDataset(["V"], [["3"], [None], [cell]])
+        pl.TabularDataset.from_rows(["V"], [["1"], ["2"]]))
+    data = pl.TabularDataset.from_rows(["V"], [["3"], [""], [cell]])
     for rows, named in ((None, 2), ([5, 9, 17], 17)):
         with pytest.raises(SchemaError, match=re.escape(
-                f"column 'V', row {named}: non-finite number {cell!r}")):
+                f"column 'V', row {named}: non-finite number {cell.strip()!r}")):
             enc.transform(data, rows)
 
 
 def test_unseen_categories_logged_once_per_column(caplog):
     enc = pl.ColumnEncoder().fit(
-        pl.TabularDataset(["C", "D"], [["A", "x"], ["B", "y"]]))
-    data = pl.TabularDataset(["C", "D"], [["Z", "x"], [None, "y"], [" Q ", "x"],
-                                          ["Z", "w"], [" A", "y"]])
+        pl.TabularDataset.from_rows(["C", "D"], [["A", "x"], ["B", "y"]]))
+    data = pl.TabularDataset.from_rows(["C", "D"], [["Z", "x"], ["", "y"], [" Q ", "x"],
+                                                    ["Z", "w"], [" A", "y"]])
     with caplog.at_level("INFO", logger="hyquc.pipeline"):
         X = enc.transform(data)
     assert [rec.getMessage() for rec in caplog.records] == [

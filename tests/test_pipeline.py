@@ -34,8 +34,8 @@ def loan_table(counts_by_type):
     for loan_type, counts in counts_by_type.items():
         for label, count in counts.items():
             rows.extend([[loan_type, label, "1.0"]] * count)
-    return TabularDataset(["LOANTYPE", "IRAC", "AMT"], rows,
-                          label_column="IRAC", row_type_column="LOANTYPE")
+    return TabularDataset.from_rows(["LOANTYPE", "IRAC", "AMT"], rows,
+                                    label_column="IRAC", row_type_column="LOANTYPE")
 
 
 def missing_value_table():
@@ -47,9 +47,9 @@ def missing_value_table():
     for i in range(n):
         row = ["Standard", "1.5", "x"]
         for col, miss in PERSONAL_MISSING.items():
-            row.append(None if i < miss else "7")
+            row.append("" if i < miss else "7")
         rows.append(row)
-    return TabularDataset(names, rows, label_column="IRAC")
+    return TabularDataset.from_rows(names, rows, label_column="IRAC")
 
 
 class TestPartition:
@@ -64,53 +64,53 @@ class TestPartition:
         data = loan_table({"Personal Loan": {"Standard": 5}})
         parts = pl.partition_by_row_type(data)
         assert list(parts) == ["Personal Loan"]
-        assert parts["Personal Loan"].rows == data.rows
+        assert parts["Personal Loan"].columns == data.columns
 
     def test_counting_oracle(self):
         rng = np.random.default_rng(2)
         types = rng.choice(["a", "b", "c"], size=100)
-        data = TabularDataset(["T", "L"], [[t, "x"] for t in types],
-                              label_column="L", row_type_column="T")
+        data = TabularDataset.from_rows(["T", "L"], [[t, "x"] for t in types],
+                                        label_column="L", row_type_column="T")
         parts = pl.partition_by_row_type(data)
         assert sum(len(p) for p in parts.values()) == 100
         for t in "abc":
             assert len(parts[t]) == int(np.sum(types == t))
 
     def test_code_map_grouping(self):
-        data = TabularDataset(["T", "L"], [["A1", "x"], ["A2", "x"], ["B1", "y"]],
-                              label_column="L", row_type_column="T")
+        data = TabularDataset.from_rows(["T", "L"], [["A1", "x"], ["A2", "x"], ["B1", "y"]],
+                                        label_column="L", row_type_column="T")
         parts = pl.partition_by_row_type(
             data, {"A1": "agri", "A2": "agri", "B1": "personal"})
         assert len(parts["agri"]) == 2
         assert len(parts["personal"]) == 1
 
     def test_unknown_code(self):
-        data = TabularDataset(["T", "L"], [["ZZ", "x"]],
-                              label_column="L", row_type_column="T")
+        data = TabularDataset.from_rows(["T", "L"], [["ZZ", "x"]],
+                                        label_column="L", row_type_column="T")
         with pytest.raises(SchemaError, match="'ZZ'"):
             pl.partition_by_row_type(data, {"A1": "agri"})
 
     def test_missing_row_type_column(self):
-        data = TabularDataset(["L"], [["x"]], label_column="L")
+        data = TabularDataset.from_rows(["L"], [["x"]], label_column="L")
         with pytest.raises(SchemaError):
             pl.partition_by_row_type(data)
 
 
 class TestDropInapplicable:
     def test_listed_columns_removed(self):
-        data = TabularDataset(["DRYLAND", "WETLAND", "IRAC"],
-                              [["1", "2", "Standard"]], label_column="IRAC")
+        data = TabularDataset.from_rows(["DRYLAND", "WETLAND", "IRAC"],
+                                        [["1", "2", "Standard"]], label_column="IRAC")
         out = pl.drop_inapplicable_columns(data, ["DRYLAND", "WETLAND"])
         assert out.column_names == ["IRAC"]
 
     def test_empty_exclusion_unchanged(self):
-        data = TabularDataset(["A", "IRAC"], [["1", "x"]], label_column="IRAC")
+        data = TabularDataset.from_rows(["A", "IRAC"], [["1", "x"]], label_column="IRAC")
         out = pl.drop_inapplicable_columns(data, [])
         assert out.column_names == data.column_names
-        assert out.rows == data.rows
+        assert out.columns == data.columns
 
     def test_nonexistent_column_logged(self, caplog):
-        data = TabularDataset(["A", "IRAC"], [["1", "x"]], label_column="IRAC")
+        data = TabularDataset.from_rows(["A", "IRAC"], [["1", "x"]], label_column="IRAC")
         with caplog.at_level("INFO", logger="hyquc.pipeline"):
             out = pl.drop_inapplicable_columns(data, ["NOPE"])
         assert out.column_names == data.column_names
@@ -136,22 +136,22 @@ class TestDropHighMissing:
 
     def test_threshold_is_strict(self):
         # exactly at the threshold stays
-        rows = [["x", None], ["x", None], ["x", None], ["x", None],
-                ["x", None], ["x", None], ["x", None], ["x", "1"],
+        rows = [["x", ""], ["x", ""], ["x", ""], ["x", ""],
+                ["x", ""], ["x", ""], ["x", ""], ["x", "1"],
                 ["x", "1"], ["x", "1"]]
-        data = TabularDataset(["L", "C"], rows, label_column="L")
+        data = TabularDataset.from_rows(["L", "C"], rows, label_column="L")
         out, dropped = pl.drop_high_missing(data, 0.70)
         assert dropped == []
         assert "C" in out.column_names
 
     def test_label_column_protected(self):
-        data = TabularDataset(["L", "C"], [[None, "1"]] * 4 + [["x", "1"]],
-                              label_column="L")
+        data = TabularDataset.from_rows(["L", "C"], [["", "1"]] * 4 + [["x", "1"]],
+                                        label_column="L")
         out, dropped = pl.drop_high_missing(data, 0.70)
         assert "L" in out.column_names
 
     def test_threshold_validation(self):
-        data = TabularDataset(["L"], [["x"]], label_column="L")
+        data = TabularDataset.from_rows(["L"], [["x"]], label_column="L")
         with pytest.raises(ValueError):
             pl.drop_high_missing(data, 0.0)
 
@@ -163,31 +163,31 @@ def encoded(data: TabularDataset, date_format: str = None) -> np.ndarray:
 
 class TestImputeAndEncode:
     def test_median_imputation(self):
-        data = TabularDataset(["V", "L"], [["1", "a"], [None, "a"], ["3", "b"]],
-                              label_column="L")
+        data = TabularDataset.from_rows(["V", "L"], [["1", "a"], ["", "a"], ["3", "b"]],
+                                        label_column="L")
         X = encoded(data)
         np.testing.assert_array_equal(X[:, 0], [1.0, 2.0, 3.0])
 
     def test_categorical_indicators(self):
-        data = TabularDataset(["C", "L"],
-                              [["A", "a"], ["B", "a"], [None, "b"]],
-                              label_column="L")
+        data = TabularDataset.from_rows(["C", "L"],
+                                        [["A", "a"], ["B", "a"], ["", "b"]],
+                                        label_column="L")
         X = encoded(data)
         assert X.shape == (3, 3)  # A, B, missing
         np.testing.assert_array_equal(X, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     def test_date_parsing(self):
-        data = TabularDataset(["D", "L"],
-                              [["1970-01-02", "a"], [None, "b"],
+        data = TabularDataset.from_rows(["D", "L"],
+                                        [["1970-01-02", "a"], ["", "b"],
                                ["1970-01-04", "a"]],
-                              label_column="L")
+                                        label_column="L")
         X = encoded(data, "%Y-%m-%d")
         np.testing.assert_array_equal(X[:, 0], [1.0, 2.0, 3.0])
 
     def test_all_missing_column_dropped(self, caplog):
-        data = TabularDataset(["V", "W", "L"],
-                              [[None, "1", "a"], [None, "2", "b"]],
-                              label_column="L")
+        data = TabularDataset.from_rows(["V", "W", "L"],
+                                        [["", "1", "a"], ["", "2", "b"]],
+                                        label_column="L")
         with caplog.at_level("INFO", logger="hyquc.pipeline"):
             X = encoded(data)
         assert X.shape == (2, 1)
@@ -199,41 +199,53 @@ class TestImputeAndEncode:
         for _ in range(60):
             num = "" if rng.random() < 0.3 else f"{rng.normal():.3f}"
             cat = rng.choice(["u", "v", ""])
-            rows.append([num or None, cat or None, "a" if rng.random() < 0.5
+            rows.append([num, cat, "a" if rng.random() < 0.5
                          else "b"])
-        data = TabularDataset(["N", "C", "L"], rows, label_column="L")
+        data = TabularDataset.from_rows(["N", "C", "L"], rows, label_column="L")
         X = encoded(data)
         assert np.all(np.isfinite(X))
 
     def test_unseen_category_treated_missing(self):
         enc = pl.ColumnEncoder().fit(
-            TabularDataset(["C", "L"], [["A", "a"], ["B", "a"]],
-                           label_column="L"))
-        X = enc.transform(TabularDataset(["C", "L"], [["Z", "a"]],
-                                         label_column="L"))
+            TabularDataset.from_rows(["C", "L"], [["A", "a"], ["B", "a"]],
+                                     label_column="L"))
+        X = enc.transform(TabularDataset.from_rows(["C", "L"], [["Z", "a"]],
+                                                   label_column="L"))
         np.testing.assert_array_equal(X, [[0, 0, 1]])
 
     @pytest.mark.parametrize("cell", ["inf", "nan", "1e400"])
     def test_non_finite_cell_named_on_fit(self, cell):
-        data = TabularDataset(["V", "L"], [["1", "a"], ["2", "b"], [cell, "a"]],
-                              label_column="L")
+        data = TabularDataset.from_rows(["V", "L"], [["1", "a"], ["2", "b"], [cell, "a"]],
+                                        label_column="L")
         with pytest.raises(SchemaError, match=r"column 'V', row 2: non-finite"):
             pl.ColumnEncoder().fit(data)
 
     @pytest.mark.parametrize("cell", ["inf", "nan", "1e400"])
     def test_non_finite_cell_named_on_transform(self, cell):
         enc = pl.ColumnEncoder().fit(
-            TabularDataset(["V", "L"], [["1", "a"], ["2", "b"]], label_column="L"))
+            TabularDataset.from_rows(["V", "L"], [["1", "a"], ["2", "b"]], label_column="L"))
         with pytest.raises(SchemaError, match=r"column 'V', row 1: non-finite"):
-            enc.transform(TabularDataset(["V", "L"], [["3", "a"], [cell, "a"]],
-                                         label_column="L"))
+            enc.transform(TabularDataset.from_rows(["V", "L"], [["3", "a"], [cell, "a"]],
+                                                   label_column="L"))
 
     def test_missing_columns_on_transform(self):
         enc = pl.ColumnEncoder().fit(
-            TabularDataset(["A", "L"], [["1", "a"]], label_column="L"))
+            TabularDataset.from_rows(["A", "L"], [["1", "a"]], label_column="L"))
         with pytest.raises(SchemaError, match="missing columns"):
-            enc.transform(TabularDataset(["B", "L"], [["1", "a"]],
-                                         label_column="L"))
+            enc.transform(TabularDataset.from_rows(["B", "L"], [["1", "a"]],
+                                                   label_column="L"))
+
+    def test_parse_stops_at_the_first_cell_that_does_not_parse(self):
+        # a column that is not numeric (or not dates) is known from that cell on
+        seen = []
+
+        def parse(cell):
+            seen.append(cell)
+            return None if cell == "x" else 1.0
+
+        assert pl._parse_column(["1", "x", "2", "y"], parse=parse) is None
+        assert seen == ["1", "x"]
+        assert pl._parse_column(["1", "x", None], 5.0, parse).tolist() == [1.0, 5.0, 5.0]
 
 
 # characters str.strip() removes; float() rejects the last four
@@ -247,10 +259,9 @@ class TestPaddedCells:
         rows = [["1.5", "1970-01-02", "A", "a", "T1"],
                 ["-2", "1970-01-04", "B", "b", "T2"],
                 ["3e1", "1970-01-05", "A", "a", "T1"],
-                [None, None, None, "b", "T2"]]
-        return TabularDataset(
-            ["N", "D", "C", "L", "T"],
-            [[None if c is None else pad + c + pad for c in row] for row in rows],
+                ["", "", "", "b", "T2"]]
+        return TabularDataset.from_rows(
+            ["N", "D", "C", "L", "T"], [[pad + c + pad for c in row] for row in rows],
             label_column="L", row_type_column="T")
 
     @pytest.mark.parametrize("pad", PADDING)
@@ -509,6 +520,17 @@ def assert_same_table(table, ref):
 
 
 class TestSmoteNeighbors:
+    @pytest.mark.parametrize("d", range(1, 21))
+    def test_distances_sum_in_the_order_of_np_sum(self, d):
+        # the tables keep their bytes only if each distance rounds as the
+        # (rows, c, d) tensor's np.sum rounds it; grid data would sum exactly
+        rng = np.random.default_rng(d)
+        X = rng.normal(size=(40, d)) * rng.uniform(0.01, 100, size=d)
+        rows = X[3:14]
+        want = np.sum((rows[:, None, :] - X[None, :, :]) ** 2, axis=2)
+        got = pl._squared_distances(rows, np.ascontiguousarray(X.T))
+        assert got.tobytes() == want.tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 16),
            counts=st.lists(st.integers(2, 24), min_size=2, max_size=4),
@@ -622,7 +644,7 @@ class TestRowTypePipelineReplay:
             rows.append([f"{rng.normal():.4f}", f"{rng.normal():.4f}",
                          rng.choice(["p", "q"]),
                          "a" if i % 2 else "b"])
-        data = TabularDataset(["N1", "N2", "C", "L"], rows, label_column="L")
+        data = TabularDataset.from_rows(["N1", "N2", "C", "L"], rows, label_column="L")
         encoder = pl.ColumnEncoder().fit(data)
         X = encoder.transform(data)
         pca = pl.pca_fit(X, 2)
@@ -658,9 +680,9 @@ class TestReplayReadsOnlyTheEncoderColumns:
         rng = np.random.default_rng(11)
         names = ["N1", "X", "N2", "S", "C", "L"]
         rows = [[f"{rng.normal():.4f}", f"{rng.normal():.4f}", f"{rng.normal():.4f}",
-                 f"{rng.normal():.4f}" if i % 5 == 0 else None,
+                 f"{rng.normal():.4f}" if i % 5 == 0 else "",
                  rng.choice(["p", "q"]), "a" if i % 2 else "b"] for i in range(40)]
-        data = TabularDataset(names, rows, label_column="L")
+        data = TabularDataset.from_rows(names, rows, label_column="L")
         pipe = pl.RowTypePipeline.fit(data, "t", seed=0, components=2, width=2,
                                       split_fractions=(0.6, 0.2, 0.2),
                                       exclude_columns=["X"])[0]
@@ -671,22 +693,21 @@ class TestReplayReadsOnlyTheEncoderColumns:
         assert (pipe.exclude_columns, pipe.dropped_missing) == (["X"], ["S"])
         keep = [j for j, name in enumerate(data.column_names) if name not in ("X", "S")]
         slim = TabularDataset([data.column_names[j] for j in keep],
-                              [[row[j] for j in keep] for row in data.rows],
-                              label_column="L")
+                              [data.columns[j] for j in keep], len(data), label_column="L")
         assert pipe.transform_features(data).tobytes() == \
             pipe.transform_features(slim).tobytes()
 
     def test_input_left_unmodified(self):
         data, pipe = self.fit()
-        names, rows = list(data.column_names), [list(row) for row in data.rows]
+        names, columns = list(data.column_names), [list(col) for col in data.columns]
         pipe.transform_features(data)
-        assert (data.column_names, data.rows) == (names, rows)
+        assert (data.column_names, data.columns) == (names, columns)
 
 
 class TestRowTypePipelineFit:
     def test_one_class_refused(self):
         rows = [[f"{0.1 * i:.1f}", str(i % 3), "a"] for i in range(30)]
-        data = TabularDataset(["N1", "N2", "L"], rows, label_column="L")
+        data = TabularDataset.from_rows(["N1", "N2", "L"], rows, label_column="L")
         with pytest.raises(SchemaError, match="^the labels hold one class, 'a'; "
                                               "a model needs at least two$"):
             pl.RowTypePipeline.fit(data, "t", seed=0, components=2, width=2,
@@ -698,7 +719,7 @@ class TestLoaders:
         p = tmp_path / "d.csv"
         p.write_text("A,B\n1,\n,2\n")
         data = pl.load_csv(str(p), label_column="A")
-        assert data.rows == [["1", None], [None, "2"]]
+        assert data.columns == [["1", None], [None, "2"]]
 
     def test_load_csv_empty_file(self, tmp_path):
         p = tmp_path / "e.csv"
@@ -736,7 +757,7 @@ class TestLoaders:
 
     def test_duplicate_column_refused(self):
         with pytest.raises(SchemaError, match="^duplicate column 'F1'$"):
-            TabularDataset(["F1", "F1", "L"], [["1", "2", "a"]], label_column="L")
+            TabularDataset.from_rows(["F1", "F1", "L"], [["1", "2", "a"]], label_column="L")
 
     def test_load_csv_duplicate_header_refused(self, tmp_path):
         # the second F1's values would otherwise be lost behind the first's
@@ -745,6 +766,18 @@ class TestLoaders:
         with pytest.raises(SchemaError, match="duplicate column 'F1'"):
             pl.load_csv(str(p), label_column="L")
 
+    def test_table_without_columns_keeps_its_rows(self, tmp_path):
+        # a blank header line: the rows are there, so the file is not "no data rows"
+        p = tmp_path / "b.csv"
+        p.write_text("\n\n\n")
+        data = pl.load_csv(str(p), None)
+        assert (data.column_names, data.columns, len(data)) == ([], [], 2)
+
+    def test_column_is_the_tables_own_list(self):
+        data = TabularDataset.from_rows(["A", "L"], [[" 1", "a"], ["\x1c", "b"]])
+        assert data.column("A") is data.columns[0]
+        assert data.column("A") == ["1", None]
+
     def test_rectangularity(self):
         with pytest.raises(SchemaError):
-            TabularDataset(["A", "B"], [["1"]], label_column="A")
+            TabularDataset.from_rows(["A", "B"], [["1"]], label_column="A")
