@@ -66,32 +66,32 @@ def _prepare(raw: pl.TabularDataset, row_type: str, cfg: RunConfig, seed: int) -
     train_aug = pl.smote_oversample(train_ds, cfg.smote_k, seed)
     report.counts_after_smote = train_aug.class_counts()
 
-    spec = hybrid.circuit_spec(pipe.n_components, cfg.n_layers, cfg.embedding_axis,
-                               cfg.entangler_range)
-    model = hybrid.init_model(
-        spec, len(pipe.class_names), np.random.default_rng(seed), row_type,
-        hidden=cfg.hidden, hidden_activation=cfg.hidden_activation,
-        single_layer_head=cfg.single_layer_head,
-    )
+    model = cfg.new_model(pipe.n_components, cfg.n_layers, len(pipe.class_names),
+                          np.random.default_rng(seed), row_type)
     tconf = TrainConfig(cfg.epochs, cfg.learning_rate, cfg.batch_size, rng_seed=seed)
     return _Prepared(seed, pipe, report, train_ds, test_ds,
                      hybrid.FitJob(model, train_aug, val_ds, tconf))
 
 
-def _assess(prep: _Prepared, model, cfg: RunConfig):
-    """The evaluation report of a trained row type on its three splits."""
-    train_loss, train_acc, _ = hybrid.evaluate(model, prep.train.X, prep.train.y)
-    val_loss, val_acc, _ = hybrid.evaluate(model, prep.job.val.X, prep.job.val.y)
-    test_loss, test_acc, probs = hybrid.evaluate(model, prep.test.X, prep.test.y)
+def _report(ds: pl.RowTypeDataset, probs, extra: dict) -> metrics.MetricsReport:
+    """The metrics report of class probabilities ``probs`` for the rows of
+    ``ds``, each predicted as its likeliest class (ties to the lowest index)."""
     preds = np.argmax(probs, axis=1)
-    names = prep.pipe.class_names
-    cm = metrics.confusion_matrix(prep.test.y, preds, len(names), names)
-    return metrics.build_report(cm, probs, prep.test.y, extra={
+    cm = metrics.confusion_matrix(ds.y, preds, len(ds.class_names), ds.class_names)
+    return metrics.build_report(cm, probs, ds.y, extra=extra)
+
+
+def _assess(prep: _Prepared, model, history, cfg: RunConfig):
+    """The evaluation report of a trained row type on its three splits; the
+    validation scores are those its fit's last epoch gave (``history[-1]``)."""
+    train_loss, train_acc, _ = hybrid.evaluate(model, prep.train.X, prep.train.y)
+    test_loss, test_acc, probs = hybrid.evaluate(model, prep.test.X, prep.test.y)
+    return _report(prep.test, probs, extra={
         "train_accuracy": train_acc,
-        "val_accuracy": val_acc,
+        "val_accuracy": history[-1].val_accuracy,
         "test_accuracy": test_acc,
         "train_loss": train_loss,
-        "val_loss": val_loss,
+        "val_loss": history[-1].val_loss,
         "test_loss": test_loss,
         "seed": prep.seed,
         "split_fractions": list(cfg.split_fractions),
@@ -104,7 +104,7 @@ def fit_row_type(raw: pl.TabularDataset, row_type: str, cfg: RunConfig, seed: in
     :func:`cmd_train` takes for every row type at once."""
     prep = _prepare(raw, row_type, cfg, seed)
     [(model, history)] = hybrid.fit_all([prep.job])
-    return model, prep.pipe, history, _assess(prep, model, cfg), prep.report
+    return model, prep.pipe, history, _assess(prep, model, history, cfg), prep.report
 
 
 def _loss_csv(history) -> str:
@@ -117,8 +117,6 @@ def _loss_csv(history) -> str:
 
 def _load_partitions(cfg: RunConfig):
     data = pl.load_csv(cfg.csv_path, cfg.label_column, cfg.row_type_column)
-    if not len(data):
-        raise SchemaError(f"{cfg.csv_path}: no data rows")
     partitions = {"default": data}
     if cfg.row_type_column is not None:
         code_map = (pl.load_row_type_map(cfg.row_type_map_path)
@@ -161,7 +159,7 @@ def cmd_train(cfg: RunConfig) -> int:
     prepared = _set_up(cfg, _prepare)
     fits = hybrid.fit_all([prep.job for prep in prepared.values()])
     for (row_type, prep), (model, history) in zip(prepared.items(), fits):
-        rep = _assess(prep, model, cfg)
+        rep = _assess(prep, model, history, cfg)
         _write_artifacts(cfg.out_dir, row_type, model, prep.pipe, history, rep, prep.report)
         print(f"[{row_type}] test accuracy {rep.accuracy:.4f}, "
               f"val accuracy {rep.extra['val_accuracy']:.4f}")
@@ -200,10 +198,8 @@ def _prepare_search(raw: pl.TabularDataset, row_type: str, cfg: RunConfig, seed:
 
         return draw
 
-    jobs, rank = hybrid.grid_jobs(
-        cfg.grid, train_ds, cfg.cv_folds, seed, augment, hidden=cfg.hidden,
-        hidden_activation=cfg.hidden_activation, single_layer_head=cfg.single_layer_head,
-        embedding_axis=cfg.embedding_axis, entangler_range=cfg.entangler_range)
+    jobs, rank = hybrid.grid_jobs(cfg.grid, train_ds, cfg.cv_folds, seed, augment,
+                                  cfg.new_model)
     return [job._replace(name=f"row type {row_type!r}: {job.name}") for job in jobs], rank
 
 
@@ -254,16 +250,9 @@ def cmd_evaluate(model_path: str, data_path: str, out_path: str = None) -> int:
         raise SchemaError(f"{model_path!r} is a directory; evaluate takes one "
                           "model_<type>.json file")
     model, pipe = _load_model(model_path)
-    data = pl.load_csv(data_path, pipe.label_column)
-    if not len(data):
-        raise SchemaError(f"{data_path}: no data rows")
-    ds = pipe.transform(data)
+    ds = pipe.transform(pl.load_csv(data_path, pipe.label_column))
     _, acc, probs = hybrid.evaluate(model, ds.X, ds.y)
-    preds = np.argmax(probs, axis=1)
-    cm = metrics.confusion_matrix(ds.y, preds, len(pipe.class_names),
-                                  pipe.class_names)
-    rep = metrics.build_report(cm, probs, ds.y, extra={"test_accuracy": acc})
-    text = rep.to_json()
+    text = _report(ds, probs, extra={"test_accuracy": acc}).to_json()
     if out_path:
         serialize.atomic_write_text(out_path, text)
     print(text)
@@ -319,23 +308,17 @@ def cmd_predict(model_path: str, input_path: str, out_path: str = None,
     models = _load_models(model_path)
     rt_col = next(iter(models.values()))[1].row_type_column
     data = pl.load_csv(input_path, None)
-    if not len(data):
-        raise SchemaError(f"{input_path}: no data rows")
     code_map = pl.load_row_type_map(row_type_map_path) if row_type_map_path else None
 
     if rt_col in data.column_names:
         # an unmapped code keeps its raw value and is flagged below
-        codes = pl.row_type_codes(data, rt_col)
-        row_types = codes if code_map is None else list(map(code_map.get, codes, codes))
+        by_type = pl.route_rows(data, rt_col, code_map)
     elif len(models) == 1:
-        row_types = [next(iter(models))] * len(data)
+        by_type = {next(iter(models)): list(range(len(data)))}
     else:
         raise SchemaError(f"input has no {rt_col!r} column and multiple models are loaded")
 
-    lines = [None] * len(row_types)
-    by_type = {}
-    for i, rt in enumerate(row_types):
-        by_type.setdefault(rt, []).append(i)
+    lines = [None] * len(data)
     for rt, idxs in sorted(by_type.items()):
         fields = [f"{_csv_field(rt)},no_model,,"] * len(idxs)
         if rt in models:

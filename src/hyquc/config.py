@@ -9,6 +9,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
+from . import hybrid
 from .errors import SchemaError, SplitError
 from .hybrid import HyperGrid
 from .nn import ACTIVATIONS
@@ -51,6 +52,16 @@ class RunConfig:
 
     def options_for(self, row_type: str) -> RowTypeOptions:
         return self.row_types.get(row_type, RowTypeOptions())
+
+    def new_model(self, n_qubits: int, n_layers: int, n_classes: int, rng,
+                  row_type: str = "") -> hybrid.HybridModel:
+        """A fresh model with this config's circuit and head settings: the
+        builder of every model that ``train`` and ``gridsearch`` fit."""
+        spec = hybrid.circuit_spec(n_qubits, n_layers, self.embedding_axis,
+                                   self.entangler_range)
+        return hybrid.init_model(spec, n_classes, rng, row_type, hidden=self.hidden,
+                                 hidden_activation=self.hidden_activation,
+                                 single_layer_head=self.single_layer_head)
 
 
 def _value(kind, requirement: str, rule=lambda value: True):

@@ -501,29 +501,31 @@ def circuit_spec(n_qubits: int, n_layers: int, embedding_axis: str = "Y",
                        min(entangler_range, max(n_qubits - 1, 1)))
 
 
+def default_model(n_qubits: int, n_layers: int, n_classes: int,
+                  rng: np.random.Generator) -> HybridModel:
+    """:func:`grid_jobs`' default builder: the default circuit and head."""
+    return init_model(circuit_spec(n_qubits, n_layers), n_classes, rng)
+
+
 def grid_search(grid: HyperGrid, data, k: int, seed: int, augment=None,
-                hidden=(8, 8), hidden_activation: str = "sigmoid",
-                single_layer_head: bool = False, embedding_axis: str = "Y",
-                entangler_range: int = 1):
+                new_model=default_model):
     """Exhaustive search over the grid under stratified k-fold CV: the
     :func:`grid_jobs`, trained through :func:`fit_all`, then ranked.
     Returns (best_params, leaderboard)."""
-    jobs, rank = grid_jobs(grid, data, k, seed, augment, hidden, hidden_activation,
-                           single_layer_head, embedding_axis, entangler_range)
+    jobs, rank = grid_jobs(grid, data, k, seed, augment, new_model)
     return rank(fit_all(jobs))
 
 
 def grid_jobs(grid: HyperGrid, data, k: int, seed: int, augment=None,
-              hidden=(8, 8), hidden_activation: str = "sigmoid",
-              single_layer_head: bool = False, embedding_axis: str = "Y",
-              entangler_range: int = 1):
+              new_model=default_model):
     """The (combination, fold) fits of :func:`grid_search` and their ranking.
 
     ``data`` supplies X (wide enough for the largest n_qubits choice; a model
     with q qubits consumes the first q columns) and integer labels y.
     ``augment(X, y)`` is called once per fold and width with the fold's
     training rows and returns ``draw(seed)``, which gives the augmented
-    ``(X, y)`` of each fit on them.
+    ``(X, y)`` of each fit on them.  ``new_model(n_qubits, n_layers,
+    n_classes, rng)`` builds each fit's fresh model.
     Returns the :class:`FitJob` per (combination, fold), in declaration order,
     named ``combination i of N (...), fold j of k``, and ``rank(trained)``,
     which turns :func:`fit_all`'s results for them into (best_params,
@@ -538,7 +540,6 @@ def grid_jobs(grid: HyperGrid, data, k: int, seed: int, augment=None,
         q = params["n_qubits"]
         if X.shape[1] < q:
             raise ShapeError(f"data width {X.shape[1]} < n_qubits choice {q}")
-        spec = circuit_spec(q, params["n_layers"], embedding_axis, entangler_range)
         desc = ", ".join(f"{key}={value!r}" for key, value in params.items())
         for fi, (tr, _) in enumerate(folds):
             fold_seed = int(np.random.SeedSequence([seed, ci, fi]).generate_state(1)[0])
@@ -552,9 +553,8 @@ def grid_jobs(grid: HyperGrid, data, k: int, seed: int, augment=None,
                                     f"n_qubits={q}: {exc}",)
                         raise
                 Xtr, ytr = draws[fi, q](fold_seed)
-            model = init_model(spec, n_classes, np.random.default_rng(fold_seed),
-                               hidden=hidden, hidden_activation=hidden_activation,
-                               single_layer_head=single_layer_head)
+            model = new_model(q, params["n_layers"], n_classes,
+                              np.random.default_rng(fold_seed))
             jobs.append(FitJob(model, (Xtr, ytr), None, TrainConfig(
                 params["epochs"], params["learning_rate"], params["batch_size"],
                 rng_seed=fold_seed), f"combination {ci + 1} of {len(combos)} ({desc}), "

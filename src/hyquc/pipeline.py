@@ -112,14 +112,17 @@ class TabularDataset:
 
 def load_csv(path, label_column: str, row_type_column: str = None) -> TabularDataset:
     """Read a CSV with a header row into a table of cleaned cells (see
-    :meth:`TabularDataset.from_rows`)."""
+    :meth:`TabularDataset.from_rows`), refused once built if it has no rows."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
-        return TabularDataset.from_rows(header, list(reader), label_column, row_type_column)
+        data = TabularDataset.from_rows(header, list(reader), label_column, row_type_column)
+    if not len(data):
+        raise SchemaError(f"{path}: no data rows")
+    return data
 
 
 def load_row_type_map(path) -> dict:
@@ -141,26 +144,31 @@ def load_row_type_map(path) -> dict:
     return mapping
 
 
-def row_type_codes(data: TabularDataset, column: str) -> list:
-    """The code in ``column`` of every row, "" where it is missing."""
-    return [c or "" for c in data.column(column)]
+def route_rows(data: TabularDataset, column: str, code_map: dict = None) -> dict:
+    """Row type -> its row indices, in row order.  A row's code is its cell in
+    ``column``, "" where missing; ``code_map`` groups codes into row types,
+    and a code it does not map is a row type of its own."""
+    codes = [c or "" for c in data.column(column)]
+    if code_map is not None:
+        codes = map(code_map.get, codes, codes)
+    routes = {}
+    for i, row_type in enumerate(codes):
+        routes.setdefault(row_type, []).append(i)
+    return routes
 
 
 def partition_by_row_type(data: TabularDataset, code_map: dict = None) -> dict:
-    """Split rows into one TabularDataset per row type.
-
-    ``code_map`` groups raw codes into row types; without it the raw column
-    values are the types.  An unmapped code raises SchemaError.
-    """
+    """One TabularDataset per row type of :func:`route_rows`; with a
+    ``code_map``, SchemaError names the first code in row order that it does
+    not map."""
     if data.row_type_column is None:
         raise SchemaError("dataset has no row-type column")
-    buckets = {}
-    for i, code in enumerate(row_type_codes(data, data.row_type_column)):
-        if code_map is not None and code not in code_map:
-            raise SchemaError(f"unknown row-type code {code!r}")
-        row_type = code if code_map is None else code_map[code]
-        buckets.setdefault(row_type, []).append(i)
-    return {rt: data.take(idx) for rt, idx in buckets.items()}
+    if code_map is not None:
+        for code in data.column(data.row_type_column):
+            if (code or "") not in code_map:
+                raise SchemaError(f"unknown row-type code {code or ''!r}")
+    return {rt: data.take(idx)
+            for rt, idx in route_rows(data, data.row_type_column, code_map).items()}
 
 
 def drop_inapplicable_columns(data: TabularDataset, exclude) -> TabularDataset:

@@ -17,9 +17,6 @@ from .errors import QubitCapError, ShapeError
 MAX_QUBITS = 16
 AXES = ("X", "Y", "Z")
 
-# norm drift allowed after an arbitrary gate sequence
-NORM_TOL = 1e-12
-
 # widest run of wires whose Rot gates are fused into one dense matrix: a
 # block's matmul costs 2**s multiply-adds per amplitude, so wider blocks trade
 # arithmetic for fewer calls

@@ -52,7 +52,10 @@ def load_csv(path, label_column: str, row_type_column: str = None) -> TabularDat
             raise SchemaError(f"{path}: empty file") from None
         rows = [[c.strip() or None for c in row] for row in reader]
     columns = [[row[j] for row in rows] for j in range(len(header))]
-    return TabularDataset(header, columns, len(rows), label_column, row_type_column)
+    data = TabularDataset(header, columns, len(rows), label_column, row_type_column)
+    if not rows:
+        raise SchemaError(f"{path}: no data rows")
+    return data
 
 
 class ColumnEncoder:

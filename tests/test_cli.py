@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -386,6 +387,57 @@ class TestTrain:
         assert "error" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def fixture_run(tmp_path_factory):
+    """``hyquc train`` on the committed run.cfg, with the module that made
+    each ``hybrid.evaluate`` call."""
+    out = tmp_path_factory.mktemp("fixture_run")
+    callers, evaluate = [], hybrid.evaluate
+
+    def recording(*args):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return evaluate(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hybrid, "evaluate", recording)
+        assert cli.main(["train", "--config", os.path.join(DATA_DIR, "run.cfg"),
+                         "--out", str(out)]) == 0
+    return out, callers
+
+
+class TestFinalValidationScore:
+    """The reported validation scores are the fit's last epoch's, which
+    scored the trained parameters on the validation split."""
+
+    def test_train_evaluates_the_train_and_test_splits_per_row_type(self, fixture_run):
+        _, callers = fixture_run
+        assert callers.count("hyquc.cli") == 2 * 2  # agriculture and personal
+
+    @pytest.mark.parametrize("tag", ["agriculture", "personal"])
+    def test_metrics_val_scores_are_the_last_loss_history_row(self, fixture_run, tag):
+        out, _ = fixture_run
+        extra = json.loads((out / f"metrics_{tag}.json").read_text())["extra"]
+        last = (out / f"loss_history_{tag}.csv").read_text().splitlines()[-1].split(",")
+        assert [float(last[3]), float(last[4])] == [extra["val_loss"], extra["val_accuracy"]]
+        assert [last[3], last[4]] == [repr(extra["val_loss"]), repr(extra["val_accuracy"])]
+
+
+class TestHeaderOnlyInput:
+    """``load_csv`` refuses a file with a header and no rows, for every
+    command (``evaluate``'s case is in TestEvaluate)."""
+
+    @pytest.mark.parametrize("command", ["train", "gridsearch", "predict"])
+    def test_refused_with_no_data_rows(self, trained, tmp_path, capsys, command):
+        p = tmp_path / "empty.csv"
+        p.write_text("SEGCD,grade,F1,F2\n")
+        if command == "predict":
+            rc = cli.main(["predict", "--model", str(trained), "--input", str(p)])
+        else:
+            rc = train_with(tmp_path, p, command=command)
+        assert rc == 1
+        assert capsys.readouterr().err == f"hyquc: error: {p}: no data rows\n"
+
+
 def per_row_type_train(cfg_path, out):
     """``hyquc train`` as a plain loop of one ``hybrid.fit`` per row type: the
     reference that the lockstep train must reproduce byte for byte."""
@@ -398,7 +450,7 @@ def per_row_type_train(cfg_path, out):
         model, history = hybrid.fit(prep.job.model, prep.job.train, prep.job.val,
                                     prep.job.config)
         cli._write_artifacts(str(out), row_type, model, prep.pipe, history,
-                             cli._assess(prep, model, cfg), prep.report)
+                             cli._assess(prep, model, history, cfg), prep.report)
 
 
 def count_fits(monkeypatch, totals):
@@ -556,11 +608,8 @@ def per_row_type_gridsearch(cfg_path, out):
 
             return draw
 
-        jobs, _ = hybrid.grid_jobs(
-            cfg.grid, train_ds, cfg.cv_folds, seed, augment=augment, hidden=cfg.hidden,
-            hidden_activation=cfg.hidden_activation,
-            single_layer_head=cfg.single_layer_head,
-            embedding_axis=cfg.embedding_axis, entangler_range=cfg.entangler_range)
+        jobs, _ = hybrid.grid_jobs(cfg.grid, train_ds, cfg.cv_folds, seed, augment=augment,
+                                   new_model=cfg.new_model)
         folds = hybrid.kfold_split(len(train_ds.y), cfg.cv_folds, seed, labels=train_ds.y)
         best, leaderboard = per_fit_rank(cfg.grid, (train_ds.X, train_ds.y), folds,
                                          [model for model, _ in hybrid.fit_all(jobs)])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hyquc import hybrid, nn, qgrad, qsim, serialize
+from hyquc.config import RunConfig
 from hyquc.errors import DivergenceError, ShapeError
 from hyquc.hybrid import HyperGrid, HybridModel, TrainConfig
 from hyquc.nn import DenseLayer, MLPHead
@@ -574,6 +575,7 @@ class TestGridSearch:
         assert board[0].order == 0
 
     def test_circuit_follows_embedding_axis_and_clamped_range(self, monkeypatch):
+        # the run config's model builder, which gridsearch passes
         X, y = self.small_data()
         X = np.hstack([X, X[:, :1]])
         specs, init_model = [], hybrid.init_model
@@ -584,8 +586,8 @@ class TestGridSearch:
 
         monkeypatch.setattr(hybrid, "init_model", recording_init)
         grid = HyperGrid((1,), (2, 3), (0.1,), (8,), (1,))
-        hybrid.grid_search(grid, (X, y), k=2, seed=0, embedding_axis="X",
-                           entangler_range=2)
+        cfg = RunConfig("unused.csv", embedding_axis="X", entangler_range=2)
+        hybrid.grid_search(grid, (X, y), k=2, seed=0, new_model=cfg.new_model)
         assert {(s.n_qubits, s.embedding_rotation_axis, s.entangler_range)
                 for s in specs} == {(2, "X", 1), (3, "X", 2)}
 
@@ -620,7 +622,7 @@ def per_fit_rank(grid, data, folds, models):
     return board[0].params, board
 
 
-def per_fit_grid_search(grid, data, k, seed, augment=None, **model_kwargs):
+def per_fit_grid_search(grid, data, k, seed, augment=None, new_model=hybrid.default_model):
     """Grid search as a plain loop of one augmentation, fit and evaluation
     per (combination, fold): the reference that the lockstep search must
     reproduce exactly."""
@@ -630,14 +632,13 @@ def per_fit_grid_search(grid, data, k, seed, augment=None, **model_kwargs):
     models = []
     for ci, params in enumerate(grid.combinations()):
         q = params["n_qubits"]
-        spec = hybrid.circuit_spec(q, params["n_layers"])
         for fi, (tr, _) in enumerate(folds):
             fold_seed = int(np.random.SeedSequence([seed, ci, fi]).generate_state(1)[0])
             Xtr, ytr = X[tr, :q], y[tr]
             if augment is not None:
                 Xtr, ytr = augment(Xtr, ytr)(fold_seed)
-            model = hybrid.init_model(spec, n_classes, np.random.default_rng(fold_seed),
-                                      **model_kwargs)
+            model = new_model(q, params["n_layers"], n_classes,
+                              np.random.default_rng(fold_seed))
             config = TrainConfig(params["epochs"], params["learning_rate"],
                                  params["batch_size"], rng_seed=fold_seed)
             models.append(hybrid.fit(model, (Xtr, ytr), None, config)[0])
@@ -680,11 +681,14 @@ class TestLockstepGridSearch:
     def test_equals_a_per_fit_loop(self, monkeypatch, budget):
         monkeypatch.setattr(hybrid, "MAX_STACK_AMPLITUDES", budget)
         data = self.data()
-        kwargs = dict(hidden=(4,), hidden_activation="relu")
+        def new_model(n_qubits, n_layers, n_classes, rng):
+            return hybrid.init_model(hybrid.circuit_spec(n_qubits, n_layers), n_classes, rng,
+                                     hidden=(4,), hidden_activation="relu")
+
         best, board = hybrid.grid_search(self.GRID, data, k=3, seed=5,
-                                         augment=grow_by_seed, **kwargs)
+                                         augment=grow_by_seed, new_model=new_model)
         ref_best, ref_board = per_fit_grid_search(self.GRID, data, 3, 5,
-                                                  augment=grow_by_seed, **kwargs)
+                                                  augment=grow_by_seed, new_model=new_model)
         assert best == ref_best
         assert ([(r.params, r.mean_val_macro_f1, r.mean_val_accuracy, r.order, r.fold_f1)
                  for r in board] ==

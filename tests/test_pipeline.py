@@ -90,6 +90,20 @@ class TestPartition:
         with pytest.raises(SchemaError, match="'ZZ'"):
             pl.partition_by_row_type(data, {"A1": "agri"})
 
+    def test_first_unknown_code_in_row_order_named(self):
+        for codes, first in ((["A1", "YY", "ZZ", "YY"], "YY"), (["ZZ", "A1", "YY"], "ZZ")):
+            data = TabularDataset.from_rows(["T", "L"], [[c, "x"] for c in codes],
+                                            label_column="L", row_type_column="T")
+            with pytest.raises(SchemaError, match=f"^unknown row-type code {first!r}$"):
+                pl.partition_by_row_type(data, {"A1": "agri"})
+
+    def test_route_rows_keeps_unmapped_codes(self):
+        data = TabularDataset.from_rows(["T"], [["B1"], ["ZZ"], [""], ["A1"], ["B1"], [" "]])
+        assert pl.route_rows(data, "T") == {"B1": [0, 4], "ZZ": [1], "": [2, 5], "A1": [3]}
+        # row types in the order of their first row, each row's index in row order
+        assert pl.route_rows(data, "T", {"A1": "agri", "B1": "agri", "": "blank"}) == \
+            {"agri": [0, 3, 4], "ZZ": [1], "blank": [2, 5]}
+
     def test_missing_row_type_column(self):
         data = TabularDataset.from_rows(["L"], [["x"]], label_column="L")
         with pytest.raises(SchemaError):
@@ -273,7 +287,7 @@ class TestPaddedCells:
         assert enc.transform(padded).tobytes() == enc.transform(bare).tobytes()
         (y, names), (y0, names0) = (pl.encode_labels(t.column("L")) for t in (padded, bare))
         assert (y.tobytes(), names) == (y0.tobytes(), names0)
-        assert pl.row_type_codes(padded, "T") == ["T1", "T2", "T1", "T2"]
+        assert pl.route_rows(padded, "T") == {"T1": [0, 2], "T2": [1, 3]}
 
 
 class TestMergeMinorityClass:
@@ -726,6 +740,15 @@ class TestLoaders:
         p.write_text("")
         with pytest.raises(SchemaError):
             pl.load_csv(str(p), label_column="A")
+
+    def test_load_csv_header_only(self, tmp_path):
+        p = tmp_path / "h.csv"
+        p.write_text("A,B\n")
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(p))}: no data rows$"):
+            pl.load_csv(str(p), label_column="A")
+        # the table's own checks come first
+        with pytest.raises(SchemaError, match="^label column 'L' not present$"):
+            pl.load_csv(str(p), label_column="L")
 
     def test_row_type_map(self, tmp_path):
         p = tmp_path / "m.map"
