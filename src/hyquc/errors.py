@@ -10,7 +10,9 @@ class ShapeError(ValueError):
 
 
 class SchemaError(ValueError):
-    """Tabular input is missing a required column or carries an unknown code."""
+    """Input is malformed: a table missing a required column, carrying an
+    unknown code or holding a line the CSV reader cannot parse, or a model
+    file that lacks or mistypes a key."""
 
 
 class AugmentationError(ValueError):
@@ -23,7 +25,8 @@ class SplitError(ValueError):
 
 class DivergenceError(ValueError):
     """Training left a model's parameters non-finite.  ``index`` is the
-    model's place in the stack that was trained (0 for a single model)."""
+    model's place in the stack that :func:`hybrid.fit` trained, or, raised
+    by :func:`hybrid.fit_all`, the job's place in its jobs."""
 
     def __init__(self, message: str, index: int = 0):
         super().__init__(message)

@@ -56,9 +56,9 @@ class HybridModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training settings.  For a stack of models (see :func:`fit`),
-    ``learning_rate`` and ``rng_seed`` may be tuples with one value per
-    model."""
+    """Training settings.  A :class:`FitJob`'s config holds one learning
+    rate and one seed; the config :func:`fit_all` gives :func:`fit` for a
+    stack holds tuples of them, one value per model."""
 
     epochs: int
     learning_rate: float
@@ -247,13 +247,17 @@ def apply_gradients(model: HybridModel, grads: ModelGrads, eta: float) -> Hybrid
     return _unstack(flat, [model])[0]
 
 
+def _scores(probs: np.ndarray, y: np.ndarray):
+    """(mean cross-entropy, accuracy) of class probabilities ``probs`` for
+    labels ``y``, each row predicted as its likeliest class."""
+    return (float(np.mean(nn.cross_entropy_losses(probs[np.arange(len(y)), y]))),
+            float(np.mean(np.argmax(probs, axis=1) == y)))
+
+
 def evaluate(model: HybridModel, X, y):
     """(mean loss, accuracy, probs) without touching the model."""
     probs = forward_probs(model, X)
-    y = np.asarray(y, dtype=np.int64)
-    preds = np.argmax(probs, axis=1)
-    return (float(np.mean(nn.cross_entropy_losses(probs[np.arange(len(y)), y]))),
-            float(np.mean(preds == y)), probs)
+    return (*_scores(probs, np.asarray(y, dtype=np.int64)), probs)
 
 
 def _batches(sizes, batch_size: int):
@@ -321,13 +325,14 @@ def _train_epoch(flat: np.ndarray, models: list, X, y, sizes, batch_size: int,
 
 
 def train_epoch(model: HybridModel, data, config: TrainConfig):
-    """One seeded pass over shuffled mini-batches.
+    """One seeded pass over shuffled mini-batches: a one-epoch :func:`fit_all`
+    of one job.
 
     Returns (updated model, EpochRecord) with the epoch's mean train loss and
     the accuracy of the pre-update predictions per batch.
     """
-    model, history = fit(model, data, None, replace(config, epochs=1))
-    return model, history[0]
+    [(model, [record])] = fit_all([FitJob(model, data, None, replace(config, epochs=1))])
+    return model, record
 
 
 def _as_xy(data):
@@ -348,63 +353,52 @@ class StackedSet:
     y: np.ndarray
     sizes: tuple
 
-
-def _rows(data, k: int):
-    """``(X, y, sizes)`` of a single model's data set (``k == 1``) or of a
-    :class:`StackedSet` for k models."""
-    X, y = _as_xy(data)
-    sizes = tuple(int(s) for s in getattr(data, "sizes", (len(X),)))
-    if len(sizes) != k or sum(sizes) != len(X) or len(y) != len(X):
-        raise ShapeError(f"{k} models need a data set of {k} parts, got sizes "
-                         f"{sizes} over {len(X)} rows and {len(y)} labels")
-    return X, y, sizes
-
-
-def _layout(model: HybridModel):
-    return (model.spec, model.n_classes,
-            tuple((layer.weights.shape, layer.activation) for layer in model.head.layers))
+    @classmethod
+    def of(cls, parts) -> "StackedSet":
+        """The rows of ``(X, y)`` data sets, one per model, in order."""
+        parts = [_as_xy(part) for part in parts]
+        for X, y in parts:
+            if len(X) != len(y):
+                raise ShapeError(f"a data set of {len(X)} rows has {len(y)} labels")
+        return cls(np.concatenate([X for X, _ in parts]),
+                   np.concatenate([y for _, y in parts]), tuple(len(y) for _, y in parts))
 
 
-def fit(model, train_set, val_set, config: TrainConfig):
-    """Train for ``config.epochs`` epochs with per-epoch validation metrics.
+def fit(models: list, train: StackedSet, val, config: TrainConfig):
+    """Train a stack of models of one layout (circuit spec, classes and
+    head) in lockstep for ``config.epochs`` epochs, with per-epoch
+    validation metrics: :func:`fit_all`'s call per stack.
 
-    Returns (trained model, history) where history is a list of EpochRecord.
-
-    ``model`` may also be a list of k models of one layout (circuit spec,
-    classes and head), trained in lockstep as one stack: ``train_set`` (and
-    ``val_set``, if given) is then a :class:`StackedSet`, and
-    ``config.learning_rate`` and ``config.rng_seed`` give one value per
-    model or one for all.  Returns the list of trained models and the list
-    of their histories; each model trains exactly as it would alone.
+    ``train`` (and ``val``, if not None) is a :class:`StackedSet` of one part
+    per model, and ``config.learning_rate`` and ``config.rng_seed`` give one
+    value per model or one for all.  Returns the list of trained models and
+    the list of their histories, each a list of EpochRecord; each model
+    trains exactly as it would alone.
     """
-    stacked = isinstance(model, list)
-    models = model if stacked else [model]
     k = len(models)
-    if any(_layout(m) != _layout(models[0]) for m in models):
-        raise ShapeError("the models of a stack must share one circuit spec, "
-                         "class count and head layout")
-    X, y, sizes = _rows(train_set, k)
-    if min(sizes) == 0:
+    if min(train.sizes) == 0:
         raise ValueError("training set is empty")
-    if val_set is not None:
-        Xv, yv, vsizes = _rows(val_set, k)
-        bounds = np.cumsum((0,) + vsizes)
-        vals = [(Xv[a:b], yv[a:b]) for a, b in zip(bounds, bounds[1:])]
     etas = np.broadcast_to(np.asarray(config.learning_rate, dtype=np.float64), (k,))
     rngs = [np.random.default_rng(int(s)) for s in np.broadcast_to(config.rng_seed, (k,))]
     flat = _stack(models)
     histories = [[] for _ in models]
+    vals = []  # (model index, X, y) of each nonempty validation part
+    if val is not None:
+        bounds = np.cumsum((0,) + val.sizes)
+        vals = [(i, val.X[a:b], val.y[a:b])
+                for i, (a, b) in enumerate(zip(bounds, bounds[1:])) if b > a]
     for epoch in range(1, config.epochs + 1):
-        losses, accs = _train_epoch(flat, models, X, y, sizes, config.batch_size,
-                                    etas, rngs, epoch)
+        losses, accs = _train_epoch(flat, models, train.X, train.y, train.sizes,
+                                    config.batch_size, etas, rngs, epoch)
         scores = [(float("nan"), float("nan"))] * k
-        if val_set is not None:
-            scores = [evaluate(trained, *val)[:2] if len(val[0]) else scores[0]
-                      for trained, val in zip(_unstack(flat, models), vals)]
+        if vals:
+            trained = _unstack(flat, models)
+            probs = _stacked_probs([trained[i] for i, _, _ in vals], [X for _, X, _ in vals])
+            for (i, _, y), p in zip(vals, probs):
+                scores[i] = _scores(p, y)
         for history, loss, acc, (val_loss, val_acc) in zip(histories, losses, accs, scores):
             history.append(EpochRecord(float(loss), float(acc), val_loss, val_acc))
-    trained = _unstack(flat, models)
-    return (trained, histories) if stacked else (trained[0], histories[0])
+    return _unstack(flat, models), histories
 
 
 def predict(model: HybridModel, x_new):
@@ -569,15 +563,19 @@ def grid_jobs(grid: HyperGrid, data, k: int, seed: int, augment=None,
         for ci, params in enumerate(combos):
             f1s, accs = [], []
             for val, p in zip(vals[ci * k:(ci + 1) * k], probs[ci * k:(ci + 1) * k]):
-                preds = np.argmax(p, axis=1)
-                f1s.append(_macro_f1(y[val], preds, n_classes))
-                accs.append(float(np.mean(preds == y[val])))
+                f1s.append(_macro_f1(y[val], np.argmax(p, axis=1), n_classes))
+                accs.append(_scores(p, y[val])[1])
             leaderboard.append(GridResult(params, float(np.mean(f1s)),
                                           float(np.mean(accs)), ci, f1s))
         leaderboard.sort(key=lambda r: (-r.mean_val_macro_f1, -r.mean_val_accuracy, r.order))
         return leaderboard[0].params, leaderboard
 
     return jobs, rank
+
+
+def _layout(model: HybridModel):
+    return (model.spec, model.n_classes,
+            tuple((layer.weights.shape, layer.activation) for layer in model.head.layers))
 
 
 def _stacked_probs(models: list, Xs: list) -> list:
@@ -632,13 +630,15 @@ class FitJob(NamedTuple):
 
 def fit_all(jobs: list) -> list:
     """Train every :class:`FitJob`; returns ``(trained model, history)`` per
-    job, in job order, each exactly what the job's own :func:`fit` returns.
+    job, in job order, each job trained exactly as it would be alone.  This
+    is the one training entry: a single fit is ``fit_all([job])[0]``.
 
     Jobs that share a model layout (circuit spec, classes and head), batch
     size, epoch count and whether they have a validation set train in
     lockstep, in the :func:`_stacks` of their steps.  Each stack is one
-    :func:`fit` call on :class:`StackedSet` rows, so that a caller counting
-    rows x epochs per fit call counts what the separate fits would.
+    :func:`fit` call, looked up on the module, on :class:`StackedSet` rows
+    that hold all of the stack's rows, so that a caller counting rows x
+    epochs per fit call counts what the separate fits would.
     A job whose step would hold over MAX_STEP_BYTES is refused before any
     training.  A divergence is the :class:`DivergenceError` of the first
     stack that diverges, headed by the job's name, with ``index`` the job's
@@ -657,30 +657,18 @@ def fit_all(jobs: list) -> list:
     results = [None] * len(jobs)
     for stack in _stacks([(_layout(job.model), job.config.batch_size, job.config.epochs,
                            job.val is None) for job in jobs], amplitudes):
-        _fit_stack(jobs, stack, results)
+        group = [jobs[i] for i in stack]
+        config = TrainConfig(group[0].config.epochs,
+                             tuple(job.config.learning_rate for job in group),
+                             group[0].config.batch_size,
+                             rng_seed=tuple(job.config.rng_seed for job in group))
+        val = None if group[0].val is None else StackedSet.of([job.val for job in group])
+        try:
+            models, histories = fit([job.model for job in group],
+                                    StackedSet.of([job.train for job in group]), val, config)
+        except DivergenceError as exc:
+            i = stack[exc.index]
+            raise DivergenceError(": ".join(filter(None, (jobs[i].name, str(exc)))), i) from None
+        for i, model, history in zip(stack, models, histories):
+            results[i] = (model, history)
     return results
-
-
-def _stacked_set(parts) -> StackedSet:
-    parts = [_as_xy(part) for part in parts]
-    return StackedSet(np.concatenate([X for X, _ in parts]),
-                      np.concatenate([y for _, y in parts]), tuple(len(y) for _, y in parts))
-
-
-def _fit_stack(jobs: list, stack: list, results: list) -> None:
-    """Train the jobs at indices ``stack`` as one stack through :func:`fit`
-    and store their ``(model, history)`` in ``results``."""
-    first = jobs[stack[0]]
-    config = TrainConfig(first.config.epochs,
-                         tuple(jobs[i].config.learning_rate for i in stack),
-                         first.config.batch_size,
-                         rng_seed=tuple(jobs[i].config.rng_seed for i in stack))
-    train = _stacked_set([jobs[i].train for i in stack])
-    val = None if first.val is None else _stacked_set([jobs[i].val for i in stack])
-    try:
-        models, histories = fit([jobs[i].model for i in stack], train, val, config)
-    except DivergenceError as exc:
-        i = stack[exc.index]
-        raise DivergenceError(": ".join(filter(None, (jobs[i].name, str(exc)))), i) from None
-    for i, model, history in zip(stack, models, histories):
-        results[i] = (model, history)

@@ -112,14 +112,18 @@ class TabularDataset:
 
 def load_csv(path, label_column: str, row_type_column: str = None) -> TabularDataset:
     """Read a CSV with a header row into a table of cleaned cells (see
-    :meth:`TabularDataset.from_rows`), refused once built if it has no rows."""
+    :meth:`TabularDataset.from_rows`), refused once built if it has no rows.
+    A line the CSV reader cannot parse is refused with its file and line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        data = TabularDataset.from_rows(header, list(reader), label_column, row_type_column)
+            header = next(reader, None)
+            rows = list(reader)
+        except csv.Error as exc:
+            raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
+    if header is None:
+        raise SchemaError(f"{path}: empty file")
+    data = TabularDataset.from_rows(header, rows, label_column, row_type_column)
     if not len(data):
         raise SchemaError(f"{path}: no data rows")
     return data

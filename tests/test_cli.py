@@ -439,16 +439,16 @@ class TestHeaderOnlyInput:
 
 
 def per_row_type_train(cfg_path, out):
-    """``hyquc train`` as a plain loop of one ``hybrid.fit`` per row type: the
-    reference that the lockstep train must reproduce byte for byte."""
+    """``hyquc train`` as a plain loop of one ``hybrid.fit_all`` of one job per
+    row type: the reference that the lockstep train must reproduce byte for
+    byte."""
     cfg = load_config(str(cfg_path))
     os.makedirs(out)
     partitions = cli._load_partitions(cfg)
     for i, row_type in enumerate(sorted(partitions)):
         prep = cli._prepare(partitions[row_type], row_type, cfg,
                             cli._row_type_seed(cfg.seed, i))
-        model, history = hybrid.fit(prep.job.model, prep.job.train, prep.job.val,
-                                    prep.job.config)
+        [(model, history)] = hybrid.fit_all([prep.job])
         cli._write_artifacts(str(out), row_type, model, prep.pipe, history,
                              cli._assess(prep, model, history, cfg), prep.report)
 
@@ -460,7 +460,7 @@ def count_fits(monkeypatch, totals):
 
     def counted(model, train_set, val_set, config):
         totals["rows"] += len(train_set.X) * config.epochs
-        totals["stacks"].append(len(model) if isinstance(model, list) else 1)
+        totals["stacks"].append(len(model))
         return fit(model, train_set, val_set, config)
 
     monkeypatch.setattr(hybrid, "fit", counted)
@@ -1052,3 +1052,69 @@ class TestPredict:
                          "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"hyquc: error: {message.format(models)}\n"
         assert not out.exists()
+
+
+class TestHostileInput:
+    """A malformed model file or an unparseable CSV line stops the command
+    with one named error and exit code 1, never a traceback."""
+
+    @pytest.mark.parametrize("edit, message", [
+        *((lambda doc, key=key: doc.pop(key), f"no {key!r} key")
+          for key in ("spec", "qweights", "head", "n_classes")),
+        (lambda doc: doc["spec"].update(n_qubits="5"),
+         "'spec.n_qubits' must be an integer, not a string"),
+        (lambda doc: doc["spec"].update(depth=2), "unknown key 'spec.depth'"),
+        (lambda doc: doc["spec"].pop("n_layers"), "no 'spec.n_layers' key"),
+        (lambda doc: doc["head"][0].pop("bias"), "no 'head[0].bias' key"),
+        (lambda doc: doc.update(head={}), "'head' must be an array, not an object"),
+        (lambda doc: doc.update(n_classes=True), "'n_classes' must be an integer, not a boolean"),
+    ], ids=["no-spec", "no-qweights", "no-head", "no-n_classes", "spec-string-n_qubits",
+            "spec-unknown-key", "spec-no-n_layers", "head-layer-no-bias", "head-object",
+            "boolean-n_classes"])
+    def test_malformed_model_file_names_file_and_key(self, workdir, trained, tmp_path,
+                                                      capsys, edit, message):
+        doc = json.loads((trained / "model_T1.json").read_text())
+        edit(doc)
+        bad = tmp_path / "model_T1.json"
+        bad.write_text(json.dumps(doc))
+        for argv in (["evaluate", "--model", str(bad), "--data", str(workdir / "data.csv")],
+                     ["predict", "--model", str(bad), "--input", str(workdir / "data.csv")]):
+            assert cli.main(argv) == 1
+            assert capsys.readouterr().err == f"hyquc: error: {bad}: {message}\n"
+
+    def test_model_file_not_an_object(self, workdir, tmp_path, capsys):
+        bad = tmp_path / "model.json"
+        bad.write_text("[1, 2]")
+        assert cli.main(["evaluate", "--model", str(bad),
+                         "--data", str(workdir / "data.csv")]) == 1
+        assert capsys.readouterr().err == (
+            f"hyquc: error: {bad}: a model document is a JSON object, not an array\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(format="other"), "not a model document"),
+        (lambda doc: doc.update(version=2), "unsupported model version 2"),
+    ], ids=["format", "version"])
+    def test_format_and_version_messages_kept(self, workdir, trained, tmp_path, capsys,
+                                              edit, message):
+        doc = json.loads((trained / "model_T1.json").read_text())
+        edit(doc)
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc))
+        assert cli.main(["evaluate", "--model", str(bad),
+                         "--data", str(workdir / "data.csv")]) == 1
+        assert capsys.readouterr().err == f"hyquc: error: {message}\n"
+
+    def test_spec_without_its_defaulted_keys_loads(self, workdir, trained, tmp_path):
+        doc = json.loads((trained / "model_T1.json").read_text())
+        del doc["spec"]["embedding_rotation_axis"], doc["spec"]["entangler_range"]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["evaluate", "--model", str(path),
+                         "--data", str(workdir / "data.csv")]) == 0
+
+    def test_over_long_csv_field_names_file_and_line(self, trained, tmp_path, capsys):
+        p = tmp_path / "long.csv"
+        p.write_text("SEGCD,F1,F2\nT1,0.2,0.2\nT1," + "9" * 140_000 + ",0.1\n")
+        assert cli.main(["predict", "--model", str(trained), "--input", str(p)]) == 1
+        assert capsys.readouterr().err == (
+            f"hyquc: error: {p}:3: field larger than field limit (131072)\n")

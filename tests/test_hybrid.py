@@ -253,13 +253,17 @@ class TestTrainEpoch:
             np.testing.assert_allclose(a.weights, b.weights, atol=1e-12)
 
 
+def fit_one(model, train, val, config):
+    """(trained model, history) of one fit: a one-job ``fit_all``."""
+    return hybrid.fit_all([hybrid.FitJob(model, train, val, config)])[0]
+
+
 class TestFit:
     def test_history_length(self):
         rng = np.random.default_rng(21)
         X, y = toy_blobs(np.random.default_rng(22), n_per_class=6)
         model = hybrid.init_model(CircuitSpec(2, 1), 2, rng)
-        _, history = hybrid.fit(model, (X, y), (X, y),
-                                TrainConfig(1, 0.05, 4, rng_seed=0))
+        _, history = fit_one(model, (X, y), (X, y), TrainConfig(1, 0.05, 4, rng_seed=0))
         assert len(history) == 1
         assert np.isfinite(history[0].val_loss)
 
@@ -270,7 +274,7 @@ class TestFit:
         model = hybrid.init_model(CircuitSpec(2, 1), 2, rng, hidden=(8,),
                                   hidden_activation="relu")
         config = TrainConfig(50, 0.1, 8, rng_seed=34)
-        model, history = hybrid.fit(model, (Xtr, ytr), (Xval, yval), config)
+        model, history = fit_one(model, (Xtr, ytr), (Xval, yval), config)
         assert history[-1].val_accuracy >= 0.95
         first = np.mean([r.train_loss for r in history[:10]])
         last = np.mean([r.train_loss for r in history[-10:]])
@@ -284,7 +288,7 @@ class TestFit:
         for _ in range(2):
             model = hybrid.init_model(CircuitSpec(2, 1), 2,
                                       np.random.default_rng(43))
-            _, history = hybrid.fit(model, (X, y), (X, y), config)
+            _, history = fit_one(model, (X, y), (X, y), config)
             histories.append(history)
         assert histories[0] == histories[1]
 
@@ -302,7 +306,7 @@ class TestDivergence:
         X, y = toy_blobs(np.random.default_rng(4), n_per_class=8)
         with pytest.raises(ValueError, match=r"row type 'personal': training "
                            r"diverged at epoch 1, batch \d+ of 4"):
-            hybrid.fit(model, (X, y), None, TrainConfig(2, 1e308, 4, rng_seed=0))
+            fit_one(model, (X, y), None, TrainConfig(2, 1e308, 4, rng_seed=0))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_step_warns_nothing_first(self):
@@ -344,34 +348,35 @@ class TestStackedFit:
                                     hidden_activation=hidden_activation,
                                     single_layer_head=single_layer_head)
                   for i in range(len(sizes))]
-
-        def stacked_set(parts, part_sizes):
-            return hybrid.StackedSet(np.concatenate([X for X, _ in parts]),
-                                     np.concatenate([y for _, y in parts]), part_sizes)
-
         config = TrainConfig(3, rates, 4, rng_seed=seeds)
-        trained, histories = hybrid.fit(models, stacked_set(sets[:k], sizes),
-                                        stacked_set(sets[k:], val_sizes), config)
+        train, val = hybrid.StackedSet.of(sets[:k]), hybrid.StackedSet.of(sets[k:])
+        assert (train.sizes, val.sizes) == (sizes, val_sizes)
+        trained, histories = hybrid.fit(models, train, val, config)
         for i, model in enumerate(models):
-            alone, history = hybrid.fit(model, sets[i], sets[k + i],
-                                        TrainConfig(3, rates[i], 4, rng_seed=seeds[i]))
+            alone, history = fit_one(model, sets[i], sets[k + i],
+                                     TrainConfig(3, rates[i], 4, rng_seed=seeds[i]))
             assert_same_model(trained[i], alone)
             assert histories[i] == history
         assert_same_model(trained[2], models[2])  # learning rate 0
 
-    def test_stack_needs_one_layout(self):
+    def test_stack_needs_one_layout(self, monkeypatch):
         rng = np.random.default_rng(82)
         models = [hybrid.init_model(CircuitSpec(2, 1), 2, rng),
                   hybrid.init_model(CircuitSpec(2, 1), 2, rng, hidden=(8,))]
         X, y = toy_blobs(rng, n_per_class=4)
         data = hybrid.StackedSet(X, y, (4, 4))
-        with pytest.raises(ShapeError, match="head layout"):
-            hybrid.fit(models, data, None, TrainConfig(1, 0.1, 4))
         with pytest.raises(ValueError, match="broadcast"):  # 3 rates for 2 models
             hybrid.fit(models[:1] * 2, data, None, TrainConfig(1, (0.1, 0.2, 0.3), 4))
-        with pytest.raises(ShapeError, match="2 models need a data set of 2 parts"):
-            hybrid.fit(models[:1] * 2, hybrid.StackedSet(X, y, (4, 3)), None,
-                       TrainConfig(1, 0.1, 4))
+        # fit_all stacks only models of one layout: these two train apart
+        stacks, fit = [], hybrid.fit
+        monkeypatch.setattr(hybrid, "fit", lambda stack, *args: stacks.append(
+            [len(m.head.layers) for m in stack]) or fit(stack, *args))
+        hybrid.fit_all([hybrid.FitJob(model, (X[:4], y[:4]), None, TrainConfig(1, 0.1, 4))
+                        for model in models * 2])
+        assert stacks == [[3, 3], [2, 2]]
+        with pytest.raises(ShapeError, match="a data set of 4 rows has 3 labels"):
+            hybrid.fit_all([hybrid.FitJob(models[0], (X[:4], y[:3]), None,
+                                          TrainConfig(1, 0.1, 4))])
 
     def test_stacked_divergence_names_the_first_diverged_model(self):
         rng = np.random.default_rng(83)
@@ -416,7 +421,7 @@ class TestFitAll:
         results = hybrid.fit_all(jobs)
         assert stacks == [2, 1, 1]
         for job, (model, history) in zip(jobs, results):
-            alone, alone_history = fit(job.model, job.train, job.val, job.config)
+            alone, alone_history = hybrid.fit_all([job])[0]
             assert_same_model(model, alone)
             # the job without a validation set has NaN validation figures
             assert np.array_equal([astuple(r) for r in history],
@@ -641,7 +646,7 @@ def per_fit_grid_search(grid, data, k, seed, augment=None, new_model=hybrid.defa
                               np.random.default_rng(fold_seed))
             config = TrainConfig(params["epochs"], params["learning_rate"],
                                  params["batch_size"], rng_seed=fold_seed)
-            models.append(hybrid.fit(model, (Xtr, ytr), None, config)[0])
+            models.append(fit_one(model, (Xtr, ytr), None, config)[0])
     return per_fit_rank(grid, (X, y), folds, models)
 
 
@@ -670,8 +675,7 @@ class TestLockstepGridSearch:
         fit = hybrid.fit
 
         def counted(model, train_set, val_set, config):
-            x = train_set.X if hasattr(train_set, "X") else train_set[0]
-            totals["rows"] += len(np.asarray(x)) * config.epochs
+            totals["rows"] += len(train_set.X) * config.epochs
             totals["calls"] += 1
             return fit(model, train_set, val_set, config)
 
