@@ -237,19 +237,11 @@ def _write_grid(out_dir: str, row_type: str, best: dict, leaderboard) -> None:
     serialize.atomic_write_text(os.path.join(out_dir, f"winner_{tag}.cfg"), winner)
 
 
-def _load_model(path: str):
-    """A model file's model and pipeline; SchemaError if it has no pipeline."""
-    model, pipe = serialize.load_model(path)
-    if pipe is None:
-        raise SchemaError(f"{path}: model carries no preprocessing pipeline")
-    return model, pipe
-
-
 def cmd_evaluate(model_path: str, data_path: str, out_path: str = None) -> int:
     if os.path.isdir(model_path):
         raise SchemaError(f"{model_path!r} is a directory; evaluate takes one "
                           "model_<type>.json file")
-    model, pipe = _load_model(model_path)
+    model, pipe = serialize.load_model(model_path)
     ds = pipe.transform(pl.load_csv(data_path, pipe.label_column))
     _, acc, probs = hybrid.evaluate(model, ds.X, ds.y)
     text = _report(ds, probs, extra={"test_accuracy": acc}).to_json()
@@ -269,7 +261,7 @@ def _load_models(model_path: str) -> dict:
             raise SchemaError(f"no model_*.json files in {model_path!r}")
     else:
         paths = [model_path]
-    loaded = [(path, *_load_model(path)) for path in paths]
+    loaded = [(path, *serialize.load_model(path)) for path in paths]
     column = loaded[0][2].row_type_column
     models, sources = {}, {}
     for path, model, pipe in loaded:

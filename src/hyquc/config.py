@@ -134,7 +134,7 @@ SCHEMA = {
         "embedding_axis": ("embedding_axis", _one_of(AXES)),
         "entangler_range": ("entangler_range", _count),
         "pca_components": ("pca_components", _count),
-        "hidden": ("hidden", _list(_value(int, "an integer >= 0", lambda v: v >= 0))),
+        "hidden": ("hidden", _list(_count)),
         "hidden_activation": ("hidden_activation", _one_of(ACTIVATIONS)),
         "single_layer_head": ("single_layer_head", _bool),
     },

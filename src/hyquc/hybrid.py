@@ -410,31 +410,23 @@ def predict(model: HybridModel, x_new):
 # ---------------------------------------------------------------------------
 # cross-validation and grid search
 
-def kfold_split(n: int, k: int, seed: int, labels=None):
-    """k (train_indices, val_indices) pairs partitioning range(n).
-
-    With ``labels`` the folds are stratified: each class is shuffled and dealt
-    round-robin across folds.
-    """
+def kfold_split(labels, k: int, seed: int):
+    """k stratified (train_indices, val_indices) pairs partitioning
+    range(len(labels)): each class is shuffled and dealt round-robin across
+    folds."""
+    labels = np.asarray(labels)
+    n = len(labels)
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     rng = np.random.default_rng(seed)
     folds = [[] for _ in range(k)]
-    if labels is None:
-        perm = rng.permutation(n)
-        for i, chunk in enumerate(np.array_split(perm, k)):
-            folds[i] = list(chunk)
-    else:
-        labels = np.asarray(labels)
-        if len(labels) != n:
-            raise ValueError("labels length must equal n")
-        offset = 0
-        for cls in np.unique(labels):
-            idx = np.flatnonzero(labels == cls)
-            idx = idx[rng.permutation(len(idx))]
-            for j, i in enumerate(idx):
-                folds[(offset + j) % k].append(int(i))
-            offset = (offset + len(idx)) % k
+    offset = 0
+    for cls in np.unique(labels):
+        idx = np.flatnonzero(labels == cls)
+        idx = idx[rng.permutation(len(idx))]
+        for j, i in enumerate(idx):
+            folds[(offset + j) % k].append(int(i))
+        offset = (offset + len(idx)) % k
     out = []
     for i in range(k):
         val = np.sort(np.array(folds[i], dtype=np.int64))
@@ -527,7 +519,7 @@ def grid_jobs(grid: HyperGrid, data, k: int, seed: int, augment=None,
     accuracy, then by declaration order."""
     X, y = _as_xy(data)
     n_classes = int(np.max(y)) + 1
-    folds = kfold_split(len(y), k, seed, labels=y)
+    folds = kfold_split(y, k, seed)
     combos = grid.combinations()
     jobs, draws = [], {}
     for ci, params in enumerate(combos):

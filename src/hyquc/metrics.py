@@ -3,7 +3,7 @@ accuracy, macro/weighted averages, one-vs-rest ROC AUC and Cohen's kappa."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -175,13 +175,6 @@ class MetricsReport:
     def to_json(self) -> str:
         return json.dumps({"format": "hyquc-metrics", "version": 1, **asdict(self)},
                           indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsReport":
-        doc = json.loads(text)
-        if doc.get("format") != "hyquc-metrics":
-            raise ValueError("not a metrics report document")
-        return cls(**{f.name: doc[f.name] for f in fields(cls) if f.name in doc})
 
 
 def build_report(cm: ConfusionMatrix, scores, y_true, extra=None) -> MetricsReport:

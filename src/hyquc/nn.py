@@ -81,6 +81,9 @@ class DenseLayer:
             raise ShapeError(
                 f"inconsistent layer shapes {self.weights.shape} / {self.bias.shape}"
             )
+        if 0 in self.weights.shape:
+            raise ShapeError(f"a dense layer needs at least one input and one output, "
+                             f"got weights of shape {self.weights.shape}")
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
             raise ValueError("layer parameters must be finite")
         if self.activation not in ACTIVATIONS:

@@ -15,7 +15,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import AugmentationError, SchemaError, ShapeError, SplitError
+from .errors import (AugmentationError, SchemaError, ShapeError, SplitError, json_dataclass,
+                     json_field)
 
 log = logging.getLogger(__name__)
 
@@ -217,6 +218,10 @@ class ColumnSpec:
     kind: str                  # numeric | date | categorical
     median: float = None
     categories: list = None    # categorical only; encoded + trailing 'missing'
+
+
+# each column kind -> the ColumnSpec field it is encoded by
+_COLUMN_KINDS = {"numeric": "median", "date": "median", "categorical": "categories"}
 
 
 @dataclass
@@ -769,22 +774,41 @@ class RowTypePipeline:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "RowTypePipeline":
-        encoder = ColumnEncoder(doc.get("date_format"))
-        encoder.columns = [ColumnSpec(**c) for c in doc["encoder_columns"]]
+    def from_dict(cls, doc: dict, source: str = "pipeline document",
+                  where: str = "") -> "RowTypePipeline":
+        """The pipeline of :meth:`to_dict`'s document.  A missing or mistyped
+        key, or an encoder column that does not match :class:`ColumnSpec`,
+        is a SchemaError naming ``source`` and the key, ``where`` its path."""
+        def read(key, kind):
+            return json_field(doc, key, kind, source, where)
+
+        def array(key):
+            return np.array(read(key, list))
+
+        nullable = (str, type(None))
+        encoder = ColumnEncoder(read("date_format", nullable))
+        for i, column in enumerate(read("encoder_columns", list)):
+            path = f"{where}encoder_columns[{i}]"
+            spec = json_dataclass(ColumnSpec, column, source, path)
+            needs = _COLUMN_KINDS.get(spec.kind)
+            if needs is None:
+                raise SchemaError(f"{source}: {path + '.kind'!r} must be one of "
+                                  f"{', '.join(_COLUMN_KINDS)}, not {spec.kind!r}")
+            if getattr(spec, needs) is None:
+                raise SchemaError(f"{source}: {path!r} is a {spec.kind} column "
+                                  f"without {needs}")
+            encoder.columns.append(spec)
         return cls(
-            row_type=doc["row_type"],
-            exclude_columns=list(doc["exclude_columns"]),
-            dropped_missing=list(doc["dropped_missing"]),
-            merges=[tuple(m) for m in doc["merges"]],
-            class_names=list(doc["class_names"]),
+            row_type=read("row_type", str),
+            exclude_columns=read("exclude_columns", list),
+            dropped_missing=read("dropped_missing", list),
+            merges=[tuple(m) for m in read("merges", list)],
+            class_names=read("class_names", list),
             encoder=encoder,
-            pca=PCAModel(np.array(doc["pca_mean"]),
-                         np.array(doc["pca_components"]),
-                         np.array(doc["pca_explained_variance"])),
-            n_components=int(doc["n_components"]),
-            bounds=ScaleBounds(np.array(doc["scale_mins"]),
-                               np.array(doc["scale_maxs"])),
-            label_column=doc.get("label_column"),
-            row_type_column=doc.get("row_type_column"),
+            pca=PCAModel(array("pca_mean"), array("pca_components"),
+                         array("pca_explained_variance")),
+            n_components=read("n_components", int),
+            bounds=ScaleBounds(array("scale_mins"), array("scale_maxs")),
+            label_column=read("label_column", nullable),
+            row_type_column=read("row_type_column", nullable),
         )

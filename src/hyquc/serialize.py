@@ -10,12 +10,11 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import MISSING, asdict, fields
-from typing import get_type_hints
+from dataclasses import asdict
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import SchemaError, json_dataclass, json_field, json_type
 from .hybrid import HybridModel
 from .nn import DenseLayer, MLPHead
 from .pipeline import RowTypePipeline
@@ -23,14 +22,6 @@ from .qsim import CircuitSpec
 
 FORMAT = "hyquc-model"
 VERSION = 1
-
-# the name of each JSON value's type, by the Python type json.load gives it
-_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
-               float: "a number", bool: "a boolean", type(None): "null"}
-
-
-def _json_type(value) -> str:
-    return _JSON_TYPES.get(type(value), type(value).__name__)
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -47,7 +38,8 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def model_to_dict(model: HybridModel, pipeline: RowTypePipeline = None) -> dict:
+def model_to_dict(model: HybridModel, pipeline: RowTypePipeline) -> dict:
+    """The model document of a row type's model and its fitted preprocessing."""
     return {
         "format": FORMAT,
         "version": VERSION,
@@ -63,57 +55,37 @@ def model_to_dict(model: HybridModel, pipeline: RowTypePipeline = None) -> dict:
             }
             for layer in model.head.layers
         ],
-        "pipeline": pipeline.to_dict() if pipeline is not None else None,
+        "pipeline": pipeline.to_dict(),
     }
 
 
-def _field(doc, key: str, kind: type, source: str, where: str = "", default=MISSING):
-    """``doc[key]``, which must be a JSON value of Python type ``kind`` (a
-    boolean is not an integer), or ``default`` if given and ``key`` is absent;
-    otherwise a SchemaError naming ``source`` and the key, ``where`` its path."""
-    if type(doc) is not dict or key not in doc:
-        if default is not MISSING:
-            return default
-        raise SchemaError(f"{source}: no {where + key!r} key")
-    if type(doc[key]) is not kind:
-        raise SchemaError(f"{source}: {where + key!r} must be {_JSON_TYPES[kind]}, "
-                          f"not {_json_type(doc[key])}")
-    return doc[key]
-
-
 def model_from_dict(doc: dict, source: str = "model document"):
-    """The model and pipeline of a model document.  A document that is not
-    a JSON object, or that lacks or mistypes a field of the model, is a
-    SchemaError naming ``source`` and the key."""
+    """The model and the pipeline of a model document.  A document that is
+    not a JSON object, or that lacks or mistypes a key of the model or of its
+    pipeline, is a SchemaError naming ``source`` and the key."""
     if type(doc) is not dict:
         raise SchemaError(f"{source}: a model document is a JSON object, "
-                          f"not {_json_type(doc)}")
+                          f"not {json_type(doc)}")
     if doc.get("format") != FORMAT:
         raise ValueError("not a model document")
-    if doc.get("version") != VERSION:
+    if type(doc.get("version")) is not int or doc["version"] != VERSION:
         raise ValueError(f"unsupported model version {doc.get('version')!r}")
-    spec = _field(doc, "spec", dict, source)
-    kinds = get_type_hints(CircuitSpec)
-    for key in spec:
-        if key not in kinds:
-            raise SchemaError(f"{source}: unknown key {'spec.' + key!r}")
-    spec = CircuitSpec(**{f.name: _field(spec, f.name, kinds[f.name], source, "spec.", f.default)
-                          for f in fields(CircuitSpec)})
+    spec = json_dataclass(CircuitSpec, json_field(doc, "spec", dict, source), source, "spec")
     head = MLPHead([
-        DenseLayer(np.array(_field(layer, "weights", list, source, f"head[{i}].")),
-                   np.array(_field(layer, "bias", list, source, f"head[{i}].")),
-                   _field(layer, "activation", str, source, f"head[{i}]."))
-        for i, layer in enumerate(_field(doc, "head", list, source))
+        DenseLayer(np.array(json_field(layer, "weights", list, source, f"head[{i}].")),
+                   np.array(json_field(layer, "bias", list, source, f"head[{i}].")),
+                   json_field(layer, "activation", str, source, f"head[{i}]."))
+        for i, layer in enumerate(json_field(doc, "head", list, source))
     ])
-    model = HybridModel(spec, np.array(_field(doc, "qweights", list, source)), head,
-                        _field(doc, "n_classes", int, source),
-                        _field(doc, "row_type", str, source, default=""))
-    pipeline = (RowTypePipeline.from_dict(doc["pipeline"])
-                if doc.get("pipeline") else None)
-    return model, pipeline
+    model = HybridModel(spec, np.array(json_field(doc, "qweights", list, source)), head,
+                        json_field(doc, "n_classes", int, source),
+                        json_field(doc, "row_type", str, source, default=""))
+    pipeline = json_field(doc, "pipeline", dict, source)
+    return model, RowTypePipeline.from_dict(pipeline, source, "pipeline.")
 
 
-def save_model(path, model: HybridModel, pipeline: RowTypePipeline = None) -> None:
+def save_model(path, model: HybridModel, pipeline: RowTypePipeline) -> None:
+    """Write the model document of ``model`` and ``pipeline`` to ``path``."""
     atomic_write_text(path, json.dumps(model_to_dict(model, pipeline), indent=2))
 
 

@@ -203,7 +203,8 @@ class TestConfigLoading:
         ("model", "pca_components", "0", None), ("model", "entangler_range", "0", None),
         ("train", "epochs", "0", None), ("train", "batch_size", "0", None),
         ("train", "smote_k", "0", None),
-        ("model", "hidden", "8, -1", r"^\[model\] hidden: hidden must be an integer >= 0"),
+        ("model", "hidden", "0", None),
+        ("model", "hidden", "8, -1", r"^\[model\] hidden: hidden must be an integer >= 1"),
         ("grid", "n_layers", "1, 0", None), ("grid", "n_qubits", "0, 2", None),
         ("grid", "batch_sizes", "8, -1", None), ("grid", "epochs", "0", None),
         ("grid", "folds", "1", "folds must be an integer >= 2"),
@@ -226,7 +227,7 @@ class TestConfigLoading:
             load_config(str(p))
 
     @pytest.mark.parametrize("old, new", [("n_qubits = 2", "n_qubits = 17"),
-                                          ("hidden = 8", "hidden = 0")])
+                                          ("hidden = 8", "hidden =")])
     def test_values_that_run_stay_accepted(self, tmp_path, old, new):
         p = tmp_path / "c.cfg"
         p.write_text(CONFIG_TEMPLATE.replace(old, new, 1))
@@ -247,6 +248,20 @@ class TestConfigLoading:
         err = capsys.readouterr().err
         assert err.startswith("hyquc: error: ") and err.count("\n") == 1
         assert re.search(message, err)
+
+    def test_zero_hidden_width_refused_before_training(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(open(os.path.join(DATA_DIR, "run.cfg")).read()
+                       .replace("csv = synth.csv", f"csv = {DATA_DIR}/synth.csv")
+                       .replace("row_type_map = rowtypes.map",
+                                f"row_type_map = {DATA_DIR}/rowtypes.map")
+                       .replace("hidden = 16", "hidden = 0")
+                       .replace("epochs = 50", "epochs = 3"))
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "hyquc: error: [model] hidden: hidden must be an integer >= 1, got '0'\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
         ("learning_rate", "nan"), ("learning_rate", "inf"), ("learning_rate", "-0.5"),
@@ -610,7 +625,7 @@ def per_row_type_gridsearch(cfg_path, out):
 
         jobs, _ = hybrid.grid_jobs(cfg.grid, train_ds, cfg.cv_folds, seed, augment=augment,
                                    new_model=cfg.new_model)
-        folds = hybrid.kfold_split(len(train_ds.y), cfg.cv_folds, seed, labels=train_ds.y)
+        folds = hybrid.kfold_split(train_ds.y, cfg.cv_folds, seed)
         best, leaderboard = per_fit_rank(cfg.grid, (train_ds.X, train_ds.y), folds,
                                          [model for model, _ in hybrid.fit_all(jobs)])
         cli._write_grid(str(out), row_type, best, leaderboard)
@@ -1068,9 +1083,34 @@ class TestHostileInput:
         (lambda doc: doc["head"][0].pop("bias"), "no 'head[0].bias' key"),
         (lambda doc: doc.update(head={}), "'head' must be an array, not an object"),
         (lambda doc: doc.update(n_classes=True), "'n_classes' must be an integer, not a boolean"),
+        (lambda doc: doc.pop("pipeline"), "no 'pipeline' key"),
+        (lambda doc: doc.update(pipeline=None), "'pipeline' must be an object, not null"),
+        (lambda doc: doc["pipeline"].pop("pca_mean"), "no 'pipeline.pca_mean' key"),
+        (lambda doc: doc["pipeline"].pop("date_format"), "no 'pipeline.date_format' key"),
+        (lambda doc: doc["pipeline"].update(encoder_columns=3),
+         "'pipeline.encoder_columns' must be an array, not an integer"),
+        (lambda doc: doc["pipeline"]["encoder_columns"][0].pop("kind"),
+         "no 'pipeline.encoder_columns[0].kind' key"),
+        (lambda doc: doc["pipeline"]["encoder_columns"].__setitem__(0, "F1"),
+         "'pipeline.encoder_columns[0]' must be an object, not a string"),
+        (lambda doc: doc["pipeline"]["encoder_columns"][0].update(scale=2.0),
+         "unknown key 'pipeline.encoder_columns[0].scale'"),
+        (lambda doc: doc["pipeline"]["encoder_columns"][0].update(kind="ordinal"),
+         "'pipeline.encoder_columns[0].kind' must be one of numeric, date, categorical, "
+         "not 'ordinal'"),
+        (lambda doc: doc["pipeline"]["encoder_columns"][0].update(median=None),
+         "'pipeline.encoder_columns[0]' is a numeric column without median"),
+        (lambda doc: doc["pipeline"].update(class_names="x"),
+         "'pipeline.class_names' must be an array, not a string"),
+        (lambda doc: doc["pipeline"].update(label_column=1),
+         "'pipeline.label_column' must be a string or null, not an integer"),
     ], ids=["no-spec", "no-qweights", "no-head", "no-n_classes", "spec-string-n_qubits",
             "spec-unknown-key", "spec-no-n_layers", "head-layer-no-bias", "head-object",
-            "boolean-n_classes"])
+            "boolean-n_classes", "no-pipeline", "null-pipeline", "pipeline-no-pca_mean",
+            "pipeline-no-date_format", "pipeline-integer-encoder_columns",
+            "encoder-column-no-kind", "encoder-column-string", "encoder-column-unknown-key",
+            "encoder-column-unknown-kind", "encoder-column-null-median",
+            "pipeline-string-class_names", "pipeline-integer-label_column"])
     def test_malformed_model_file_names_file_and_key(self, workdir, trained, tmp_path,
                                                       capsys, edit, message):
         doc = json.loads((trained / "model_T1.json").read_text())
@@ -1104,6 +1144,16 @@ class TestHostileInput:
                          "--data", str(workdir / "data.csv")]) == 1
         assert capsys.readouterr().err == f"hyquc: error: {message}\n"
 
+    def test_boolean_version_refused(self, workdir, trained, tmp_path, capsys):
+        # True == 1 in Python, but a JSON boolean is not the version number 1
+        doc = json.loads((trained / "model_T1.json").read_text())
+        doc["version"] = True
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc))
+        assert cli.main(["evaluate", "--model", str(bad),
+                         "--data", str(workdir / "data.csv")]) == 1
+        assert capsys.readouterr().err == "hyquc: error: unsupported model version True\n"
+
     def test_spec_without_its_defaulted_keys_loads(self, workdir, trained, tmp_path):
         doc = json.loads((trained / "model_T1.json").read_text())
         del doc["spec"]["embedding_rotation_axis"], doc["spec"]["entangler_range"]
@@ -1118,3 +1168,64 @@ class TestHostileInput:
         assert cli.main(["predict", "--model", str(trained), "--input", str(p)]) == 1
         assert capsys.readouterr().err == (
             f"hyquc: error: {p}:3: field larger than field limit (131072)\n")
+
+
+    # the mutations of model_agriculture.json that leave a document the schema
+    # takes: a defaulted key dropped, or a value of another type the key takes
+    ACCEPTED = {("row_type", "drop"), ("spec.embedding_rotation_axis", "drop"),
+                ("spec.entangler_range", "drop"),
+                ("pipeline.encoder_columns[0].categories", "drop"),
+                ("pipeline.encoder_columns[0].categories", "an array"),
+                ("pipeline.date_format", "a string"), ("pipeline.row_type_column", "null")}
+
+    def test_every_key_dropped_or_retyped_is_one_named_error(self, fixture_run, tmp_path,
+                                                              capsys):
+        """Each key path of a trained model file (the first element of an
+        array of objects stands for the rest) is dropped, then replaced by a
+        value of each JSON type it does not have.  ``evaluate`` exits 0 on
+        the ACCEPTED mutations and otherwise 1 with one error line and no
+        ``--out`` file; a traceback would fail the test by raising."""
+        doc = json.loads((fixture_run[0] / "model_agriculture.json").read_text())
+        samples = {"an object": {}, "an array": [], "a string": "x", "an integer": 1,
+                   "a number": 0.5, "a boolean": True, "null": None}
+
+        def key_paths(value, path=()):
+            items = (value.items() if type(value) is dict else
+                     [(0, value[0])] if type(value) is list and value
+                     and type(value[0]) is dict else [])
+            for key, child in items:
+                yield path + (key,)
+                yield from key_paths(child, path + (key,))
+
+        model, out = tmp_path / "model.json", tmp_path / "eval.json"
+        argv = ["evaluate", "--model", str(model),
+                "--data", os.path.join(DATA_DIR, "synth.csv"), "--out", str(out)]
+        paths, accepted, refused = 0, set(), []
+        for path in key_paths(doc):
+            paths += 1
+            name = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in path)[1:]
+            value = doc
+            for key in path:
+                value = value[key]
+            for mutation, new in [("drop", None), *((kind, v) for kind, v in samples.items()
+                                                    if type(v) is not type(value))]:
+                mutated = json.loads(json.dumps(doc))
+                owner = mutated
+                for key in path[:-1]:
+                    owner = owner[key]
+                if mutation == "drop":
+                    del owner[path[-1]]
+                else:
+                    owner[path[-1]] = new
+                model.write_text(json.dumps(mutated))
+                rc = cli.main(argv)
+                err = capsys.readouterr().err
+                if rc == 0 and out.exists():
+                    accepted.add((name, mutation))
+                    out.unlink()
+                elif not (rc == 1 and err.startswith("hyquc: error: ")
+                          and err.count("\n") == 1 and not out.exists()):
+                    refused.append((name, mutation, rc, err))
+        assert paths == 36
+        assert refused == []
+        assert accepted == self.ACCEPTED

@@ -5,7 +5,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from hyquc import hybrid, nn, qgrad, qsim, serialize
+from hyquc import hybrid, nn, pipeline as pl, qgrad, qsim, serialize
 from hyquc.config import RunConfig
 from hyquc.errors import DivergenceError, ShapeError
 from hyquc.hybrid import HyperGrid, HybridModel, TrainConfig
@@ -525,11 +525,11 @@ class TestPredict:
 
 class TestKFoldSplit:
     def test_fold_sizes(self):
-        folds = hybrid.kfold_split(10, 5, seed=0)
+        folds = hybrid.kfold_split(np.repeat([0, 1], 5), 5, seed=0)
         assert all(len(val) == 2 for _, val in folds)
 
     def test_partition_law(self):
-        folds = hybrid.kfold_split(17, 4, seed=1)
+        folds = hybrid.kfold_split(np.arange(17) % 3, 4, seed=1)
         seen = np.concatenate([val for _, val in folds])
         assert sorted(seen) == list(range(17))
         for train, val in folds:
@@ -538,15 +538,15 @@ class TestKFoldSplit:
 
     def test_stratified(self):
         labels = np.array(["A"] * 8 + ["B"] * 2)
-        folds = hybrid.kfold_split(10, 2, seed=2, labels=labels)
+        folds = hybrid.kfold_split(labels, 2, seed=2)
         for _, val in folds:
             assert sum(labels[i] == "B" for i in val) == 1
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
-            hybrid.kfold_split(3, 4, seed=0)
+            hybrid.kfold_split(np.zeros(3), 4, seed=0)
         with pytest.raises(ValueError):
-            hybrid.kfold_split(5, 1, seed=0)
+            hybrid.kfold_split(np.zeros(5), 1, seed=0)
 
 
 class TestGridSearch:
@@ -633,7 +633,7 @@ def per_fit_grid_search(grid, data, k, seed, augment=None, new_model=hybrid.defa
     reproduce exactly."""
     X, y = data
     n_classes = int(np.max(y)) + 1
-    folds = hybrid.kfold_split(len(y), k, seed, labels=y)
+    folds = hybrid.kfold_split(y, k, seed)
     models = []
     for ci, params in enumerate(grid.combinations()):
         q = params["n_qubits"]
@@ -737,10 +737,15 @@ class TestSerialization:
     def test_lossless_round_trip(self, tmp_path):
         rng = np.random.default_rng(71)
         model = hybrid.init_model(CircuitSpec(3, 2), 3, rng, row_type="rt")
+        rows = [[f"{a:.4f}", f"{b:.4f}", "ab"[i % 2]]
+                for i, (a, b) in enumerate(rng.normal(size=(20, 2)))]
+        data = pl.TabularDataset.from_rows(["F1", "F2", "L"], rows, label_column="L")
+        pipe = pl.RowTypePipeline.fit(data, "rt", seed=0, components=2, width=2,
+                                      split_fractions=(0.7, 0.15, 0.15))[0]
         path = tmp_path / "model.json"
-        serialize.save_model(str(path), model)
-        loaded, pipe = serialize.load_model(str(path))
-        assert pipe is None
+        serialize.save_model(str(path), model, pipe)
+        loaded, back = serialize.load_model(str(path))
+        assert back.to_dict() == pipe.to_dict()
         np.testing.assert_array_equal(loaded.qweights, model.qweights)
         assert loaded.spec == model.spec
         assert loaded.row_type == "rt"

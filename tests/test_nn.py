@@ -90,6 +90,11 @@ class TestDenseForward:
         np.testing.assert_array_equal(nn.dense_forward(layer, [1, 2, 3]),
                                       [0.3, -0.4])
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_zero_width_refused(self, shape):
+        with pytest.raises(ShapeError, match="at least one input and one output"):
+            DenseLayer(np.zeros(shape), np.zeros(shape[0]))
+
     def test_shape_mismatch(self):
         layer = DenseLayer([[0.5]], [0.1], "sigmoid")
         with pytest.raises(ShapeError):
