@@ -39,7 +39,6 @@ class RunConfig:
     pca_components: int = 5
     hidden: tuple = (8, 8)
     hidden_activation: str = "sigmoid"
-    single_layer_head: bool = False
     epochs: int = 50
     learning_rate: float = 0.01
     batch_size: int = 16
@@ -60,8 +59,7 @@ class RunConfig:
         spec = hybrid.circuit_spec(n_qubits, n_layers, self.embedding_axis,
                                    self.entangler_range)
         return hybrid.init_model(spec, n_classes, rng, row_type, hidden=self.hidden,
-                                 hidden_activation=self.hidden_activation,
-                                 single_layer_head=self.single_layer_head)
+                                 hidden_activation=self.hidden_activation)
 
 
 def _value(kind, requirement: str, rule=lambda value: True):
@@ -111,8 +109,6 @@ _int = _value(int, "an integer")
 _count = _value(int, "an integer >= 1", lambda v: v >= 1)
 _float = _value(float, "a number")
 _rate = _value(float, "a finite number >= 0", lambda v: math.isfinite(v) and v >= 0)
-_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES
-_bool = _value(lambda raw: _BOOLEANS[raw.lower()], f"one of {', '.join(_BOOLEANS)}")
 _path = os.fspath  # a path, resolved against the config file's directory
 
 # section -> key -> (field, parser): [split] keys fill split_fractions by index,
@@ -136,7 +132,6 @@ SCHEMA = {
         "pca_components": ("pca_components", _count),
         "hidden": ("hidden", _list(_count)),
         "hidden_activation": ("hidden_activation", _one_of(ACTIVATIONS)),
-        "single_layer_head": ("single_layer_head", _bool),
     },
     "train": {
         "epochs": ("epochs", _count),

@@ -1,7 +1,10 @@
 """Exception types shared across the package, and the checked reader of JSON
 documents that names a malformed key in a SchemaError."""
 from dataclasses import MISSING, fields
+from itertools import chain
 from typing import get_type_hints
+
+import numpy as np
 
 # the name of each JSON value's type, by the Python type json.load gives it
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
@@ -46,20 +49,57 @@ def json_type(value) -> str:
 
 
 def json_field(doc, key: str, kind, source: str, where: str = "", default=MISSING):
-    """``doc[key]``, which must be a JSON value of Python type ``kind``, or of
-    one of the types of a tuple ``kind`` (a boolean is not an integer), or
-    ``default`` if given and ``key`` is absent; otherwise a SchemaError naming
-    ``source`` and the key, ``where`` its path."""
-    kinds = kind if isinstance(kind, tuple) else (kind,)
+    """``doc[key]``, which must be a JSON value of ``kind``, or of one of the
+    kinds of a tuple ``kind``, or ``default`` if given and ``key`` is absent;
+    otherwise a SchemaError naming ``source`` and the key, ``where`` its path.
+    A kind is the Python type json.load gives (a boolean is not an integer),
+    or an array kind ``[item]``: an array whose elements are all of kind
+    ``item`` and, where ``item`` is an array kind too, all as long as the
+    first.  An error in an element names the element's path."""
     if type(doc) is not dict or key not in doc:
         if default is not MISSING:
             return default
         raise SchemaError(f"{source}: no {where + key!r} key")
-    if type(doc[key]) not in kinds:
-        names = " or ".join(_JSON_TYPES[k] for k in kinds)
-        raise SchemaError(f"{source}: {where + key!r} must be {names}, "
-                          f"not {json_type(doc[key])}")
-    return doc[key]
+    value, kinds = doc[key], kind if isinstance(kind, tuple) else (kind,)
+    for k in kinds:
+        if type(k) is list and type(value) is list:
+            _check_elements(value, k[0], source, where + key)
+            return value
+        if type(value) is k:
+            return value
+    raise _mistyped(source, where + key, kinds, value)
+
+
+def _mistyped(source: str, path: str, kinds: tuple, value) -> SchemaError:
+    names = " or ".join("an array" if type(k) is list else _JSON_TYPES[k] for k in kinds)
+    return SchemaError(f"{source}: {path!r} must be {names}, not {json_type(value)}")
+
+
+def _check_elements(items: list, kind, source: str, path: str):
+    """Checks that each element of the array at ``path`` is of ``kind`` and,
+    for an array kind, that the arrays at each depth are all as long as the
+    first.  A depth costs one set of types and one of lengths, not a call per
+    element; the error names the first bad element."""
+    shape, level = (len(items),), items
+    while True:
+        expected = list if type(kind) is list else kind
+        if not set(map(type, level)) <= {expected}:
+            j = next(j for j, item in enumerate(level) if type(item) is not expected)
+            raise _mistyped(source, path + _index(j, shape), (kind,), level[j])
+        if expected is not list:
+            return
+        if len(set(map(len, level))) > 1:
+            j = next(j for j, row in enumerate(level) if len(row) != len(level[0]))
+            raise SchemaError(f"{source}: {path + _index(j, shape)!r} must hold "
+                              f"{len(level[0])} elements like {path + _index(0, shape)!r}, "
+                              f"not {len(level[j])}")
+        shape += (len(level[0]) if level else 0,)
+        level, kind = list(chain.from_iterable(level)), kind[0]
+
+
+def _index(j: int, shape: tuple) -> str:
+    """The ``[i][k]...`` index of element ``j`` of an array of ``shape`` laid flat."""
+    return "".join(f"[{i}]" for i in np.unravel_index(j, shape))
 
 
 def json_dataclass(cls, doc, source: str, path: str):

@@ -93,17 +93,14 @@ class ModelGrads:
 
 
 def init_model(spec: CircuitSpec, n_classes: int, rng: np.random.Generator,
-               row_type: str = "", hidden=(8, 8), hidden_activation: str = "sigmoid",
-               single_layer_head: bool = False) -> HybridModel:
+               row_type: str = "", hidden=(8, 8),
+               hidden_activation: str = "sigmoid") -> HybridModel:
     """Fresh model: quantum angles uniform in [0, 2*pi), dense weights uniform
-    in [-0.5, 0.5].  ``single_layer_head`` drops the hidden layers and maps the
-    quantum outputs straight through one softmax layer."""
+    in [-0.5, 0.5].  ``hidden`` gives the hidden layers' widths; ``hidden=()``
+    means no hidden layer, so the quantum outputs feed one softmax layer."""
     qweights = qsim.random_weights(spec, rng)
-    head = nn.init_head(
-        spec.n_qubits, n_classes, rng,
-        hidden=() if single_layer_head else tuple(hidden),
-        hidden_activation=hidden_activation,
-    )
+    head = nn.init_head(spec.n_qubits, n_classes, rng, hidden=tuple(hidden),
+                        hidden_activation=hidden_activation)
     return HybridModel(spec, qweights, head, n_classes, row_type)
 
 
@@ -419,22 +416,13 @@ def kfold_split(labels, k: int, seed: int):
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
     rng = np.random.default_rng(seed)
-    folds = [[] for _ in range(k)]
+    fold = np.empty(n, dtype=np.int64)
     offset = 0
     for cls in np.unique(labels):
         idx = np.flatnonzero(labels == cls)
-        idx = idx[rng.permutation(len(idx))]
-        for j, i in enumerate(idx):
-            folds[(offset + j) % k].append(int(i))
+        fold[idx[rng.permutation(len(idx))]] = (offset + np.arange(len(idx))) % k
         offset = (offset + len(idx)) % k
-    out = []
-    for i in range(k):
-        val = np.sort(np.array(folds[i], dtype=np.int64))
-        train = np.sort(np.concatenate(
-            [np.array(folds[j], dtype=np.int64) for j in range(k) if j != i]
-        ))
-        out.append((train, val))
-    return out
+    return [(np.flatnonzero(fold != i), np.flatnonzero(fold == i)) for i in range(k)]
 
 
 @dataclass(frozen=True)

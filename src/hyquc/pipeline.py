@@ -648,15 +648,11 @@ def stratified_split_indices(y, fractions, seed: int, class_names=None):
         sums[s_over] -= 1
         sums[s_under] += 1
     rng = np.random.default_rng(seed)
-    parts = [[], [], []]
+    part = np.empty(n, dtype=np.int64)
     for c in classes:
         idx = np.flatnonzero(y == c)
-        idx = idx[rng.permutation(len(idx))]
-        a, b, _ = quotas[int(c)]
-        parts[0].extend(idx[:a])
-        parts[1].extend(idx[a:a + b])
-        parts[2].extend(idx[a + b:])
-    return tuple(np.sort(np.array(p, dtype=np.int64)) for p in parts)
+        part[idx[rng.permutation(len(idx))]] = np.repeat([0, 1, 2], quotas[int(c)])
+    return tuple(np.flatnonzero(part == s) for s in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -777,13 +773,14 @@ class RowTypePipeline:
     def from_dict(cls, doc: dict, source: str = "pipeline document",
                   where: str = "") -> "RowTypePipeline":
         """The pipeline of :meth:`to_dict`'s document.  A missing or mistyped
-        key, or an encoder column that does not match :class:`ColumnSpec`,
-        is a SchemaError naming ``source`` and the key, ``where`` its path."""
+        key or array element, a merge that is not a pair, or an encoder column
+        that does not match :class:`ColumnSpec`, is a SchemaError naming
+        ``source`` and the key or element, ``where`` its path."""
         def read(key, kind):
             return json_field(doc, key, kind, source, where)
 
-        def array(key):
-            return np.array(read(key, list))
+        def array(key, kind=float):
+            return np.array(read(key, [kind]))
 
         nullable = (str, type(None))
         encoder = ColumnEncoder(read("date_format", nullable))
@@ -797,15 +794,21 @@ class RowTypePipeline:
             if getattr(spec, needs) is None:
                 raise SchemaError(f"{source}: {path!r} is a {spec.kind} column "
                                   f"without {needs}")
+            if spec.categories is not None:
+                json_field(column, "categories", [str], source, path + ".")
             encoder.columns.append(spec)
+        merges = read("merges", [[str]])
+        if merges and len(merges[0]) != 2:
+            raise SchemaError(f"{source}: {where + 'merges[0]'!r} must hold 2 class "
+                              f"names, not {len(merges[0])}")
         return cls(
             row_type=read("row_type", str),
-            exclude_columns=read("exclude_columns", list),
-            dropped_missing=read("dropped_missing", list),
-            merges=[tuple(m) for m in read("merges", list)],
-            class_names=read("class_names", list),
+            exclude_columns=read("exclude_columns", [str]),
+            dropped_missing=read("dropped_missing", [str]),
+            merges=[tuple(m) for m in merges],
+            class_names=read("class_names", [str]),
             encoder=encoder,
-            pca=PCAModel(array("pca_mean"), array("pca_components"),
+            pca=PCAModel(array("pca_mean"), array("pca_components", [float]),
                          array("pca_explained_variance")),
             n_components=read("n_components", int),
             bounds=ScaleBounds(array("scale_mins"), array("scale_maxs")),

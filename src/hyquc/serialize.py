@@ -62,7 +62,8 @@ def model_to_dict(model: HybridModel, pipeline: RowTypePipeline) -> dict:
 def model_from_dict(doc: dict, source: str = "model document"):
     """The model and the pipeline of a model document.  A document that is
     not a JSON object, or that lacks or mistypes a key of the model or of its
-    pipeline, is a SchemaError naming ``source`` and the key."""
+    pipeline or an element of one of their arrays, is a SchemaError naming
+    ``source`` and the key or the element."""
     if type(doc) is not dict:
         raise SchemaError(f"{source}: a model document is a JSON object, "
                           f"not {json_type(doc)}")
@@ -72,13 +73,13 @@ def model_from_dict(doc: dict, source: str = "model document"):
         raise ValueError(f"unsupported model version {doc.get('version')!r}")
     spec = json_dataclass(CircuitSpec, json_field(doc, "spec", dict, source), source, "spec")
     head = MLPHead([
-        DenseLayer(np.array(json_field(layer, "weights", list, source, f"head[{i}].")),
-                   np.array(json_field(layer, "bias", list, source, f"head[{i}].")),
+        DenseLayer(np.array(json_field(layer, "weights", [[float]], source, f"head[{i}].")),
+                   np.array(json_field(layer, "bias", [float], source, f"head[{i}].")),
                    json_field(layer, "activation", str, source, f"head[{i}]."))
         for i, layer in enumerate(json_field(doc, "head", list, source))
     ])
-    model = HybridModel(spec, np.array(json_field(doc, "qweights", list, source)), head,
-                        json_field(doc, "n_classes", int, source),
+    qweights = np.array(json_field(doc, "qweights", [[[float]]], source))
+    model = HybridModel(spec, qweights, head, json_field(doc, "n_classes", int, source),
                         json_field(doc, "row_type", str, source, default=""))
     pipeline = json_field(doc, "pipeline", dict, source)
     return model, RowTypePipeline.from_dict(pipeline, source, "pipeline.")

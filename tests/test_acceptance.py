@@ -109,8 +109,7 @@ class TestCriterion2GradientSweep:
                 single = bool(rng.integers(2))
                 spec = CircuitSpec(n_qubits, n_layers)
                 model = hybrid.init_model(
-                    spec, n_classes, rng, hidden=(4,),
-                    single_layer_head=single)
+                    spec, n_classes, rng, hidden=() if single else (4,))
                 m = int(rng.integers(1, 4))
                 X = rng.uniform(0.0, np.pi, size=(m, n_qubits))
                 y = rng.integers(0, n_classes, size=m)

@@ -155,8 +155,6 @@ class TestConfigLoading:
         ("hidden = 8", "hidden = 8, x", r"^\[model\] hidden: .*'x'"),
         ("n_layers = 1", "n_layers = 1\nembedding_axis = y",
          r"^\[model\] embedding_axis: .*'y'"),
-        ("n_layers = 1", "n_layers = 1\nsingle_layer_head = maybe",
-         r"^\[model\] single_layer_head: .*'maybe'"),
         ("hidden_activation = relu", "hidden_activation = tanh",
          r"^\[model\] hidden_activation: .*'tanh'"),
     ])
@@ -197,6 +195,17 @@ class TestConfigLoading:
         p.write_text(CONFIG_TEMPLATE.replace(old, new))
         with pytest.raises(SchemaError, match=message):
             load_config(str(p))
+
+    def test_single_layer_head_refused_as_unknown_key(self, tmp_path):
+        # an empty `hidden` is the one way to a head without hidden layers
+        p = tmp_path / "c.cfg"
+        p.write_text(CONFIG_TEMPLATE.replace("n_layers = 1", "n_layers = 1\n"
+                                             "single_layer_head = true", 1))
+        with pytest.raises(SchemaError) as info:
+            load_config(str(p))
+        assert str(info.value) == (
+            "unknown key in [model] 'single_layer_head'; valid: n_qubits, n_layers, "
+            "embedding_axis, entangler_range, pca_components, hidden, hidden_activation")
 
     @pytest.mark.parametrize("section, key, value, message", [
         ("model", "n_qubits", "0", None), ("model", "n_layers", "0", None),
@@ -1229,3 +1238,89 @@ class TestHostileInput:
         assert paths == 36
         assert refused == []
         assert accepted == self.ACCEPTED
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["pipeline"].update(merges=[3]),
+         "'pipeline.merges[0]' must be an array, not an integer"),
+        (lambda doc: doc["pipeline"]["scale_mins"].__setitem__(0, {}),
+         "'pipeline.scale_mins[0]' must be a number, not an object"),
+        (lambda doc: doc["qweights"][0][0].__setitem__(0, "a"),
+         "'qweights[0][0][0]' must be a number, not a string"),
+        (lambda doc: doc["pipeline"]["pca_mean"].__setitem__(0, "a"),
+         "'pipeline.pca_mean[0]' must be a number, not a string"),
+        (lambda doc: doc["pipeline"].update(class_names=[1, 2, 3]),
+         "'pipeline.class_names[0]' must be a string, not an integer"),
+        (lambda doc: doc["pipeline"].update(merges=[["g3"]]),
+         "'pipeline.merges[0]' must hold 2 class names, not 1"),
+        (lambda doc: doc["pipeline"]["pca_components"][1].pop(),
+         "'pipeline.pca_components[1]' must hold 11 elements like "
+         "'pipeline.pca_components[0]', not 10"),
+        (lambda doc: doc["head"][0]["bias"].__setitem__(0, True),
+         "'head[0].bias[0]' must be a number, not a boolean"),
+        (lambda doc: doc["pipeline"].update(exclude_columns=[1]),
+         "'pipeline.exclude_columns[0]' must be a string, not an integer"),
+        (lambda doc: doc["pipeline"]["encoder_columns"][6]["categories"].__setitem__(0, 1),
+         "'pipeline.encoder_columns[6].categories[0]' must be a string, not an integer"),
+    ], ids=["integer-merge", "object-scale_min", "string-qweight", "string-pca_mean",
+            "integer-class_names", "one-name-merge", "ragged-pca_components",
+            "boolean-bias", "integer-exclude_column", "integer-category"])
+    def test_malformed_array_element_names_file_and_element(self, fixture_run, tmp_path,
+                                                            capsys, edit, message):
+        doc = json.loads((fixture_run[0] / "model_agriculture.json").read_text())
+        assert doc["pipeline"]["encoder_columns"][6]["kind"] == "categorical"
+        edit(doc)
+        bad, out = tmp_path / "model.json", tmp_path / "eval.json"
+        bad.write_text(json.dumps(doc))
+        assert cli.main(["evaluate", "--model", str(bad), "--out", str(out),
+                         "--data", os.path.join(DATA_DIR, "synth.csv")]) == 1
+        assert capsys.readouterr().err == f"hyquc: error: {bad}: {message}\n"
+        assert not out.exists()
+
+    def test_every_array_element_retyped_is_one_named_error(self, fixture_run, tmp_path,
+                                                            capsys):
+        """The first leaf of each nonempty array of a trained model file (an
+        array of objects is walked into instead) is replaced by a value of
+        each JSON type it does not have.  ``evaluate`` exits 1 with one error
+        line that names the element, and writes no ``--out`` file."""
+        doc = json.loads((fixture_run[0] / "model_agriculture.json").read_text())
+        samples = [{}, [], "x", 1, 0.5, True, None]
+
+        def first_leaves(value, path=()):
+            if type(value) is dict:
+                for key, child in value.items():
+                    yield from first_leaves(child, path + (key,))
+            elif type(value) is list and value and type(value[0]) is dict:
+                for i, child in enumerate(value):
+                    yield from first_leaves(child, path + (i,))
+            elif type(value) is list and value:
+                while type(value) is list:
+                    value, path = value[0], path + (0,)
+                yield path, value
+
+        model, out = tmp_path / "model.json", tmp_path / "eval.json"
+        argv = ["evaluate", "--model", str(model),
+                "--data", os.path.join(DATA_DIR, "synth.csv"), "--out", str(out)]
+        leaves, wrong = [], []
+        for path, leaf in first_leaves(doc):
+            name = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in path)[1:]
+            leaves.append(name)
+            for new in (v for v in samples if type(v) is not type(leaf)):
+                mutated = json.loads(json.dumps(doc))
+                owner = mutated
+                for key in path[:-1]:
+                    owner = owner[key]
+                owner[path[-1]] = new
+                model.write_text(json.dumps(mutated))
+                rc = cli.main(argv)
+                err = capsys.readouterr().err
+                if not (rc == 1 and err.startswith(f"hyquc: error: {model}: {name!r} ")
+                        and err.count("\n") == 1 and not out.exists()):
+                    wrong.append((name, new, rc, err))
+        assert leaves == [
+            "qweights[0][0][0]", "head[0].weights[0][0]", "head[0].bias[0]",
+            "head[1].weights[0][0]", "head[1].bias[0]", "pipeline.dropped_missing[0]",
+            "pipeline.class_names[0]", "pipeline.encoder_columns[6].categories[0]",
+            "pipeline.pca_mean[0]", "pipeline.pca_components[0][0]",
+            "pipeline.pca_explained_variance[0]", "pipeline.scale_mins[0]",
+            "pipeline.scale_maxs[0]"]
+        assert wrong == []

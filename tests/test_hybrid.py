@@ -187,14 +187,13 @@ class TestTrainingStep:
         hybrid.loss_and_grads(model, (X, y))
         assert calls == {"_rot_mats": 1, "_layer_blocks": 1}
 
-    @pytest.mark.parametrize("hidden_activation, single_layer_head",
+    @pytest.mark.parametrize("hidden_activation, no_hidden",
                              [*((a, False) for a in nn.ACTIVATIONS), ("sigmoid", True)])
-    def test_gradients_equal_the_public_kernels(self, hidden_activation,
-                                                single_layer_head):
+    def test_gradients_equal_the_public_kernels(self, hidden_activation, no_hidden):
         rng = np.random.default_rng(13)
-        model = hybrid.init_model(CircuitSpec(3, 2, "X", 2), 3, rng, hidden=(4, 5),
-                                  hidden_activation=hidden_activation,
-                                  single_layer_head=single_layer_head)
+        model = hybrid.init_model(CircuitSpec(3, 2, "X", 2), 3, rng,
+                                  hidden=() if no_hidden else (4, 5),
+                                  hidden_activation=hidden_activation)
         X, y = rng.uniform(0, np.pi, (6, 3)), np.array([0, 1, 2, 2, 1, 0])
         _, grads = hybrid.loss_and_grads(model, (X, y))
         # the same step through nn.dense_backward, which recomputes each
@@ -324,7 +323,7 @@ def assert_same_model(a, b):
 class TestStackedFit:
     """A stack of models trains in lockstep exactly as each model alone."""
 
-    @pytest.mark.parametrize("n_qubits, n_layers, hidden_activation, single_layer_head", [
+    @pytest.mark.parametrize("n_qubits, n_layers, hidden_activation, no_hidden", [
         (1, 2, "sigmoid", False),   # one wire: no CNOT ring
         (2, 1, "relu", False),
         (3, 2, "softmax", False),
@@ -333,7 +332,7 @@ class TestStackedFit:
         (6, 1, "relu", False),      # two wire blocks
     ])
     def test_stack_equals_separate_fits(self, n_qubits, n_layers, hidden_activation,
-                                        single_layer_head):
+                                        no_hidden):
         rng = np.random.default_rng(81)
         spec = CircuitSpec(n_qubits, n_layers)
         # batch 4: 23 rows end on a short batch of 3, 17 and 9 on one of 1,
@@ -344,9 +343,9 @@ class TestStackedFit:
         k = len(sizes)
         sets = [(rng.uniform(0, np.pi, (m, n_qubits)), rng.integers(0, 3, m))
                 for m in sizes + val_sizes]
-        models = [hybrid.init_model(spec, 3, np.random.default_rng(90 + i), hidden=(4, 5),
-                                    hidden_activation=hidden_activation,
-                                    single_layer_head=single_layer_head)
+        models = [hybrid.init_model(spec, 3, np.random.default_rng(90 + i),
+                                    hidden=() if no_hidden else (4, 5),
+                                    hidden_activation=hidden_activation)
                   for i in range(len(sizes))]
         config = TrainConfig(3, rates, 4, rng_seed=seeds)
         train, val = hybrid.StackedSet.of(sets[:k]), hybrid.StackedSet.of(sets[k:])
