@@ -14,7 +14,6 @@ from .errors import SchemaError, SplitError
 from .hybrid import HyperGrid
 from .nn import ACTIVATIONS
 from .pipeline import check_split_fractions
-from .qsim import AXES
 
 
 @dataclass
@@ -34,7 +33,6 @@ class RunConfig:
     split_fractions: tuple = (0.70, 0.15, 0.15)
     n_qubits: int = 5
     n_layers: int = 2
-    embedding_axis: str = "Y"
     entangler_range: int = 1
     pca_components: int = 5
     hidden: tuple = (8, 8)
@@ -56,8 +54,7 @@ class RunConfig:
                   row_type: str = "") -> hybrid.HybridModel:
         """A fresh model with this config's circuit and head settings: the
         builder of every model that ``train`` and ``gridsearch`` fit."""
-        spec = hybrid.circuit_spec(n_qubits, n_layers, self.embedding_axis,
-                                   self.entangler_range)
+        spec = hybrid.circuit_spec(n_qubits, n_layers, self.entangler_range)
         return hybrid.init_model(spec, n_classes, rng, row_type, hidden=self.hidden,
                                  hidden_activation=self.hidden_activation)
 
@@ -73,10 +70,6 @@ def _value(kind, requirement: str, rule=lambda value: True):
             raise ValueError(f"must be {requirement}, got {raw!r}")
         return value
     return parse
-
-
-def _one_of(choices):
-    return _value(str, f"one of {', '.join(choices)}", choices.__contains__)
 
 
 def _split_list(raw: str) -> list:
@@ -127,11 +120,11 @@ SCHEMA = {
     "model": {
         "n_qubits": ("n_qubits", _count),
         "n_layers": ("n_layers", _count),
-        "embedding_axis": ("embedding_axis", _one_of(AXES)),
         "entangler_range": ("entangler_range", _count),
         "pca_components": ("pca_components", _count),
         "hidden": ("hidden", _list(_count)),
-        "hidden_activation": ("hidden_activation", _one_of(ACTIVATIONS)),
+        "hidden_activation": ("hidden_activation", _value(
+            str, f"one of {', '.join(ACTIVATIONS)}", ACTIVATIONS.__contains__)),
     },
     "train": {
         "epochs": ("epochs", _count),

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the checked reader of JSON
 documents that names a malformed key in a SchemaError."""
 from dataclasses import MISSING, fields
+from functools import lru_cache
 from itertools import chain
 from typing import get_type_hints
 
@@ -109,7 +110,7 @@ def json_dataclass(cls, doc, source: str, path: str):
     An unknown key is a SchemaError like a missing or mistyped one."""
     if type(doc) is not dict:
         raise SchemaError(f"{source}: {path!r} must be an object, not {json_type(doc)}")
-    kinds = get_type_hints(cls)
+    kinds = _type_hints(cls)
     for key in doc:
         if key not in kinds:
             raise SchemaError(f"{source}: unknown key {path + '.' + key!r}")
@@ -117,3 +118,7 @@ def json_dataclass(cls, doc, source: str, path: str):
                                      else (kinds[f.name], type(None)),
                                      source, path + ".", f.default)
                   for f in fields(cls)})
+
+
+# a class's type hints, resolved once: resolving them costs more than a document
+_type_hints = lru_cache(maxsize=None)(get_type_hints)

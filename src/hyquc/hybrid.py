@@ -467,12 +467,11 @@ def _macro_f1(y_true, y_pred, n_classes) -> float:
     return float(np.mean([metrics.per_class_prf(cm, c).f1 for c in range(n_classes)]))
 
 
-def circuit_spec(n_qubits: int, n_layers: int, embedding_axis: str = "Y",
-                 entangler_range: int = 1) -> CircuitSpec:
-    """The circuit for one model, with the CNOT-ring offset clamped to what
-    ``n_qubits`` wires allow."""
-    return CircuitSpec(n_qubits, n_layers, embedding_axis,
-                       min(entangler_range, max(n_qubits - 1, 1)))
+def circuit_spec(n_qubits: int, n_layers: int, entangler_range: int = 1) -> CircuitSpec:
+    """The circuit for one model: an RY embedding, the one axis a new model
+    takes, and the CNOT-ring offset clamped to what ``n_qubits`` wires allow."""
+    return CircuitSpec(n_qubits, n_layers,
+                       entangler_range=min(entangler_range, max(n_qubits - 1, 1)))
 
 
 def default_model(n_qubits: int, n_layers: int, n_classes: int,

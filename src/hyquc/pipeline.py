@@ -397,9 +397,12 @@ def pca_fit(X, k: int) -> PCAModel:
         raise ValueError("need at least 2 samples")
     if not 1 <= k <= min(n - 1, d):
         raise ValueError(f"k must be in [1, {min(n - 1, d)}], got {k}")
-    mean = X.mean(axis=0)
-    xc = X - mean
-    cov = (xc.T @ xc) / (n - 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        mean = X.mean(axis=0)
+        xc = X - mean
+        cov = (xc.T @ xc) / (n - 1)
+    if not np.all(np.isfinite(cov)):
+        raise ValueError("feature values too large for PCA: their covariance overflows")
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1][:k]
     components = eigvecs[:, order].T

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import QubitCapError, ShapeError
 
 MAX_QUBITS = 16
-AXES = ("X", "Y", "Z")
+EMBEDDING_AXES = ("X", "Y")  # Y for every new model, X as older model files hold
 
 # widest run of wires whose Rot gates are fused into one dense matrix: a
 # block's matmul costs 2**s multiply-adds per amplitude, so wider blocks trade
@@ -35,7 +35,7 @@ def _check_width(n_qubits: int) -> None:
 @dataclass(frozen=True)
 class CircuitSpec:
     """Static description of the circuit: register width, depth, embedding axis
-    and the CNOT-ring offset."""
+    (one of EMBEDDING_AXES, since RZ would embed nothing) and the CNOT-ring offset."""
 
     n_qubits: int
     n_layers: int
@@ -46,8 +46,10 @@ class CircuitSpec:
         _check_width(self.n_qubits)
         if self.n_layers < 1:
             raise ValueError("n_layers must be >= 1")
-        if self.embedding_rotation_axis not in AXES:
-            raise ValueError(f"embedding axis must be one of {AXES}")
+        axis = self.embedding_rotation_axis
+        if axis not in EMBEDDING_AXES:
+            why = ": RZ leaves |0...0> unchanged up to a phase" if axis == "Z" else ""
+            raise ValueError(f"embedding_rotation_axis must be 'Y' or 'X', not {axis!r}{why}")
         if not 1 <= self.entangler_range < max(self.n_qubits, 2):
             raise ValueError(
                 f"entangler_range must satisfy 1 <= r < {max(self.n_qubits, 2)}"
@@ -194,8 +196,8 @@ def _rot_mats(weights: np.ndarray) -> np.ndarray:
 
 
 def _product_state(features: np.ndarray, axis: str) -> np.ndarray:
-    """Angle-embed a (..., n_qubits) feature batch from |0...0>, giving
-    (..., 2**n_qubits) states.
+    """Angle-embed a (..., n_qubits) feature batch from |0...0> with RY, or
+    RX where ``axis`` is "X", giving (..., 2**n_qubits) states.
 
     Each wire's rotation of |0> is a two-amplitude vector, so the embedded
     register is their tensor product (wire 0 leftmost): n - 1 broadcast
@@ -204,12 +206,7 @@ def _product_state(features: np.ndarray, axis: str) -> np.ndarray:
     h = features / 2.0
     c, s = np.cos(h), np.sin(h)
     wires = np.empty(features.shape + (2,), dtype=np.complex128)
-    if axis == "Y":
-        wires[..., 0], wires[..., 1] = c, s
-    elif axis == "X":
-        wires[..., 0], wires[..., 1] = c, -1j * s
-    else:
-        wires[..., 0], wires[..., 1] = c - 1j * s, 0.0
+    wires[..., 0], wires[..., 1] = c, s if axis == "Y" else -1j * s
     states = wires[..., -1, :]
     for w in range(features.shape[-1] - 2, -1, -1):
         states = (wires[..., w, :, None] * states[..., None, :]).reshape(

@@ -1,6 +1,7 @@
 """Command-line workflows: config parsing, artifact layout, determinism and
 exit codes."""
 import configparser
+import contextlib
 import csv
 import io
 import json
@@ -10,8 +11,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hyquc import cli, hybrid, pipeline as pl, serialize
+from hyquc import cli, errors, hybrid, pipeline as pl, serialize
 from hyquc.config import SCHEMA, load_config
 from hyquc.errors import DivergenceError, SchemaError
 from test_hybrid import per_fit_rank
@@ -153,8 +155,8 @@ class TestConfigLoading:
         ("learning_rate = 0.1", "learning_rate = fast",
          r"^\[train\] learning_rate: .*'fast'"),
         ("hidden = 8", "hidden = 8, x", r"^\[model\] hidden: .*'x'"),
-        ("n_layers = 1", "n_layers = 1\nembedding_axis = y",
-         r"^\[model\] embedding_axis: .*'y'"),
+        ("n_layers = 1", "n_layers = 1\nentangler_range = one",
+         r"^\[model\] entangler_range: .*'one'"),
         ("hidden_activation = relu", "hidden_activation = tanh",
          r"^\[model\] hidden_activation: .*'tanh'"),
     ])
@@ -205,7 +207,23 @@ class TestConfigLoading:
             load_config(str(p))
         assert str(info.value) == (
             "unknown key in [model] 'single_layer_head'; valid: n_qubits, n_layers, "
-            "embedding_axis, entangler_range, pca_components, hidden, hidden_activation")
+            "entangler_range, pca_components, hidden, hidden_activation")
+
+    @pytest.mark.parametrize("command", ["train", "gridsearch"])
+    @pytest.mark.parametrize("axis", ["X", "Y", "Z"])
+    def test_embedding_axis_refused_as_unknown_key(self, workdir, tmp_path, capsys,
+                                                   command, axis):
+        # every model embeds with RY: RX is RY with shifted angles, RZ embeds nothing
+        extra = tmp_path / "axis.cfg"
+        extra.write_text(CONFIG_TEMPLATE.replace(
+            "csv = data.csv", f"csv = {workdir / 'data.csv'}").replace(
+            "[model]\n", f"[model]\nembedding_axis = {axis}\n"))
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(extra), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "hyquc: error: unknown key in [model] 'embedding_axis'; valid: n_qubits, "
+            "n_layers, entangler_range, pca_components, hidden, hidden_activation\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("section, key, value, message", [
         ("model", "n_qubits", "0", None), ("model", "n_layers", "0", None),
@@ -655,19 +673,6 @@ class TestGridsearch:
             winner.read(out / f"winner_{tag}.cfg")
             assert winner["model"]["n_qubits"] == "2"
             assert winner["train"]["batch_size"] == "8"
-
-    def test_embedding_axis_reaches_the_leaderboard(self, workdir, tmp_path):
-        boards = {}
-        for axis in ("X", "Y"):
-            p = tmp_path / f"{axis}.cfg"
-            p.write_text(CONFIG_TEMPLATE.replace(
-                "csv = data.csv", f"csv = {workdir / 'data.csv'}").replace(
-                "[model]\n", f"[model]\nembedding_axis = {axis}\n"))
-            out = tmp_path / axis
-            assert cli.main(["gridsearch", "--config", str(p), "--out", str(out)]) == 0
-            boards[axis] = [(out / f"leaderboard_{tag}.csv").read_text()
-                            for tag in ("T1", "T2")]
-        assert boards["X"] != boards["Y"]
 
     def test_diverging_fit_names_combination_fold_epoch_and_batch(self, workdir, tmp_path,
                                                                  capsys):
@@ -1171,6 +1176,65 @@ class TestHostileInput:
         assert cli.main(["evaluate", "--model", str(path),
                          "--data", str(workdir / "data.csv")]) == 0
 
+    def test_z_embedding_model_file_refused(self, workdir, trained, tmp_path, capsys):
+        doc = json.loads((trained / "model_T1.json").read_text())
+        doc["spec"]["embedding_rotation_axis"] = "Z"
+        bad = tmp_path / "model_T1.json"
+        bad.write_text(json.dumps(doc))
+        for argv in (["evaluate", "--model", str(bad), "--data", str(workdir / "data.csv")],
+                     ["predict", "--model", str(bad), "--input", str(workdir / "data.csv")]):
+            assert cli.main(argv) == 1
+            assert capsys.readouterr().err == (
+                "hyquc: error: embedding_rotation_axis must be 'Y' or 'X', not 'Z': RZ "
+                "leaves |0...0> unchanged up to a phase\n")
+
+    def test_x_embedding_model_file_scores_as_y_with_shifted_gamma(self, workdir, trained,
+                                                                  tmp_path):
+        # an older model file may embed with RX, which is RY after RZ(-pi/2)
+        doc = json.loads((trained / "model_T1.json").read_text())
+        x_doc = json.loads(json.dumps(doc))
+        x_doc["spec"]["embedding_rotation_axis"] = "X"
+        for wire in doc["qweights"][0]:
+            wire[2] -= np.pi / 2
+        probs = {}
+        for name, model in (("X", x_doc), ("Y", doc)):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "model_T1.json").write_text(json.dumps(model))
+            (tmp_path / name / "model_T2.json").write_text((trained / "model_T2.json").read_text())
+            out = tmp_path / name / "predictions.csv"
+            assert cli.main(["predict", "--model", str(tmp_path / name),
+                             "--input", str(workdir / "data.csv"), "--out", str(out)]) == 0
+            rows = list(csv.reader(io.StringIO(out.read_text())))
+            probs[name] = np.array([[float(p.split("=")[1]) for p in row[-1].split(";")]
+                                    for row in rows[1:]])
+        np.testing.assert_allclose(probs["X"], probs["Y"], rtol=0, atol=1e-12)
+
+    def test_type_hints_resolved_once_per_class(self, fixture_run):
+        # each cache miss is one get_type_hints call: CircuitSpec and ColumnSpec
+        errors._type_hints.cache_clear()
+        for _ in range(2):
+            serialize.load_model(fixture_run[0] / "model_agriculture.json")
+        info = errors._type_hints.cache_info()
+        assert (info.misses, info.currsize) == (2, 2) and info.hits > 0
+
+    def test_overflowing_cell_names_row_type(self, tmp_path, capsys):
+        # 1e308 is finite, but the PCA covariance of its column overflows
+        for name in ("synth.csv", "rowtypes.map", "run.cfg"):
+            with open(os.path.join(DATA_DIR, name)) as fh:
+                (tmp_path / name).write_text(fh.read())
+        lines = (tmp_path / "synth.csv").read_text().split("\n")
+        column = lines[0].split(",").index("F1")
+        for i in range(1, 11):  # some of them fall in the training split
+            cells = lines[i].split(",")
+            cells[column] = "1e308"
+            lines[i] = ",".join(cells)
+        (tmp_path / "synth.csv").write_text("\n".join(lines))
+        assert cli.main(["train", "--config", str(tmp_path / "run.cfg"),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "hyquc: error: row type 'agriculture': feature values too large for PCA: "
+            "their covariance overflows\n")
+
     def test_over_long_csv_field_names_file_and_line(self, trained, tmp_path, capsys):
         p = tmp_path / "long.csv"
         p.write_text("SEGCD,F1,F2\nT1,0.2,0.2\nT1," + "9" * 140_000 + ",0.1\n")
@@ -1324,3 +1388,102 @@ class TestHostileInput:
             "pipeline.pca_explained_variance[0]", "pipeline.scale_mins[0]",
             "pipeline.scale_maxs[0]"]
         assert wrong == []
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """The bytes of the committed fixture's CSV, row-type map and config (set
+    to one epoch, so that a train takes about 0.1 s), and a directory of the
+    models they train."""
+    files = {}
+    for name in ("synth.csv", "rowtypes.map", "run.cfg"):
+        with open(os.path.join(DATA_DIR, name), "rb") as fh:
+            files[name] = fh.read()
+    files["run.cfg"] = files["run.cfg"].replace(b"epochs = 50", b"epochs = 1")
+    d = tmp_path_factory.mktemp("fuzz")
+    for name, data in files.items():
+        (d / name).write_bytes(data)
+    assert fuzz_run(["train", "--config", str(d / "run.cfg"), "--out", str(d / "models")]) \
+        == (0, "")
+    return files, d / "models"
+
+
+def fuzz_run(argv):
+    """The exit code and stderr of one in-process command; an exception that
+    escapes ``cli.main`` fails the test with its traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # an argparse usage error
+            rc = exc.code
+    return rc, err.getvalue()
+
+
+@st.composite
+def mutated(draw, data: bytes, separator: str) -> bytes:
+    """``data`` with one line's key dropped, or one of its cells (fields
+    split by ``separator``) retyped, padded or made over-long, or up to four
+    of its bytes overwritten."""
+    kind = draw(st.sampled_from(["drop", "retype", "pad", "overlong", "corrupt"]))
+    if kind == "corrupt":
+        out = bytearray(data)
+        for _ in range(draw(st.integers(1, 4))):
+            out[draw(st.integers(0, len(out) - 1))] = draw(st.integers(0, 255))
+        return bytes(out)
+    lines = data.decode().split("\n")
+    i = draw(st.integers(0, len(lines) - 1))
+    cells = lines[i].split(separator)
+    j = draw(st.integers(0, len(cells) - 1))
+    if kind == "drop":
+        # a CSV row loses a cell; a config or map line loses its key
+        cells = cells[:j] + cells[j + 1:] if separator == "," else []
+    elif kind == "retype":
+        cells[j] = draw(st.sampled_from(["", "x", "0", "-1", "1.5", "nan", "inf", "1e308",
+                                         "%", "a, b", "g1->", "g1->g1; x", "\u00e9", '"']))
+    elif kind == "pad":
+        cells[j] = f" \t{cells[j]}  "
+    else:
+        cells[j] = draw(st.sampled_from("9x")) * 140_000
+    lines[i] = separator.join(cells)
+    return "\n".join(lines).encode()
+
+
+class TestFuzz:
+    """``train``, ``predict`` and ``evaluate`` on mutated copies of the
+    fixture's CSV, row-type map and config: each run exits 0 (or 2, where
+    ``predict`` flags rows of a row type without a model) with no error
+    line, or 1 with exactly one ``hyquc: error:`` line, never a traceback,
+    and leaves no half-written ``.tmp-*`` file in its output directory."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_mutated_inputs_exit_cleanly(self, fuzz_inputs, tmp_path_factory, data):
+        files, models = fuzz_inputs
+        target = data.draw(st.sampled_from(sorted(files)), label="target")
+        files = dict(files)
+        files[target] = data.draw(
+            mutated(files[target], "," if target == "synth.csv" else "="), label="mutated")
+        d = tmp_path_factory.mktemp("fuzz_case")
+        for name, content in files.items():
+            (d / name).write_bytes(content)
+        csv_path, map_path, out = str(d / "synth.csv"), str(d / "rowtypes.map"), d / "out"
+        out.mkdir()
+        runs = [
+            ("train", ["train", "--config", str(d / "run.cfg"), "--out", str(out / "train")]),
+            ("predict", ["predict", "--model", str(models), "--input", csv_path,
+                         "--row-type-map", map_path, "--out", str(out / "predictions.csv")]),
+            ("evaluate", ["evaluate", "--model", str(models / "model_personal.json"),
+                          "--data", csv_path, "--out", str(out / "report.json")]),
+        ]
+        for command, argv in runs:
+            rc, err = fuzz_run(argv)
+            if rc == 1:
+                assert err.count("\n") == 1 and err.startswith("hyquc: error: "), (command, err)
+            else:
+                assert rc == 0 or (rc == 2 and command == "predict"), (command, rc, err)
+                assert "hyquc: error:" not in err, (command, err)
+            assert "Traceback" not in err
+            left = [name for _, _, names in os.walk(out) for name in names
+                    if name.startswith(".tmp-")]
+            assert left == [], (command, left)

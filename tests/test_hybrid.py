@@ -4,6 +4,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyquc import hybrid, nn, pipeline as pl, qgrad, qsim, serialize
 from hyquc.config import RunConfig
@@ -169,6 +170,50 @@ class TestLossAndGrads:
         model = hybrid.init_model(CircuitSpec(2, 1), 2, np.random.default_rng(0))
         with pytest.raises(ValueError):
             hybrid.loss_and_grads(model, (np.empty((0, 2)), np.empty(0, dtype=int)))
+
+
+@st.composite
+def rotated_models(draw):
+    """A random Y-embedded model (n <= 8 wires, L <= 3 layers, any ring
+    offset) with 3 classes and a (4,) head, and 12 rows of features."""
+    n = draw(st.integers(1, 8))
+    spec = CircuitSpec(n, draw(st.integers(1, 3)),
+                       entangler_range=draw(st.integers(1, max(n - 1, 1))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = hybrid.init_model(spec, 3, rng, hidden=(4,))
+    return model, rng.uniform(0, np.pi, size=(12, n)), rng
+
+
+class TestCircuitParametrization:
+    """Facts of the circuit's parametrization that its options rest on."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(rotated_models())
+    def test_x_embedding_is_y_with_layer_0_gamma_shifted(self, drawn):
+        # RX(t)|0> = e^{-i pi/4} RZ(-pi/2) RY(t)|0>, and layer 0's Rot gates
+        # start with RZ(gamma): an X model is a Y model with gamma - pi/2
+        y_model, X, _ = drawn
+        x_weights = y_model.qweights.copy()
+        x_weights[0, :, 2] += np.pi / 2
+        x_model = HybridModel(CircuitSpec(*astuple(y_model.spec)[:2], "X",
+                                          y_model.spec.entangler_range),
+                              x_weights, y_model.head, 3)
+        np.testing.assert_allclose(hybrid.forward_probs(x_model, X),
+                                   hybrid.forward_probs(y_model, X), rtol=0, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(rotated_models())
+    def test_last_layer_alpha_never_moves_the_readout(self, drawn):
+        # RZ(alpha) only puts a phase on each amplitude, which the CNOT ring
+        # permutes and the Z readout drops: n of the 3nL angles never train
+        model, X, rng = drawn
+        shifted = model.qweights.copy()
+        shifted[-1, :, 0] += rng.uniform(-np.pi, np.pi, size=model.spec.n_qubits)
+        moved = HybridModel(model.spec, shifted, model.head, 3)
+        np.testing.assert_allclose(hybrid.forward_probs(moved, X),
+                                   hybrid.forward_probs(model, X), rtol=0, atol=1e-12)
+        _, grads = hybrid.loss_and_grads(model, (X, rng.integers(0, 3, size=len(X))))
+        assert np.max(np.abs(grads.qweights[-1, :, 0])) < 1e-15
 
 
 class TestTrainingStep:
@@ -578,7 +623,7 @@ class TestGridSearch:
         assert board[0].mean_val_macro_f1 == board[1].mean_val_macro_f1
         assert board[0].order == 0
 
-    def test_circuit_follows_embedding_axis_and_clamped_range(self, monkeypatch):
+    def test_circuit_embeds_with_ry_and_clamps_range(self, monkeypatch):
         # the run config's model builder, which gridsearch passes
         X, y = self.small_data()
         X = np.hstack([X, X[:, :1]])
@@ -590,10 +635,10 @@ class TestGridSearch:
 
         monkeypatch.setattr(hybrid, "init_model", recording_init)
         grid = HyperGrid((1,), (2, 3), (0.1,), (8,), (1,))
-        cfg = RunConfig("unused.csv", embedding_axis="X", entangler_range=2)
+        cfg = RunConfig("unused.csv", entangler_range=2)
         hybrid.grid_search(grid, (X, y), k=2, seed=0, new_model=cfg.new_model)
         assert {(s.n_qubits, s.embedding_rotation_axis, s.entangler_range)
-                for s in specs} == {(2, "X", 1), (3, "X", 2)}
+                for s in specs} == {(2, "Y", 1), (3, "Y", 2)}
 
     def test_seeded_reproducibility(self):
         X, y = self.small_data()

@@ -180,13 +180,13 @@ class TestAdjointVJP:
     @pytest.mark.parametrize("n, layers, axis, entangler_range, batch", [
         (1, 1, "Y", 1, 1),   # no ring
         (1, 3, "X", 1, 4),
-        (2, 1, "Z", 1, 1),   # a single CNOT
+        (2, 1, "X", 1, 1),   # a single CNOT
         (2, 2, "Y", 1, 5),
         (3, 2, "X", 2, 3),
-        (4, 2, "Z", 3, 1),
+        (4, 2, "Y", 3, 1),
         (5, 2, "Y", 2, 7),
         (6, 1, "X", 4, 2),
-        (6, 2, "Z", 2, 3),   # two wire blocks
+        (6, 2, "X", 2, 3),   # two wire blocks
         (11, 2, "Y", 3, 2),  # three wire blocks
         (11, 1, "X", 5, 1),
     ])
@@ -202,7 +202,7 @@ class TestAdjointVJP:
         for _ in range(20):
             n = int(rng.integers(1, 6))
             spec = CircuitSpec(n, int(rng.integers(1, 4)),
-                               str(rng.choice(qsim.AXES)),
+                               str(rng.choice(qsim.EMBEDDING_AXES)),
                                int(rng.integers(1, max(n, 2))))
             got, want = self.both(rng, spec, int(rng.integers(1, 8)))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -211,7 +211,7 @@ class TestAdjointVJP:
         rng = np.random.default_rng(2020)
         for n in (6, 7, 9, 10, 11, 12):
             spec = CircuitSpec(n, int(rng.integers(1, 3)),
-                               str(rng.choice(qsim.AXES)), int(rng.integers(1, n)))
+                               str(rng.choice(qsim.EMBEDDING_AXES)), int(rng.integers(1, n)))
             assert len(qsim._wire_blocks(n)) in (2, 3)
             got, want = self.both(rng, spec, int(rng.integers(1, 5)))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

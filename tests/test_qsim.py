@@ -49,12 +49,20 @@ class TestCircuitSpec:
             CircuitSpec(2, 0)
         with pytest.raises(QubitCapError):
             CircuitSpec(17, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="embedding_rotation_axis must be 'Y' or 'X', "
+                                             "not 'Q'$"):
             CircuitSpec(2, 1, embedding_rotation_axis="Q")
         with pytest.raises(ValueError):
             CircuitSpec(3, 1, entangler_range=3)
         # single qubit still admits range 1 (the ring is simply omitted)
         assert CircuitSpec(1, 1).entangler_range == 1
+
+    def test_z_embedding_refused(self):
+        # RZ leaves |0...0> unchanged up to a phase: every row would score alike
+        with pytest.raises(ValueError, match="embedding_rotation_axis must be 'Y' or 'X', "
+                                             "not 'Z': RZ leaves "
+                                             r"\|0\.\.\.0> unchanged up to a phase$"):
+            CircuitSpec(3, 2, embedding_rotation_axis="Z")
 
 
 class TestRotation:
@@ -153,7 +161,7 @@ class TestAngleEmbed:
         with pytest.raises(ShapeError):
             qsim.angle_embed([0.1], CircuitSpec(2, 1))
 
-    @pytest.mark.parametrize("axis", ["X", "Y", "Z"])
+    @pytest.mark.parametrize("axis", ["X", "Y"])
     def test_matches_oracle_per_axis(self, axis):
         rng = np.random.default_rng(7)
         feats = rng.uniform(0, np.pi, size=3)
@@ -367,7 +375,7 @@ class TestCachedCircuitTables:
 @st.composite
 def circuit_specs(draw):
     n = draw(st.integers(1, 11))
-    return CircuitSpec(n, draw(st.integers(1, 3)), draw(st.sampled_from(qsim.AXES)),
+    return CircuitSpec(n, draw(st.integers(1, 3)), draw(st.sampled_from(qsim.EMBEDDING_AXES)),
                        draw(st.integers(1, max(n - 1, 1))))
 
 
