@@ -154,9 +154,9 @@ def cmd_train(cfg: RunConfig) -> int:
     """Prepare every row type, train them all (row types of one model layout
     in lockstep, see :func:`hybrid.fit_all`), then evaluate each and write
     its artifacts; a row type whose set-up fails stops the run before any
-    training."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    training and creates no output directory."""
     prepared = _set_up(cfg, _prepare)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     fits = hybrid.fit_all([prep.job for prep in prepared.values()])
     for (row_type, prep), (model, history) in zip(prepared.items(), fits):
         rep = _assess(prep, model, history, cfg)
@@ -208,8 +208,8 @@ def cmd_gridsearch(cfg: RunConfig) -> int:
     their fits at once, then rank each row type and write its results."""
     if cfg.grid is None:
         raise SchemaError("config has no [grid] section")
-    os.makedirs(cfg.out_dir, exist_ok=True)
     grids = _set_up(cfg, _prepare_search)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     fits = iter(hybrid.fit_all([job for jobs, _ in grids.values() for job in jobs]))
     for row_type, (jobs, rank) in grids.items():
         best, leaderboard = rank([next(fits) for _ in jobs])

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the checked reader of JSON
 documents that names a malformed key in a SchemaError."""
+import re
 from dataclasses import MISSING, fields
 from functools import lru_cache
 from itertools import chain
@@ -107,17 +108,25 @@ def json_dataclass(cls, doc, source: str, path: str):
     """The dataclass ``cls`` built from the JSON object ``doc`` at ``path``:
     each field is read by :func:`json_field` as its type hint says, a field
     with a default may be absent, and one that defaults to None may be null.
-    An unknown key is a SchemaError like a missing or mistyped one."""
+    An unknown key is a SchemaError like a missing or mistyped one, and so is
+    a value the dataclass's own checks refuse: the error names the key its
+    message starts with, or else the object."""
     if type(doc) is not dict:
         raise SchemaError(f"{source}: {path!r} must be an object, not {json_type(doc)}")
     kinds = _type_hints(cls)
     for key in doc:
         if key not in kinds:
             raise SchemaError(f"{source}: unknown key {path + '.' + key!r}")
-    return cls(**{f.name: json_field(doc, f.name, kinds[f.name] if f.default is not None
-                                     else (kinds[f.name], type(None)),
-                                     source, path + ".", f.default)
-                  for f in fields(cls)})
+    values = {f.name: json_field(doc, f.name, kinds[f.name] if f.default is not None
+                                 else (kinds[f.name], type(None)),
+                                 source, path + ".", f.default)
+              for f in fields(cls)}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        name = re.match(r"\w*", str(exc)).group()
+        where = path + "." + name if name in kinds else path
+        raise SchemaError(f"{source}: {where!r}: {exc}") from None
 
 
 # a class's type hints, resolved once: resolving them costs more than a document

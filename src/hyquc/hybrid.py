@@ -24,10 +24,12 @@ from .qsim import CircuitSpec
 MAX_STACK_AMPLITUDES = 1 << 13
 
 # fit_all refuses up front a fit whose training step would hold more than
-# MAX_STEP_BYTES: a step on B rows of n qubits keeps at most STEP_STATE_BATCHES
-# buffers of B * 2**n complex amplitudes live (measured with tracemalloc)
+# MAX_STEP_BYTES: a step on B rows of an L-layer circuit on n qubits keeps the
+# L layer states the adjoint sweep reads and at most STEP_STATE_BATCHES more
+# buffers of B * 2**n complex amplitudes live (measured with tracemalloc:
+# 2 + 1.0 L to 2 + 1.13 L buffers for L = 1..10 at 10 and 12 qubits)
 MAX_STEP_BYTES = 1 << 30
-STEP_STATE_BATCHES = 10
+STEP_STATE_BATCHES = 5
 
 
 @dataclass
@@ -161,18 +163,19 @@ def _unstack(flat: np.ndarray, models: list) -> list:
         for i, model in enumerate(models)]
 
 
-def _forward(params, model: HybridModel, X: np.ndarray):
-    """The gate blocks, final states (k, m, 2**n) and every layer's outputs,
-    from <Z_i> to the class probabilities, of a stack laid out like ``model``
-    on a (k, m, n_qubits) batch ``X``; ``params`` are the :func:`_split`
-    views of the k models' (k, P) parameter rows."""
+def _forward(params, model: HybridModel, X: np.ndarray, kept: list = None):
+    """The gate blocks of layers 1.. and every layer's outputs, from <Z_i>
+    to the class probabilities, of a stack laid out like ``model`` on a
+    (k, m, n_qubits) batch ``X``; ``params`` are the :func:`_split` views of
+    the k models' (k, P) parameter rows.  Where ``kept`` is a list, the
+    circuit's layer states are appended to it (:func:`qsim._forward`)."""
     qweights, head = params
-    blocks = qsim._layer_blocks(qsim._rot_mats(qweights))
-    states, out = qsim._forward(X, blocks, model.spec)
-    acts = [out]
+    mats = qsim._rot_mats(qweights)
+    blocks = qsim._layer_blocks(mats[:, 1:])
+    acts = [qsim._forward(X, mats[:, 0], blocks, model.spec, kept)]
     for layer, (w, b) in zip(model.head.layers, head):
         acts.append(nn._dense(acts[-1], w, b, layer.activation))
-    return blocks, states, acts
+    return blocks, acts
 
 
 def _step(params, model: HybridModel, X: np.ndarray, y: np.ndarray):
@@ -184,10 +187,11 @@ def _step(params, model: HybridModel, X: np.ndarray, y: np.ndarray):
     Head gradients come from backpropagation through the activations of the
     forward pass; quantum-angle gradients are the head's input gradient
     pulled back through the circuit by the adjoint vector-Jacobian product,
-    which reuses the forward pass's gate blocks."""
+    which reads the forward pass's layer states and gate blocks."""
     k, m = y.shape
     (qweights, head), layers = params, model.head.layers
-    blocks, states, acts = _forward(params, model, X)
+    kept = []
+    blocks, acts = _forward(params, model, X, kept)
     probs = acts[-1]
     true = (np.arange(k)[:, None], np.arange(m), y)
     p_true = probs[true]
@@ -200,7 +204,7 @@ def _step(params, model: HybridModel, X: np.ndarray, y: np.ndarray):
     for layer, (w, _), x, out in reversed(list(zip(layers, head, acts, acts[1:]))):
         grad_w, grad_b, upstream = nn._layer_backward(layer.activation, w, x, out, upstream)
         grads[:0] = (grad_w, grad_b)
-    grads.insert(0, qgrad._adjoint(states, upstream, qweights, blocks, model.spec))
+    grads.insert(0, qgrad._adjoint(kept, upstream, qweights, blocks, model.spec))
     return p_true, probs, np.concatenate([g.reshape(k, -1) for g in grads], axis=1)
 
 
@@ -566,8 +570,8 @@ def _stacked_probs(models: list, Xs: list) -> list:
     for part in _stacks([(_layout(model), len(X)) for model, X in zip(models, Xs)],
                         [len(X) << model.spec.n_qubits for model, X in zip(models, Xs)]):
         first = models[part[0]]
-        _, _, acts = _forward(_split(_stack([models[i] for i in part]), first), first,
-                              np.stack([Xs[i] for i in part]))
+        _, acts = _forward(_split(_stack([models[i] for i in part]), first), first,
+                           np.stack([Xs[i] for i in part]))
         for i, p in zip(part, acts[-1]):
             probs[i] = p
     return probs
@@ -626,7 +630,8 @@ def fit_all(jobs: list) -> list:
     amplitudes = [min(job.config.batch_size, len(_as_xy(job.train)[1]))
                   << job.model.spec.n_qubits for job in jobs]
     for job, amps in zip(jobs, amplitudes):
-        step = amps * 16 * STEP_STATE_BATCHES  # 16 B per complex128 amplitude
+        # 16 B per complex128 amplitude
+        step = amps * 16 * (STEP_STATE_BATCHES + job.model.spec.n_layers)
         if step > MAX_STEP_BYTES:
             name = job.name or f"row type {job.model.row_type!r}"
             raise ValueError(

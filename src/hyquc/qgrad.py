@@ -1,11 +1,13 @@
 """Gradients of the quantum layer.
 
 Training uses :func:`adjoint_vjp`, the exact vector-Jacobian product from one
-forward pass and one reverse sweep (adjoint differentiation).  The
-parameter-shift rule is kept as the reference it is tested against: every
-trainable angle feeds a rotation gate whose generator has eigenvalues +-1/2,
-so the two-point rule with shifts of +-pi/2 is exact for this gate set.  A
-central finite-difference oracle is provided for cross-checking both.
+forward pass and one reverse sweep (adjoint differentiation): the forward
+pass keeps each layer's state, so the sweep takes back only the adjoint
+state, not the circuit's state as well.  The parameter-shift rule is kept
+as the reference it is tested against: every trainable angle feeds a
+rotation gate whose generator has eigenvalues +-1/2, so the two-point rule
+with shifts of +-pi/2 is exact for this gate set.  A central
+finite-difference oracle is provided for cross-checking both.
 """
 from __future__ import annotations
 
@@ -113,72 +115,76 @@ def _partial_trace_index(s: int) -> np.ndarray:
     return index
 
 
-def adjoint_vjp(states: np.ndarray, upstream: np.ndarray, weights,
+def adjoint_vjp(features: np.ndarray, upstream: np.ndarray, weights,
                 spec: CircuitSpec) -> np.ndarray:
     """Exact ``sum_b sum_o upstream[b, o] d<Z_o>_b / d weights``, shape
-    (n_layers, n_qubits, 3), by adjoint differentiation.
+    (n_layers, n_qubits, 3), for a (B, n_qubits) feature batch, by adjoint
+    differentiation: one forward pass that keeps each layer's state after
+    its rotations, then one reverse sweep of the adjoint state alone.
 
-    ``states`` are the (B, 2**n) final states that :func:`qsim.forward_states`
-    returned for ``weights``.  The observable ``sum_o u_o Z_o`` is diagonal,
-    so the adjoint state starts as ``psi * (upstream @ signs.T)``; the sweep
-    then undoes every layer on psi and lambda together, one dense matmul per
-    wire block.  After each layer's fused ``Rot = RZ(a) RY(b) RZ(g)`` gates
-    the cross term ``C_ij = sum conj(lambda_i) psi_j`` of every wire, over
-    the batch and the other wires, gives each angle's gradient as
-    ``Im sum(G * C)``, with generators ``G_a = Z``, ``G_b = RZ(a) Y RZ(a)^dag``
-    and ``G_g = Rot Z Rot^dag``.  Peak memory is a few (2B, 2**n) buffers.
+    The observable ``sum_o u_o Z_o`` is diagonal, so the adjoint state
+    lambda starts as ``psi * (upstream @ signs.T)`` on the state before the
+    last CNOT ring, with the ring folded into the signs.  At each layer, the
+    cross term ``C_ij = sum conj(lambda_i) psi_j`` of every wire, over the
+    batch and the other wires, of lambda and the layer's kept psi gives
+    each angle of the layer's fused ``Rot = RZ(a) RY(b) RZ(g)`` gates its
+    gradient ``Im sum(G * C)``, with generators ``G_a = Z``,
+    ``G_b = RZ(a) Y RZ(a)^dag`` and ``G_g = Rot Z Rot^dag``.  Then lambda
+    alone is taken back through the layer's rotations, one dense matmul per
+    wire block, and the ring before them.  Peak memory is at most about
+    ``n_layers + 5`` (B, 2**n) buffers.
     """
+    features = np.asarray(features, dtype=np.float64)
     weights = qsim._check_weights(weights, spec)
-    n, b = spec.n_qubits, states.shape[0]
+    n = spec.n_qubits
     upstream = np.asarray(upstream, dtype=np.float64)
-    if states.shape != (b, 1 << n) or upstream.shape != (b, n):
+    if features.ndim != 2 or features.shape[1] != n or upstream.shape != features.shape:
         raise ShapeError(
-            f"states (B, {1 << n}) and upstream (B, {n}) expected, got "
-            f"{states.shape} and {upstream.shape}")
-    blocks = qsim._layer_blocks(qsim._rot_mats(weights[None]))
-    return _adjoint(states[None], upstream[None], weights[None], blocks, spec)[0]
+            f"features (B, {n}) and upstream (B, {n}) expected, got "
+            f"{features.shape} and {upstream.shape}")
+    mats = qsim._rot_mats(weights[None])
+    blocks = qsim._layer_blocks(mats[:, 1:])
+    kept = []
+    qsim._forward(features[None], mats[:, 0], blocks, spec, kept)
+    return _adjoint(kept, upstream[None], weights[None], blocks, spec)[0]
 
 
-def _adjoint(states: np.ndarray, upstream: np.ndarray, weights: np.ndarray,
-             blocks: list, spec: CircuitSpec) -> np.ndarray:
-    """:func:`adjoint_vjp` for a stack of k models through the layer blocks
-    the forward pass used, without checks: the training step's kernel.
-    ``states`` is (k, B, 2**n), ``upstream`` (k, B, n) and ``weights``
-    (k, n_layers, n_qubits, 3); returns each model's gradient, stacked like
-    ``weights``."""
-    n, layers, (k, b) = spec.n_qubits, spec.n_layers, states.shape[:2]
+def _adjoint(kept: list, upstream: np.ndarray, weights: np.ndarray, blocks: list,
+             spec: CircuitSpec) -> np.ndarray:
+    """:func:`adjoint_vjp` for a stack of k models, without checks: the
+    training step's kernel.  ``kept`` holds the (k, B, 2**n) states and
+    ``blocks`` the layer blocks of :func:`qsim._forward`'s pass, ``upstream``
+    is (k, B, n) and ``weights`` (k, n_layers, n_qubits, 3); returns each
+    model's gradient, stacked like ``weights``.  The states are dropped from
+    ``kept`` as the sweep passes them."""
+    n, layers, k = spec.n_qubits, spec.n_layers, len(weights)
     ring = qsim._ring_permutation(n, spec.entangler_range)
-    # each model's psi in rows [:b], its lambda in rows [b:], so each block
-    # is one matmul per model
-    pair = np.concatenate([states, states * (upstream @ qsim._z_sign_matrix(n).T)],
-                          axis=1)
-    # each block's matrices g of every layer, partial-traced after the sweep
-    gs = [np.empty((k, layers, kron.shape[-1] ** 2), dtype=np.complex128)
-          for _, _, kron in blocks]
+    # lambda is carried as mu = conj(lambda): undoing a rotation U on lambda,
+    # U^dag lambda, is then U^T mu, a transposed view rather than a conj copy
+    mu = kept[-1].conj()
+    mu *= upstream @ qsim._readout_signs(n, spec.entangler_range).T
+    cross = np.empty((k, layers, n, 2, 2), dtype=np.complex128)
     for layer in range(layers - 1, -1, -1):
-        if ring is not None:
-            pair = np.take(pair, ring[1], axis=-1)
-        for (start, stop, kron), g_all in zip(blocks, gs):
+        psi = kept.pop()
+        for start, stop in qsim._wire_blocks(n):
             # a wire's cross term does not change under a unitary applied to
             # psi and lambda on the other wires, so one block matrix
-            # g = lambda^H psi per model holds the terms of all its wires,
-            # and undoing a block does not disturb the terms still to be read
-            d = kron.shape[-1]
-            both = pair.reshape(k, 2, -1, d, 1 << (n - stop))
-            psi, lam = both[:, 0], both[:, 1]
-            if stop == n:  # nothing to the right: one product, not a stack
-                g = lam[..., 0].conj().swapaxes(-1, -2) @ psi[..., 0]
+            # g = lambda^H psi per model holds the terms of all its wires
+            d, right = 1 << (stop - start), 1 << (n - stop)
+            if right == 1:  # nothing to the right: one product, not a stack
+                g = mu.reshape(k, -1, d).swapaxes(-1, -2) @ psi.reshape(k, -1, d)
             else:
-                g = (lam.conj() @ psi.swapaxes(-1, -2)).sum(axis=1)
-            g_all[:, layer] = g.reshape(k, -1)
-            if layer:
-                pair = qsim._apply_block(pair, n, start, stop,
-                                         kron[:, layer].conj().swapaxes(-1, -2))
-
-    cross = np.empty((k, layers, n, 2, 2), dtype=np.complex128)
-    for (start, stop, _), g_all in zip(blocks, gs):
-        cross[:, :, start:stop] = g_all.take(_partial_trace_index(stop - start),
-                                             axis=2).sum(-1)
+                g = (mu.reshape(k, -1, d, right)
+                     @ psi.reshape(k, -1, d, right).swapaxes(-1, -2)).sum(axis=1)
+            cross[:, layer, start:stop] = g.reshape(k, -1).take(
+                _partial_trace_index(stop - start), axis=1).sum(-1)
+        del psi  # freed before lambda's undo allocates
+        if layer:
+            for start, stop, kron in blocks:
+                mu = qsim._apply_block(mu, n, start, stop,
+                                       kron[:, layer - 1].swapaxes(-1, -2))
+            if ring is not None:
+                mu = np.take(mu, ring[1], axis=-1)
 
     # Im sum(G * C) in closed form, with e = exp(-i a): G_a = Z;
     # G_b = [[0, -i e], [i conj(e), 0]]; and, since RZ(g) commutes with Z,

@@ -174,6 +174,19 @@ def _z_sign_matrix(n: int) -> np.ndarray:
     return signs
 
 
+@lru_cache(maxsize=None)
+def _readout_signs(n: int, entangler_range: int) -> np.ndarray:
+    """:func:`_z_sign_matrix` with the last layer's CNOT ring folded in:
+    ``probs @ signs`` of the state before that ring reads <Z_i> of the state
+    after it, so the readout needs no gather.  Read-only."""
+    ring = _ring_permutation(n, entangler_range)
+    if ring is None:
+        return _z_sign_matrix(n)
+    signs = _z_sign_matrix(n)[ring[1]]
+    signs.flags.writeable = False
+    return signs
+
+
 def _rot_mats(weights: np.ndarray) -> np.ndarray:
     """Rot(alpha, beta, gamma) = RZ(alpha) @ RY(beta) @ RZ(gamma) for every
     angle triple of a (..., 3) weight tensor, such as a stack of k models'
@@ -195,18 +208,21 @@ def _rot_mats(weights: np.ndarray) -> np.ndarray:
     return mats
 
 
-def _product_state(features: np.ndarray, axis: str) -> np.ndarray:
+def _product_state(features: np.ndarray, axis: str, gates: np.ndarray) -> np.ndarray:
     """Angle-embed a (..., n_qubits) feature batch from |0...0> with RY, or
-    RX where ``axis`` is "X", giving (..., 2**n_qubits) states.
+    RX where ``axis`` is "X", then apply one 2x2 gate per wire, such as the
+    first layer's Rot gates, given as (..., n_qubits, 2, 2) matrices that
+    broadcast against the features.  Returns (..., 2**n_qubits) states.
 
-    Each wire's rotation of |0> is a two-amplitude vector, so the embedded
-    register is their tensor product (wire 0 leftmost): n - 1 broadcast
-    multiplies, built from the last wire leftwards so that each runs over the
-    long axis innermost."""
+    Each wire's gate acts on that wire's embedded two-amplitude vector, so
+    the register is their tensor product (wire 0 leftmost): n - 1 broadcast
+    multiplies, built from the last wire leftwards so that each runs over
+    the long axis innermost."""
     h = features / 2.0
     c, s = np.cos(h), np.sin(h)
-    wires = np.empty(features.shape + (2,), dtype=np.complex128)
-    wires[..., 0], wires[..., 1] = c, s if axis == "Y" else -1j * s
+    if axis == "X":
+        s = -1j * s
+    wires = gates[..., 0] * c[..., None] + gates[..., 1] * s[..., None]
     states = wires[..., -1, :]
     for w in range(features.shape[-1] - 2, -1, -1):
         states = (wires[..., w, :, None] * states[..., None, :]).reshape(
@@ -224,12 +240,15 @@ def _wire_blocks(n: int) -> tuple:
 
 
 def _layer_blocks(mats: np.ndarray) -> list:
-    """Every layer's Rot gates of a stack of k models, given as
-    (k, n_layers, n_qubits, 2, 2) matrices, grouped into dense blocks: one
-    ``(start, stop, kron)`` per wire block, where ``kron`` is the
-    (k, n_layers, 2**s, 2**s) Kronecker product of the block's s Rot
-    matrices.  The Rots of one layer act on different wires, so the blocks
-    commute and their product is the whole layer's rotation."""
+    """The Rot gates of a stack of k models, given as (k, layers, n_qubits,
+    2, 2) matrices, grouped into dense blocks: one ``(start, stop, kron)``
+    per wire block, where ``kron`` is the (k, layers, 2**s, 2**s) Kronecker
+    product of the block's s Rot matrices.  The Rots of one layer act on
+    different wires, so the blocks commute and their product is the whole
+    layer's rotation.  The forward pass takes layers 1.. only, since the
+    first layer acts on the product state (:func:`_product_state`)."""
+    if mats.shape[-4] == 0:  # a one-layer circuit has no later layer
+        return []
     lead = mats.shape[:-3]
     blocks = []
     for start, stop in _wire_blocks(mats.shape[-3]):
@@ -257,31 +276,32 @@ def _apply_block(states: np.ndarray, n: int, start: int, stop: int,
     return (mat[:, None] @ states.reshape(k, -1, d, right)).reshape(states.shape)
 
 
-def _entangle(states: np.ndarray, blocks: list, spec: CircuitSpec) -> np.ndarray:
-    """Apply the entangling layers of a stack of k models, given as their
-    :func:`_layer_blocks`, to a (k, B, 2**n) batch: each model's weights are
-    shared across its B rows."""
+def _forward(features: np.ndarray, gates: np.ndarray, blocks: list, spec: CircuitSpec,
+             kept: list = None) -> np.ndarray:
+    """<Z_i> (k, B, n) of a stack of k models for a (k, B, n) feature batch,
+    without checks: the first layer's (k, n, 2, 2) Rot ``gates`` act on the
+    product state, the :func:`_layer_blocks` of layers 1.. on the register,
+    and the last layer's CNOT ring is folded into the readout
+    (:func:`_readout_signs`).  Where ``kept`` is a list, each layer's
+    (k, B, 2**n) state after its rotations and before its ring is appended
+    to it: the states the adjoint sweep reads.  Scoring keeps none, so that
+    one layer's state at a time is live."""
     n = spec.n_qubits
     ring = _ring_permutation(n, spec.entangler_range)
-    for layer in range(spec.n_layers):
-        for start, stop, kron in blocks:
-            states = _apply_block(states, n, start, stop, kron[:, layer])
+    states = _product_state(features, spec.embedding_rotation_axis, gates[:, None])
+    for layer in range(spec.n_layers - 1):
+        if kept is not None:
+            kept.append(states)
         if ring is not None:
             # C-contiguous, unlike a fancy index, so that a model's products
             # (one-row ones too) do not depend on its stack
             states = np.take(states, ring[0], axis=-1)
-    return states
-
-
-def _forward(features: np.ndarray, blocks: list, spec: CircuitSpec):
-    """Final states (k, B, 2**n) and <Z_i> (k, B, n) of a stack of k models
-    for a (k, B, n) feature batch through prebuilt layer blocks, without
-    checks: the training step's kernel, whose blocks the adjoint sweep
-    reuses."""
-    states = _entangle(_product_state(features, spec.embedding_rotation_axis),
-                       blocks, spec)
+        for start, stop, kron in blocks:
+            states = _apply_block(states, n, start, stop, kron[:, layer])
+    if kept is not None:
+        kept.append(states)
     probs = states.real * states.real + states.imag * states.imag
-    return states, probs @ _z_sign_matrix(spec.n_qubits)
+    return probs @ _readout_signs(n, spec.entangler_range)
 
 
 def forward_states(features: np.ndarray, weights: np.ndarray, spec: CircuitSpec):
@@ -290,9 +310,12 @@ def forward_states(features: np.ndarray, weights: np.ndarray, spec: CircuitSpec)
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != spec.n_qubits:
         raise ShapeError(f"features must be (B, {spec.n_qubits}), got {features.shape}")
-    weights = _check_weights(weights, spec)
-    states, z = _forward(features[None], _layer_blocks(_rot_mats(weights[None])), spec)
-    return states[0], z[0]
+    mats = _rot_mats(_check_weights(weights, spec)[None])
+    kept = []
+    z = _forward(features[None], mats[:, 0], _layer_blocks(mats[:, 1:]), spec, kept)
+    ring = _ring_permutation(spec.n_qubits, spec.entangler_range)
+    states = kept[-1][0] if ring is None else kept[-1][0][:, ring[0]]
+    return states, z[0]
 
 
 def forward_batch(features: np.ndarray, weights: np.ndarray, spec: CircuitSpec) -> np.ndarray:
@@ -366,7 +389,7 @@ def angle_embed(features, spec: CircuitSpec) -> StateVector:
         raise ShapeError(
             f"expected {spec.n_qubits} features, got shape {features.shape}"
         )
-    states = _product_state(features[None, :], spec.embedding_rotation_axis)
+    states = _product_state(features[None, :], spec.embedding_rotation_axis, np.eye(2))
     return StateVector(spec.n_qubits, states[0])
 
 
@@ -378,9 +401,16 @@ def apply_entangling_layers(
     weights = _check_weights(weights, spec)
     if state.n_qubits != spec.n_qubits:
         raise ShapeError("state width does not match spec")
-    out = _entangle(state.amplitudes[None, None, :],
-                    _layer_blocks(_rot_mats(weights[None])), spec)
-    return StateVector(state.n_qubits, out[0, 0])
+    n = spec.n_qubits
+    blocks = _layer_blocks(_rot_mats(weights[None]))
+    ring = _ring_permutation(n, spec.entangler_range)
+    out = state.amplitudes[None, None, :]
+    for layer in range(spec.n_layers):
+        for start, stop, kron in blocks:
+            out = _apply_block(out, n, start, stop, kron[:, layer])
+        if ring is not None:
+            out = np.take(out, ring[0], axis=-1)
+    return StateVector(n, out[0, 0])
 
 
 def expval_z(state: StateVector, wire: int) -> float:

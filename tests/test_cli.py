@@ -422,7 +422,7 @@ class TestTrain:
         assert ("row type 'T2': merges g3->g2; g2->g1 leave one class"
                 in capsys.readouterr().err)
         assert fits == []
-        assert os.listdir(tmp_path / "out") == []
+        assert not os.path.exists(tmp_path / "out")
 
     def test_missing_config_exits_nonzero(self, capsys):
         assert cli.main(["train", "--config", "/nope/missing.cfg"]) == 1
@@ -721,7 +721,7 @@ class TestGridsearch:
         assert ("row type 'T2': merges g3->g2; g2->g1 leave one class"
                 in capsys.readouterr().err)
         assert fits == []
-        assert os.listdir(tmp_path / "out") == []
+        assert not os.path.exists(tmp_path / "out")
 
     def test_grid_wider_than_the_data_refused(self, workdir, tmp_path, capsys):
         cfg_text = CONFIG_TEMPLATE.replace("n_qubits = 2\nlearning_rates",
@@ -787,7 +787,7 @@ class TestGridsearchSmote:
         assert capsys.readouterr().err == (
             "hyquc: error: row type 'personal': fold 1 of 3's training rows at "
             "n_qubits=2: class 'g3' has a single sample, cannot oversample\n")
-        assert os.listdir(tmp_path / "grid") == []
+        assert not os.path.exists(tmp_path / "grid")
 
 
 class TestParser:
@@ -854,7 +854,7 @@ class TestArtifactNameCollision:
         assert (f"row types {first!r} and {second!r} would overwrite each other's "
                 f"artifact files *_{tag}.*") in capsys.readouterr().err
         assert fits == []
-        assert os.listdir(tmp_path / "out") == []
+        assert not os.path.exists(tmp_path / "out")
 
 
 class TestArtifactLayout:
@@ -1094,6 +1094,9 @@ class TestHostileInput:
          "'spec.n_qubits' must be an integer, not a string"),
         (lambda doc: doc["spec"].update(depth=2), "unknown key 'spec.depth'"),
         (lambda doc: doc["spec"].pop("n_layers"), "no 'spec.n_layers' key"),
+        (lambda doc: doc["spec"].update(n_layers=0), "'spec.n_layers': n_layers must be >= 1"),
+        (lambda doc: doc["spec"].update(n_qubits=40),
+         "'spec.n_qubits': n_qubits=40 exceeds the simulator cap of 16"),
         (lambda doc: doc["head"][0].pop("bias"), "no 'head[0].bias' key"),
         (lambda doc: doc.update(head={}), "'head' must be an array, not an object"),
         (lambda doc: doc.update(n_classes=True), "'n_classes' must be an integer, not a boolean"),
@@ -1119,7 +1122,8 @@ class TestHostileInput:
         (lambda doc: doc["pipeline"].update(label_column=1),
          "'pipeline.label_column' must be a string or null, not an integer"),
     ], ids=["no-spec", "no-qweights", "no-head", "no-n_classes", "spec-string-n_qubits",
-            "spec-unknown-key", "spec-no-n_layers", "head-layer-no-bias", "head-object",
+            "spec-unknown-key", "spec-no-n_layers", "spec-zero-n_layers",
+            "spec-n_qubits-over-cap", "head-layer-no-bias", "head-object",
             "boolean-n_classes", "no-pipeline", "null-pipeline", "pipeline-no-pca_mean",
             "pipeline-no-date_format", "pipeline-integer-encoder_columns",
             "encoder-column-no-kind", "encoder-column-string", "encoder-column-unknown-key",
@@ -1185,7 +1189,8 @@ class TestHostileInput:
                      ["predict", "--model", str(bad), "--input", str(workdir / "data.csv")]):
             assert cli.main(argv) == 1
             assert capsys.readouterr().err == (
-                "hyquc: error: embedding_rotation_axis must be 'Y' or 'X', not 'Z': RZ "
+                f"hyquc: error: {bad}: 'spec.embedding_rotation_axis': "
+                "embedding_rotation_axis must be 'Y' or 'X', not 'Z': RZ "
                 "leaves |0...0> unchanged up to a phase\n")
 
     def test_x_embedding_model_file_scores_as_y_with_shifted_gamma(self, workdir, trained,

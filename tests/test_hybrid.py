@@ -243,8 +243,7 @@ class TestTrainingStep:
         _, grads = hybrid.loss_and_grads(model, (X, y))
         # the same step through nn.dense_backward, which recomputes each
         # layer's output, and qgrad.adjoint_vjp, which rebuilds the circuit
-        states, q_out = qsim.forward_states(X, model.qweights, model.spec)
-        acts = [q_out]
+        acts = [qsim.forward_batch(X, model.qweights, model.spec)]
         for layer in model.head.layers:
             acts.append(nn.dense_forward(layer, acts[-1]))
         upstream = np.zeros_like(acts[-1])
@@ -255,7 +254,7 @@ class TestTrainingStep:
             np.testing.assert_array_equal(grads.head[i][0], gw)
             np.testing.assert_array_equal(grads.head[i][1], gb)
         np.testing.assert_array_equal(grads.qweights, qgrad.adjoint_vjp(
-            states, upstream, model.qweights, model.spec))
+            X, upstream, model.qweights, model.spec))
 
 
 class TestTrainEpoch:
@@ -375,6 +374,8 @@ class TestStackedFit:
         (3, 1, "identity", False),
         (2, 2, "sigmoid", True),
         (6, 1, "relu", False),      # two wire blocks
+        (4, 3, "sigmoid", False),   # three layers: two kept states before the last
+        (11, 2, "relu", False),     # three wire blocks
     ])
     def test_stack_equals_separate_fits(self, n_qubits, n_layers, hidden_activation,
                                         no_hidden):
@@ -487,10 +488,12 @@ class TestFitAll:
 
 class TestStepBudget:
     """fit_all refuses a fit whose training step would hold over
-    MAX_STEP_BYTES, counted as STEP_STATE_BATCHES state batches."""
+    MAX_STEP_BYTES, counted as STEP_STATE_BATCHES state batches besides the
+    n_layers layer states the adjoint sweep reads."""
 
     @pytest.mark.parametrize("n_qubits, n_layers, batch", [(12, 2, 16), (10, 3, 64),
-                                                           (14, 1, 4)])
+                                                           (14, 1, 4), (12, 6, 16),
+                                                           (11, 10, 16)])
     def test_step_holds_at_most_the_counted_state_batches(self, n_qubits, n_layers,
                                                           batch):
         rng = np.random.default_rng(n_qubits)
@@ -505,7 +508,7 @@ class TestStepBudget:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= hybrid.STEP_STATE_BATCHES * 16 * (batch << n_qubits)
+        assert peak <= (hybrid.STEP_STATE_BATCHES + n_layers) * 16 * (batch << n_qubits)
 
     def test_oversize_step_refused_before_any_fit(self, monkeypatch):
         calls = []
@@ -521,9 +524,9 @@ class TestStepBudget:
         wide = hybrid.FitJob(hybrid.init_model(CircuitSpec(16, 1), 2, rng, "wide"),
                              (rng.uniform(0, np.pi, (300, 16)), rng.integers(0, 2, 300)),
                              None, TrainConfig(1, 0.1, 256))
-        # 256 rows x 2**16 amplitudes x 16 B x 10 state batches
+        # 256 rows x 2**16 amplitudes x 16 B x (5 + 1 layer) state batches
         with pytest.raises(ValueError, match=r"^row type 'wide': a training step at "
-                           r"batch_size = 256 on 16 qubits would hold about 2\.5 GiB, "
+                           r"batch_size = 256 on 16 qubits would hold about 1\.5 GiB, "
                            r"over the 1 GiB step budget; lower batch_size$"):
             hybrid.fit_all([small, wide])
         with pytest.raises(ValueError, match=r"^combination 2 of 2 \(\.\.\.\), fold 1 of "
@@ -533,6 +536,23 @@ class TestStepBudget:
         # a short data set steps on its rows, not the batch size
         hybrid.fit_all([wide._replace(train=(wide.train[0][:8], wide.train[1][:8]))])
         assert calls == [1]
+
+
+class TestScoringMemory:
+    def test_forward_probs_holds_about_three_state_batches(self):
+        # scoring keeps no layer states: keeping them would take this
+        # 3-layer pass from about 2 to about 4 state batches
+        rng = np.random.default_rng(86)
+        model = hybrid.init_model(CircuitSpec(10, 3), 3, rng)
+        X = rng.uniform(0, np.pi, (64, 10))
+        hybrid.forward_probs(model, X)  # fills the per-width table caches
+        tracemalloc.start()
+        try:
+            hybrid.forward_probs(model, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 16 * (64 << 10)
 
 
 class TestPredict:

@@ -171,8 +171,7 @@ class TestAdjointVJP:
         feats = rng.uniform(0, np.pi, size=(batch, spec.n_qubits))
         weights = rng.uniform(0, 2 * np.pi, size=spec.weight_shape)
         upstream = rng.standard_normal((batch, spec.n_qubits))
-        states, _ = qsim.forward_states(feats, weights, spec)
-        got = qgrad.adjoint_vjp(states, upstream, weights, spec)
+        got = qgrad.adjoint_vjp(feats, upstream, weights, spec)
         want = np.einsum("mo,molwa->lwa", upstream,
                          qgrad.jacobian_batch(feats, weights, spec))
         return got, want
@@ -218,8 +217,8 @@ class TestAdjointVJP:
 
     def test_memory_is_a_few_state_batches(self):
         # the shift rule's batched form held 2 * 3 * L * n = 96 state batches
-        # here; the adjoint sweep keeps a few (2B, 2**n) buffers, about 8
-        # state batches in all
+        # here; the adjoint pass keeps each layer's state and a few more
+        # (B, 2**n) buffers, about 5 state batches in all
         rng = np.random.default_rng(5)
         spec = CircuitSpec(8, 2)
         feats = rng.uniform(0, np.pi, size=(4, 8))
@@ -229,7 +228,7 @@ class TestAdjointVJP:
         batch_bytes = states.nbytes
         tracemalloc.start()
         try:
-            qgrad.adjoint_vjp(states, upstream, weights, spec)
+            qgrad.adjoint_vjp(feats, upstream, weights, spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -238,11 +237,11 @@ class TestAdjointVJP:
     def test_shape_mismatch_rejected(self):
         spec = CircuitSpec(2, 1)
         weights = np.zeros(spec.weight_shape)
-        states, _ = qsim.forward_states(np.zeros((3, 2)), weights, spec)
+        feats = np.zeros((3, 2))
         with pytest.raises(ShapeError):
-            qgrad.adjoint_vjp(states, np.zeros((2, 2)), weights, spec)
+            qgrad.adjoint_vjp(feats, np.zeros((2, 2)), weights, spec)
         with pytest.raises(ShapeError):
-            qgrad.adjoint_vjp(states[:, :2], np.zeros((3, 2)), weights, spec)
+            qgrad.adjoint_vjp(feats[:, :1], np.zeros((3, 2)), weights, spec)
 
 
 class TestPartialTraceIndex:
