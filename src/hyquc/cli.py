@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import hybrid, metrics, pipeline as pl, serialize
-from .config import RunConfig, _unknown, load_config
+from .config import RunConfig, _seed, _unknown, load_config
 from .errors import SchemaError, ShapeError
 from .hybrid import TrainConfig
 
@@ -331,6 +331,14 @@ def cmd_predict(model_path: str, input_path: str, out_path: str = None,
     return 0 if set(by_type) <= set(models) else 2
 
 
+def _seed_flag(raw: str) -> int:
+    """``--seed``'s value, refused by argparse like a config file's seed."""
+    try:
+        return _seed(raw)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 # built by the first main call of a process: parse_args keeps no state
 # between calls, so one parser serves them all
 _PARSER = None
@@ -346,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("train", "gridsearch"):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_seed_flag, default=None)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("evaluate")

@@ -98,7 +98,8 @@ def _merges(raw: str) -> list:
     return [tuple(s.strip() for s in part.split("->", 1)) for part in parts]
 
 
-_int = _value(int, "an integer")
+# numpy's seeding takes only nonnegative integers
+_seed = _value(int, "an integer >= 0", lambda v: v >= 0)
 _count = _value(int, "an integer >= 1", lambda v: v >= 1)
 _float = _value(float, "a number")
 _rate = _value(float, "a finite number >= 0", lambda v: math.isfinite(v) and v >= 0)
@@ -130,7 +131,7 @@ SCHEMA = {
         "epochs": ("epochs", _count),
         "learning_rate": ("learning_rate", _rate),
         "batch_size": ("batch_size", _count),
-        "seed": ("seed", _int),
+        "seed": ("seed", _seed),
         "smote_k": ("smote_k", _count),
     },
     "grid": {

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import metrics, nn, qgrad, qsim
+from . import metrics, nn, qsim
 from .errors import DivergenceError, ShapeError
 from .nn import MLPHead, PROB_CLIP
 from .qsim import CircuitSpec
@@ -154,11 +154,10 @@ def _stack(models: list) -> np.ndarray:
 
 def _unstack(flat: np.ndarray, models: list) -> list:
     """New models with ``models``' layouts and the parameters of the rows
-    of ``flat``.  The values were checked finite during training, and the
-    shapes are the models' own, so nothing is validated again."""
+    of ``flat``, each built through its class's checks."""
     qweights, head = _split(flat, models[0])
-    return [_with(model, qweights=qweights[i].copy(), head=_with(model.head, layers=[
-        _with(layer, weights=w[i].copy(), bias=b[i, 0].copy())
+    return [replace(model, qweights=qweights[i].copy(), head=replace(model.head, layers=[
+        replace(layer, weights=w[i].copy(), bias=b[i, 0].copy())
         for layer, (w, b) in zip(model.head.layers, head)]))
         for i, model in enumerate(models)]
 
@@ -170,9 +169,8 @@ def _forward(params, model: HybridModel, X: np.ndarray, kept: list = None):
     the k models' (k, P) parameter rows.  Where ``kept`` is a list, the
     circuit's layer states are appended to it (:func:`qsim._forward`)."""
     qweights, head = params
-    mats = qsim._rot_mats(qweights)
-    blocks = qsim._layer_blocks(mats[:, 1:])
-    acts = [qsim._forward(X, mats[:, 0], blocks, model.spec, kept)]
+    z, blocks = qsim._forward(X, qweights, model.spec, kept)
+    acts = [z]
     for layer, (w, b) in zip(model.head.layers, head):
         acts.append(nn._dense(acts[-1], w, b, layer.activation))
     return blocks, acts
@@ -204,7 +202,7 @@ def _step(params, model: HybridModel, X: np.ndarray, y: np.ndarray):
     for layer, (w, _), x, out in reversed(list(zip(layers, head, acts, acts[1:]))):
         grad_w, grad_b, upstream = nn._layer_backward(layer.activation, w, x, out, upstream)
         grads[:0] = (grad_w, grad_b)
-    grads.insert(0, qgrad._adjoint(kept, upstream, qweights, blocks, model.spec))
+    grads.insert(0, qsim._adjoint(kept, upstream, qweights, blocks, model.spec))
     return p_true, probs, np.concatenate([g.reshape(k, -1) for g in grads], axis=1)
 
 
@@ -225,21 +223,13 @@ def loss_and_grads(model: HybridModel, batch):
             ModelGrads(qweights[0], [(w[0], b[0, 0]) for w, b in head]))
 
 
-def _with(obj, **fields):
-    """A shallow copy of a validated dataclass with some fields replaced,
-    without re-running its validation."""
-    new = object.__new__(type(obj))
-    new.__dict__.update(obj.__dict__, **fields)
-    return new
-
-
 def apply_gradients(model: HybridModel, grads: ModelGrads, eta: float) -> HybridModel:
     """One SGD step ``params - eta * grads`` over every trainable parameter;
     returns a new model.
 
     ``grads`` come from :func:`loss_and_grads` for this model, so every shape
-    matches, and neither the arrays (as :func:`nn.sgd_update` would) nor the
-    new model and its layers are validated again."""
+    matches; the new model is built through its classes' checks, so a step
+    that leaves a parameter non-finite is a ValueError."""
     flat = _stack([model])
     qweights, head = _split(flat, model)
     for view, grad in zip([qweights, *itertools.chain(*head)],

@@ -776,9 +776,11 @@ class RowTypePipeline:
     def from_dict(cls, doc: dict, source: str = "pipeline document",
                   where: str = "") -> "RowTypePipeline":
         """The pipeline of :meth:`to_dict`'s document.  A missing or mistyped
-        key or array element, a merge that is not a pair, or an encoder column
-        that does not match :class:`ColumnSpec`, is a SchemaError naming
-        ``source`` and the key or element, ``where`` its path."""
+        key or array element, a merge that is not a pair, an encoder column
+        that does not match :class:`ColumnSpec`, or PCA and scaling arrays
+        whose widths disagree with ``n_components`` or with each other, is a
+        SchemaError naming ``source`` and the key or element, ``where`` its
+        path."""
         def read(key, kind):
             return json_field(doc, key, kind, source, where)
 
@@ -804,7 +806,7 @@ class RowTypePipeline:
         if merges and len(merges[0]) != 2:
             raise SchemaError(f"{source}: {where + 'merges[0]'!r} must hold 2 class "
                               f"names, not {len(merges[0])}")
-        return cls(
+        pipeline = cls(
             row_type=read("row_type", str),
             exclude_columns=read("exclude_columns", [str]),
             dropped_missing=read("dropped_missing", [str]),
@@ -818,3 +820,18 @@ class RowTypePipeline:
             label_column=read("label_column", nullable),
             row_type_column=read("row_type_column", nullable),
         )
+        mean, rows, n = pipeline.pca.mean, pipeline.pca.components, pipeline.n_components
+        if len(rows) and len(rows[0]) != len(mean):
+            raise SchemaError(f"{source}: {where + 'pca_components'!r} rows must hold "
+                              f"{len(mean)} elements like {where + 'pca_mean'!r}, "
+                              f"not {len(rows[0])}")
+        if not 1 <= n <= len(rows):
+            raise SchemaError(f"{source}: {where + 'n_components'!r} must be at least 1 and "
+                              f"at most the row count of {where + 'pca_components'!r}, "
+                              f"{len(rows)}, not {n}")
+        for key, bound in (("scale_mins", pipeline.bounds.mins),
+                           ("scale_maxs", pipeline.bounds.maxs)):
+            if len(bound) != n:
+                raise SchemaError(f"{source}: {where + key!r} must hold {n} elements, "
+                                  f"one per component, not {len(bound)}")
+        return pipeline

@@ -1,18 +1,19 @@
 """Gradients of the quantum layer.
 
-Training uses :func:`adjoint_vjp`, the exact vector-Jacobian product from one
-forward pass and one reverse sweep (adjoint differentiation): the forward
-pass keeps each layer's state, so the sweep takes back only the adjoint
-state, not the circuit's state as well.  The parameter-shift rule is kept
-as the reference it is tested against: every trainable angle feeds a
-rotation gate whose generator has eigenvalues +-1/2, so the two-point rule
-with shifts of +-pi/2 is exact for this gate set.  A central
-finite-difference oracle is provided for cross-checking both.
+Training uses the exact vector-Jacobian product from one forward pass and
+one reverse sweep (adjoint differentiation): the forward pass keeps each
+layer's state, so the sweep takes back only the adjoint state, not the
+circuit's state as well.  Both walks are :mod:`qsim`'s kernels, which alone
+know the circuit's layer layout; :func:`adjoint_vjp` is their checked
+single-model entry.  The parameter-shift rule is kept as the reference they
+are tested against: every trainable angle feeds a rotation gate whose
+generator has eigenvalues +-1/2, so the two-point rule with shifts of +-pi/2
+is exact for this gate set.  A central finite-difference oracle is provided
+for cross-checking both.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -95,44 +96,14 @@ def jacobian_batch(features: np.ndarray, weights, spec: CircuitSpec) -> np.ndarr
     return grads.reshape(len(features), n, layers, n, 3)
 
 
-@lru_cache(maxsize=None)
-def _partial_trace_index(s: int) -> np.ndarray:
-    """(s, 2, 2, 2**(s-1)) flat indices into a (2**s, 2**s) block matrix:
-    ``g.ravel()[index].sum(-1)`` traces every wire of the block but the k-th
-    out of ``g``, leaving wire k's 2x2 matrix at ``[k]``.  Shared by every
-    caller, so read-only."""
-    d = 1 << s
-    rest = np.arange(d >> 1)
-    index = np.empty((s, 2, 2, d >> 1), dtype=np.intp)
-    for k in range(s):
-        bit = 1 << (s - 1 - k)  # wire k's bit, big-endian within the block
-        # the other wires' bits, with a zero spliced in at wire k's place
-        base = ((rest & -bit) << 1) | (rest & (bit - 1))
-        row = base + bit * np.arange(2)[:, None, None]
-        col = base + bit * np.arange(2)[None, :, None]
-        index[k] = row * d + col
-    index.flags.writeable = False
-    return index
-
-
 def adjoint_vjp(features: np.ndarray, upstream: np.ndarray, weights,
                 spec: CircuitSpec) -> np.ndarray:
     """Exact ``sum_b sum_o upstream[b, o] d<Z_o>_b / d weights``, shape
     (n_layers, n_qubits, 3), for a (B, n_qubits) feature batch, by adjoint
     differentiation: one forward pass that keeps each layer's state after
-    its rotations, then one reverse sweep of the adjoint state alone.
-
-    The observable ``sum_o u_o Z_o`` is diagonal, so the adjoint state
-    lambda starts as ``psi * (upstream @ signs.T)`` on the state before the
-    last CNOT ring, with the ring folded into the signs.  At each layer, the
-    cross term ``C_ij = sum conj(lambda_i) psi_j`` of every wire, over the
-    batch and the other wires, of lambda and the layer's kept psi gives
-    each angle of the layer's fused ``Rot = RZ(a) RY(b) RZ(g)`` gates its
-    gradient ``Im sum(G * C)``, with generators ``G_a = Z``,
-    ``G_b = RZ(a) Y RZ(a)^dag`` and ``G_g = Rot Z Rot^dag``.  Then lambda
-    alone is taken back through the layer's rotations, one dense matmul per
-    wire block, and the ring before them.  Peak memory is at most about
-    ``n_layers + 5`` (B, 2**n) buffers.
+    its rotations, then one reverse sweep of the adjoint state alone
+    (:func:`qsim._adjoint`, the training step's kernel, for a stack of one).
+    Peak memory is at most about ``n_layers + 5`` (B, 2**n) buffers.
     """
     features = np.asarray(features, dtype=np.float64)
     weights = qsim._check_weights(weights, spec)
@@ -142,62 +113,9 @@ def adjoint_vjp(features: np.ndarray, upstream: np.ndarray, weights,
         raise ShapeError(
             f"features (B, {n}) and upstream (B, {n}) expected, got "
             f"{features.shape} and {upstream.shape}")
-    mats = qsim._rot_mats(weights[None])
-    blocks = qsim._layer_blocks(mats[:, 1:])
     kept = []
-    qsim._forward(features[None], mats[:, 0], blocks, spec, kept)
-    return _adjoint(kept, upstream[None], weights[None], blocks, spec)[0]
-
-
-def _adjoint(kept: list, upstream: np.ndarray, weights: np.ndarray, blocks: list,
-             spec: CircuitSpec) -> np.ndarray:
-    """:func:`adjoint_vjp` for a stack of k models, without checks: the
-    training step's kernel.  ``kept`` holds the (k, B, 2**n) states and
-    ``blocks`` the layer blocks of :func:`qsim._forward`'s pass, ``upstream``
-    is (k, B, n) and ``weights`` (k, n_layers, n_qubits, 3); returns each
-    model's gradient, stacked like ``weights``.  The states are dropped from
-    ``kept`` as the sweep passes them."""
-    n, layers, k = spec.n_qubits, spec.n_layers, len(weights)
-    ring = qsim._ring_permutation(n, spec.entangler_range)
-    # lambda is carried as mu = conj(lambda): undoing a rotation U on lambda,
-    # U^dag lambda, is then U^T mu, a transposed view rather than a conj copy
-    mu = kept[-1].conj()
-    mu *= upstream @ qsim._readout_signs(n, spec.entangler_range).T
-    cross = np.empty((k, layers, n, 2, 2), dtype=np.complex128)
-    for layer in range(layers - 1, -1, -1):
-        psi = kept.pop()
-        for start, stop in qsim._wire_blocks(n):
-            # a wire's cross term does not change under a unitary applied to
-            # psi and lambda on the other wires, so one block matrix
-            # g = lambda^H psi per model holds the terms of all its wires
-            d, right = 1 << (stop - start), 1 << (n - stop)
-            if right == 1:  # nothing to the right: one product, not a stack
-                g = mu.reshape(k, -1, d).swapaxes(-1, -2) @ psi.reshape(k, -1, d)
-            else:
-                g = (mu.reshape(k, -1, d, right)
-                     @ psi.reshape(k, -1, d, right).swapaxes(-1, -2)).sum(axis=1)
-            cross[:, layer, start:stop] = g.reshape(k, -1).take(
-                _partial_trace_index(stop - start), axis=1).sum(-1)
-        del psi  # freed before lambda's undo allocates
-        if layer:
-            for start, stop, kron in blocks:
-                mu = qsim._apply_block(mu, n, start, stop,
-                                       kron[:, layer - 1].swapaxes(-1, -2))
-            if ring is not None:
-                mu = np.take(mu, ring[1], axis=-1)
-
-    # Im sum(G * C) in closed form, with e = exp(-i a): G_a = Z;
-    # G_b = [[0, -i e], [i conj(e), 0]]; and, since RZ(g) commutes with Z,
-    # G_g = RZ(a) RY(b) Z RY(b)^dag RZ(a)^dag = cos(b) Z + sin(b) [[0, e], [conj(e), 0]]
-    c00, c01, c10, c11 = (cross[..., i, j] for i in (0, 1) for j in (0, 1))
-    e = np.exp(-1j * weights[..., 0])
-    grads = np.empty(weights.shape)
-    grads[..., 0] = (c00 - c11).imag
-    e01, e10 = e * c01, np.conj(e) * c10
-    grads[..., 1] = (e10 - e01).real  # Im(i z) = Re(z)
-    grads[..., 2] = (np.cos(weights[..., 1]) * grads[..., 0]
-                     + np.sin(weights[..., 1]) * (e01 + e10).imag)
-    return grads
+    _, blocks = qsim._forward(features[None], weights[None], spec, kept)
+    return qsim._adjoint(kept, upstream[None], weights[None], blocks, spec)[0]
 
 
 def finite_diff_oracle(features, weights, spec: CircuitSpec, p: ParameterIndex,

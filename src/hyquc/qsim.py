@@ -1,5 +1,10 @@
 """Exact statevector simulator for the angle-embedding + entangling-layer circuit.
 
+This is the one module that knows the circuit's layer layout: the forward
+kernel :func:`_forward` and the adjoint sweep :func:`_adjoint` that walks it
+back, both over a stack of models, serve training and scoring; the public
+functions and the single-state API run on the same kernels.
+
 Amplitude ordering is big-endian: wire 0 is the most significant bit of the
 amplitude index.  All operations are pure; a returned :class:`StateVector` is
 never mutated afterwards.
@@ -146,13 +151,12 @@ def _ring_permutation(n: int, entangler_range: int):
     """One layer's CNOT ring (w -> w + entangler_range mod n for each wire in
     turn) composed into a single gather index, with its inverse:
     ``np.take(states, perm, axis=-1)`` applies the ring and ``inv`` undoes it.
-    ``None`` for a one-wire register, which has no ring.  The arrays are
-    shared by every caller, so they are read-only."""
-    if n == 1:
-        return None
-    # a full ring on two wires would pair each CNOT with its reverse; a
-    # single CNOT per layer is the conventional two-wire ring
-    pairs = [(0, 1)] if n == 2 else [(w, (w + entangler_range) % n) for w in range(n)]
+    The arrays are shared by every caller, so they are read-only."""
+    # a one-wire register has no ring, so its index is the identity; a full
+    # ring on two wires would pair each CNOT with its reverse, so a single
+    # CNOT per layer is the conventional two-wire ring
+    pairs = ([] if n == 1 else [(0, 1)] if n == 2
+             else [(w, (w + entangler_range) % n) for w in range(n)])
     perm = np.arange(1 << n)
     for control, target in pairs:
         perm = perm[_cnot_permutation(n, control, target)]
@@ -179,10 +183,7 @@ def _readout_signs(n: int, entangler_range: int) -> np.ndarray:
     """:func:`_z_sign_matrix` with the last layer's CNOT ring folded in:
     ``probs @ signs`` of the state before that ring reads <Z_i> of the state
     after it, so the readout needs no gather.  Read-only."""
-    ring = _ring_permutation(n, entangler_range)
-    if ring is None:
-        return _z_sign_matrix(n)
-    signs = _z_sign_matrix(n)[ring[1]]
+    signs = _z_sign_matrix(n)[_ring_permutation(n, entangler_range)[1]]
     signs.flags.writeable = False
     return signs
 
@@ -276,32 +277,115 @@ def _apply_block(states: np.ndarray, n: int, start: int, stop: int,
     return (mat[:, None] @ states.reshape(k, -1, d, right)).reshape(states.shape)
 
 
-def _forward(features: np.ndarray, gates: np.ndarray, blocks: list, spec: CircuitSpec,
-             kept: list = None) -> np.ndarray:
-    """<Z_i> (k, B, n) of a stack of k models for a (k, B, n) feature batch,
-    without checks: the first layer's (k, n, 2, 2) Rot ``gates`` act on the
-    product state, the :func:`_layer_blocks` of layers 1.. on the register,
-    and the last layer's CNOT ring is folded into the readout
-    (:func:`_readout_signs`).  Where ``kept`` is a list, each layer's
-    (k, B, 2**n) state after its rotations and before its ring is appended
-    to it: the states the adjoint sweep reads.  Scoring keeps none, so that
-    one layer's state at a time is live."""
+def _forward(features: np.ndarray, weights: np.ndarray, spec: CircuitSpec,
+             kept: list = None):
+    """``(z, blocks)`` of a stack of k models on a (k, B, n) feature batch,
+    without checks: <Z_i> (k, B, n) under the models' (k, n_layers, n, 3)
+    angles, and the :func:`_layer_blocks` of layers 1.., which the adjoint
+    sweep takes back.  The first layer's Rot gates act on the product state
+    (:func:`_product_state`), the blocks on the register, and the last
+    layer's CNOT ring is folded into the readout (:func:`_readout_signs`).
+    Where ``kept`` is a list, each layer's (k, B, 2**n) state after its
+    rotations and before its ring is appended to it: the states
+    :func:`_adjoint` reads.  Scoring keeps none, so that one layer's state
+    at a time is live."""
     n = spec.n_qubits
-    ring = _ring_permutation(n, spec.entangler_range)
-    states = _product_state(features, spec.embedding_rotation_axis, gates[:, None])
+    mats = _rot_mats(weights)
+    blocks = _layer_blocks(mats[:, 1:])
+    perm, _ = _ring_permutation(n, spec.entangler_range)
+    states = _product_state(features, spec.embedding_rotation_axis, mats[:, 0, None])
     for layer in range(spec.n_layers - 1):
         if kept is not None:
             kept.append(states)
-        if ring is not None:
-            # C-contiguous, unlike a fancy index, so that a model's products
-            # (one-row ones too) do not depend on its stack
-            states = np.take(states, ring[0], axis=-1)
+        # C-contiguous, unlike a fancy index, so that a model's products
+        # (one-row ones too) do not depend on its stack
+        states = np.take(states, perm, axis=-1)
         for start, stop, kron in blocks:
             states = _apply_block(states, n, start, stop, kron[:, layer])
     if kept is not None:
         kept.append(states)
     probs = states.real * states.real + states.imag * states.imag
-    return probs @ _readout_signs(n, spec.entangler_range)
+    return probs @ _readout_signs(n, spec.entangler_range), blocks
+
+
+@lru_cache(maxsize=None)
+def _partial_trace_index(s: int) -> np.ndarray:
+    """(s, 2, 2, 2**(s-1)) flat indices into a (2**s, 2**s) block matrix:
+    ``g.ravel()[index].sum(-1)`` traces every wire of the block but the k-th
+    out of ``g``, leaving wire k's 2x2 matrix at ``[k]``.  Shared by every
+    caller, so read-only."""
+    d = 1 << s
+    rest = np.arange(d >> 1)
+    index = np.empty((s, 2, 2, d >> 1), dtype=np.intp)
+    for k in range(s):
+        bit = 1 << (s - 1 - k)  # wire k's bit, big-endian within the block
+        # the other wires' bits, with a zero spliced in at wire k's place
+        base = ((rest & -bit) << 1) | (rest & (bit - 1))
+        row = base + bit * np.arange(2)[:, None, None]
+        col = base + bit * np.arange(2)[None, :, None]
+        index[k] = row * d + col
+    index.flags.writeable = False
+    return index
+
+
+def _adjoint(kept: list, upstream: np.ndarray, weights: np.ndarray, blocks: list,
+             spec: CircuitSpec) -> np.ndarray:
+    """Exact ``sum_b sum_o upstream[b, o] d<Z_o>_b / d weights`` of a stack
+    of k models, without checks, by adjoint differentiation: the reverse
+    sweep of :func:`_forward`'s pass, whose ``kept`` states and ``blocks`` it
+    takes, with (k, B, n) ``upstream`` and (k, n_layers, n, 3) ``weights``.
+    Returns each model's gradient, stacked like ``weights``; the states are
+    dropped from ``kept`` as the sweep passes them.
+
+    The observable ``sum_o u_o Z_o`` is diagonal, so the adjoint state
+    lambda starts as ``psi * (upstream @ signs.T)`` on the state before the
+    last CNOT ring, with the ring folded into the signs.  At each layer, the
+    cross term ``C_ij = sum conj(lambda_i) psi_j`` of every wire, over the
+    batch and the other wires, of lambda and the layer's kept psi gives
+    each angle of the layer's fused ``Rot = RZ(a) RY(b) RZ(g)`` gates its
+    gradient ``Im sum(G * C)``, with generators ``G_a = Z``,
+    ``G_b = RZ(a) Y RZ(a)^dag`` and ``G_g = Rot Z Rot^dag``.  Then lambda
+    alone is taken back through the layer's rotations, one dense matmul per
+    wire block, and the ring before them."""
+    n, layers, k = spec.n_qubits, spec.n_layers, len(weights)
+    _, inv = _ring_permutation(n, spec.entangler_range)
+    # lambda is carried as mu = conj(lambda): undoing a rotation U on lambda,
+    # U^dag lambda, is then U^T mu, a transposed view rather than a conj copy
+    mu = kept[-1].conj()
+    mu *= upstream @ _readout_signs(n, spec.entangler_range).T
+    cross = np.empty((k, layers, n, 2, 2), dtype=np.complex128)
+    for layer in range(layers - 1, -1, -1):
+        psi = kept.pop()
+        for start, stop in _wire_blocks(n):
+            # a wire's cross term does not change under a unitary applied to
+            # psi and lambda on the other wires, so one block matrix
+            # g = lambda^H psi per model holds the terms of all its wires
+            d, right = 1 << (stop - start), 1 << (n - stop)
+            if right == 1:  # nothing to the right: one product, not a stack
+                g = mu.reshape(k, -1, d).swapaxes(-1, -2) @ psi.reshape(k, -1, d)
+            else:
+                g = (mu.reshape(k, -1, d, right)
+                     @ psi.reshape(k, -1, d, right).swapaxes(-1, -2)).sum(axis=1)
+            cross[:, layer, start:stop] = g.reshape(k, -1).take(
+                _partial_trace_index(stop - start), axis=1).sum(-1)
+        del psi  # freed before lambda's undo allocates
+        if layer:
+            for start, stop, kron in blocks:
+                mu = _apply_block(mu, n, start, stop, kron[:, layer - 1].swapaxes(-1, -2))
+            mu = np.take(mu, inv, axis=-1)
+
+    # Im sum(G * C) in closed form, with e = exp(-i a): G_a = Z;
+    # G_b = [[0, -i e], [i conj(e), 0]]; and, since RZ(g) commutes with Z,
+    # G_g = RZ(a) RY(b) Z RY(b)^dag RZ(a)^dag = cos(b) Z + sin(b) [[0, e], [conj(e), 0]]
+    c00, c01, c10, c11 = (cross[..., i, j] for i in (0, 1) for j in (0, 1))
+    e = np.exp(-1j * weights[..., 0])
+    grads = np.empty(weights.shape)
+    grads[..., 0] = (c00 - c11).imag
+    e01, e10 = e * c01, np.conj(e) * c10
+    grads[..., 1] = (e10 - e01).real  # Im(i z) = Re(z)
+    grads[..., 2] = (np.cos(weights[..., 1]) * grads[..., 0]
+                     + np.sin(weights[..., 1]) * (e01 + e10).imag)
+    return grads
 
 
 def forward_states(features: np.ndarray, weights: np.ndarray, spec: CircuitSpec):
@@ -310,12 +394,10 @@ def forward_states(features: np.ndarray, weights: np.ndarray, spec: CircuitSpec)
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != spec.n_qubits:
         raise ShapeError(f"features must be (B, {spec.n_qubits}), got {features.shape}")
-    mats = _rot_mats(_check_weights(weights, spec)[None])
     kept = []
-    z = _forward(features[None], mats[:, 0], _layer_blocks(mats[:, 1:]), spec, kept)
-    ring = _ring_permutation(spec.n_qubits, spec.entangler_range)
-    states = kept[-1][0] if ring is None else kept[-1][0][:, ring[0]]
-    return states, z[0]
+    z, _ = _forward(features[None], _check_weights(weights, spec)[None], spec, kept)
+    perm, _ = _ring_permutation(spec.n_qubits, spec.entangler_range)
+    return kept[-1][0][:, perm], z[0]
 
 
 def forward_batch(features: np.ndarray, weights: np.ndarray, spec: CircuitSpec) -> np.ndarray:
@@ -403,13 +485,12 @@ def apply_entangling_layers(
         raise ShapeError("state width does not match spec")
     n = spec.n_qubits
     blocks = _layer_blocks(_rot_mats(weights[None]))
-    ring = _ring_permutation(n, spec.entangler_range)
+    perm, _ = _ring_permutation(n, spec.entangler_range)
     out = state.amplitudes[None, None, :]
     for layer in range(spec.n_layers):
         for start, stop, kron in blocks:
             out = _apply_block(out, n, start, stop, kron[:, layer])
-        if ring is not None:
-            out = np.take(out, ring[0], axis=-1)
+        out = np.take(out, perm, axis=-1)
     return StateVector(n, out[0, 0])
 
 

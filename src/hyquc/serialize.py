@@ -25,16 +25,20 @@ VERSION = 1
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    """Write via a temp file in the same directory, then rename.  An OSError
+    names ``path``, not the temp file, which is removed."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".tmp-", text=True)
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
 
@@ -61,9 +65,10 @@ def model_to_dict(model: HybridModel, pipeline: RowTypePipeline) -> dict:
 
 def model_from_dict(doc: dict, source: str = "model document"):
     """The model and the pipeline of a model document.  A document that is
-    not a JSON object, or that lacks or mistypes a key of the model or of its
-    pipeline or an element of one of their arrays, is a SchemaError naming
-    ``source`` and the key or the element."""
+    not a JSON object, that lacks or mistypes a key of the model or of its
+    pipeline or an element of one of their arrays, or whose values or
+    widths the model, a head layer or the pipeline refuse, is a SchemaError
+    naming ``source`` and the key, the element or the head layer."""
     if type(doc) is not dict:
         raise SchemaError(f"{source}: a model document is a JSON object, "
                           f"not {json_type(doc)}")
@@ -72,16 +77,28 @@ def model_from_dict(doc: dict, source: str = "model document"):
     if type(doc.get("version")) is not int or doc["version"] != VERSION:
         raise ValueError(f"unsupported model version {doc.get('version')!r}")
     spec = json_dataclass(CircuitSpec, json_field(doc, "spec", dict, source), source, "spec")
-    head = MLPHead([
-        DenseLayer(np.array(json_field(layer, "weights", [[float]], source, f"head[{i}].")),
-                   np.array(json_field(layer, "bias", [float], source, f"head[{i}].")),
-                   json_field(layer, "activation", str, source, f"head[{i}]."))
-        for i, layer in enumerate(json_field(doc, "head", list, source))
-    ])
+    layers = []
+    for i, layer in enumerate(json_field(doc, "head", list, source)):
+        where = f"head[{i}]"
+        args = (np.array(json_field(layer, "weights", [[float]], source, where + ".")),
+                np.array(json_field(layer, "bias", [float], source, where + ".")),
+                json_field(layer, "activation", str, source, where + "."))
+        try:
+            layers.append(DenseLayer(*args))
+        except ValueError as exc:
+            raise SchemaError(f"{source}: {where!r}: {exc}") from None
     qweights = np.array(json_field(doc, "qweights", [[[float]]], source))
-    model = HybridModel(spec, qweights, head, json_field(doc, "n_classes", int, source),
-                        json_field(doc, "row_type", str, source, default=""))
+    n_classes = json_field(doc, "n_classes", int, source)
+    row_type = json_field(doc, "row_type", str, source, default="")
+    try:
+        model = HybridModel(spec, qweights, MLPHead(layers), n_classes, row_type)
+    except ValueError as exc:  # a width or a value the model's own checks refuse
+        raise SchemaError(f"{source}: {exc}") from None
     pipeline = json_field(doc, "pipeline", dict, source)
+    width = json_field(pipeline, "n_components", int, source, "pipeline.")
+    if width != spec.n_qubits:
+        raise SchemaError(f"{source}: 'pipeline.n_components' must equal 'spec.n_qubits', "
+                          f"{spec.n_qubits}, not {width}")
     return model, RowTypePipeline.from_dict(pipeline, source, "pipeline.")
 
 

@@ -240,6 +240,7 @@ class TestConfigLoading:
         ("data", "missing_threshold", "1.5", r"must be a number in \(0, 1\]"),
         ("split", "train", "0.8", r"^\[split\] fractions must sum to 1"),
         ("split", "test", "nan", r"^\[split\] need three nonnegative fractions"),
+        ("train", "seed", "-1", r"^\[train\] seed: seed must be an integer >= 0, got '-1'$"),
     ])
     def test_out_of_range_value_refused_at_load(self, tmp_path, section, key, value,
                                                  message):
@@ -309,6 +310,23 @@ class TestAtomicWrite:
         assert p.read_text() == "two\n"
         assert list(tmp_path.iterdir()) == [p]  # no temp files left behind
 
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    @pytest.mark.parametrize("target", ["missing-dir", "a-dir"])
+    def test_write_error_names_the_out_path(self, workdir, trained, tmp_path, capsys,
+                                            command, target):
+        out = tmp_path / "missing" / "x.json" if target == "missing-dir" else tmp_path / "out"
+        if target == "a-dir":
+            out.mkdir()
+        model, data = str(trained / "model_T1.json"), str(workdir / "data.csv")
+        argv = (["evaluate", "--model", model, "--data", data] if command == "evaluate"
+                else ["predict", "--model", model, "--input", data])
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("hyquc: error: [Errno ") and err.endswith(f": {str(out)!r}\n")
+        assert ".tmp-" not in err
+        assert [p.name for p in tmp_path.rglob("*")] == (
+            [] if target == "missing-dir" else ["out"])
+
 
 class TestTrain:
     def test_artifacts_per_row_type(self, trained):
@@ -361,6 +379,18 @@ class TestTrain:
         a = (trained / "loss_history_T1.csv").read_text()
         b = (out3 / "loss_history_T1.csv").read_text()
         assert a != b
+
+    @pytest.mark.parametrize("command", ["train", "gridsearch"])
+    def test_negative_seed_flag_refused_before_any_file_is_read(self, tmp_path, capsys,
+                                                                monkeypatch, command):
+        monkeypatch.setattr(cli, "load_config", lambda path: pytest.fail("config read"))
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, "--config", str(tmp_path / "run.cfg"), "--seed", "-3",
+                      "--out", str(tmp_path / "out")])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "argument --seed: must be an integer >= 0, got '-3'\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_row_type_code(self, workdir, tmp_path, capsys):
         (tmp_path / "partial.map").write_text("T1 = personal\n")
@@ -1121,6 +1151,18 @@ class TestHostileInput:
          "'pipeline.class_names' must be an array, not a string"),
         (lambda doc: doc["pipeline"].update(label_column=1),
          "'pipeline.label_column' must be a string or null, not an integer"),
+        (lambda doc: doc["spec"].update(n_qubits=4),
+         "weights must have shape (1, 4, 3), got (1, 2, 3)"),
+        (lambda doc: doc.update(n_classes=4), "head output width 3 != n_classes 4"),
+        (lambda doc: doc["head"][0].update(activation="tanh"),
+         "'head[0]': unknown activation 'tanh'"),
+        # written as Infinity, which json.load reads like 1e400
+        (lambda doc: doc["qweights"][0][0].__setitem__(0, float("inf")),
+         "weights must be finite"),
+        (lambda doc: doc["pipeline"].update(n_components=9),
+         "'pipeline.n_components' must equal 'spec.n_qubits', 2, not 9"),
+        (lambda doc: doc["pipeline"]["scale_mins"].pop(),
+         "'pipeline.scale_mins' must hold 2 elements, one per component, not 1"),
     ], ids=["no-spec", "no-qweights", "no-head", "no-n_classes", "spec-string-n_qubits",
             "spec-unknown-key", "spec-no-n_layers", "spec-zero-n_layers",
             "spec-n_qubits-over-cap", "head-layer-no-bias", "head-object",
@@ -1128,7 +1170,9 @@ class TestHostileInput:
             "pipeline-no-date_format", "pipeline-integer-encoder_columns",
             "encoder-column-no-kind", "encoder-column-string", "encoder-column-unknown-key",
             "encoder-column-unknown-kind", "encoder-column-null-median",
-            "pipeline-string-class_names", "pipeline-integer-label_column"])
+            "pipeline-string-class_names", "pipeline-integer-label_column",
+            "spec-n_qubits-off-weights", "n_classes-off-head", "head-unknown-activation",
+            "infinite-qweight", "n_components-off-spec", "short-scale_mins"])
     def test_malformed_model_file_names_file_and_key(self, workdir, trained, tmp_path,
                                                       capsys, edit, message):
         doc = json.loads((trained / "model_T1.json").read_text())
@@ -1330,9 +1374,18 @@ class TestHostileInput:
          "'pipeline.exclude_columns[0]' must be a string, not an integer"),
         (lambda doc: doc["pipeline"]["encoder_columns"][6]["categories"].__setitem__(0, 1),
          "'pipeline.encoder_columns[6].categories[0]' must be a string, not an integer"),
+        (lambda doc: doc["pipeline"]["pca_mean"].pop(),
+         "'pipeline.pca_components' rows must hold 10 elements like 'pipeline.pca_mean', "
+         "not 11"),
+        (lambda doc: doc["pipeline"]["pca_components"].pop(),
+         "'pipeline.n_components' must be at least 1 and at most the row count of "
+         "'pipeline.pca_components', 4, not 5"),
+        (lambda doc: doc["pipeline"]["scale_maxs"].append(1.0),
+         "'pipeline.scale_maxs' must hold 5 elements, one per component, not 6"),
     ], ids=["integer-merge", "object-scale_min", "string-qweight", "string-pca_mean",
             "integer-class_names", "one-name-merge", "ragged-pca_components",
-            "boolean-bias", "integer-exclude_column", "integer-category"])
+            "boolean-bias", "integer-exclude_column", "integer-category",
+            "short-pca_mean", "short-pca_components", "long-scale_maxs"])
     def test_malformed_array_element_names_file_and_element(self, fixture_run, tmp_path,
                                                             capsys, edit, message):
         doc = json.loads((fixture_run[0] / "model_agriculture.json").read_text())

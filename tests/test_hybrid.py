@@ -800,7 +800,8 @@ class TestLockstepGridSearch:
 class TestSerialization:
     def test_lossless_round_trip(self, tmp_path):
         rng = np.random.default_rng(71)
-        model = hybrid.init_model(CircuitSpec(3, 2), 3, rng, row_type="rt")
+        # two qubits, one per component the two-feature pipeline keeps
+        model = hybrid.init_model(CircuitSpec(2, 2), 3, rng, row_type="rt")
         rows = [[f"{a:.4f}", f"{b:.4f}", "ab"[i % 2]]
                 for i, (a, b) in enumerate(rng.normal(size=(20, 2)))]
         data = pl.TabularDataset.from_rows(["F1", "F2", "L"], rows, label_column="L")

@@ -254,7 +254,7 @@ class TestPartialTraceIndex:
         psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         lam = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         g = np.einsum("mir,mjr->ij", lam.conj(), psi)
-        got = g.ravel()[qgrad._partial_trace_index(s)].sum(-1)
+        got = g.ravel()[qsim._partial_trace_index(s)].sum(-1)
         for k in range(s):
             # wire k's bit split out of the block index
             split = (rows << k, 2, -1)

@@ -349,11 +349,7 @@ class TestCachedCircuitTables:
         for control, target in pairs:
             # the rows are states, so each CNOT acts from the right, transposed
             want = want @ oracle_cnot(n, control, target).T
-        ring = qsim._ring_permutation(n, r)
-        if ring is None:
-            assert not pairs
-            return
-        perm, inv = ring
+        perm, inv = qsim._ring_permutation(n, r)
         np.testing.assert_array_equal(states[:, perm], want)
         np.testing.assert_array_equal(want[:, inv], states)
 
