@@ -67,10 +67,10 @@ def _prepare(raw: pl.TabularDataset, row_type: str, cfg: RunConfig, seed: int) -
     report.counts_after_smote = train_aug.class_counts()
 
     model = cfg.new_model(pipe.n_components, cfg.n_layers, len(pipe.class_names),
-                          np.random.default_rng(seed), row_type)
+                          np.random.default_rng(seed))
     tconf = TrainConfig(cfg.epochs, cfg.learning_rate, cfg.batch_size, rng_seed=seed)
     return _Prepared(seed, pipe, report, train_ds, test_ds,
-                     hybrid.FitJob(model, train_aug, val_ds, tconf))
+                     hybrid.FitJob(model, train_aug, val_ds, tconf, f"row type {row_type!r}"))
 
 
 def _report(ds: pl.RowTypeDataset, probs, extra: dict) -> metrics.MetricsReport:
@@ -189,7 +189,7 @@ def _prepare_search(raw: pl.TabularDataset, row_type: str, cfg: RunConfig, seed:
 
     def augment(X, y):
         # one neighbour table per fold and width serves every combination's draw
-        ds = pl.RowTypeDataset(row_type, X, y, pipe.class_names)
+        ds = pl.RowTypeDataset(X, y, pipe.class_names)
         table = pl.smote_neighbors(ds, cfg.smote_k)
 
         def draw(s):

@@ -50,12 +50,12 @@ class RunConfig:
     def options_for(self, row_type: str) -> RowTypeOptions:
         return self.row_types.get(row_type, RowTypeOptions())
 
-    def new_model(self, n_qubits: int, n_layers: int, n_classes: int, rng,
-                  row_type: str = "") -> hybrid.HybridModel:
+    def new_model(self, n_qubits: int, n_layers: int, n_classes: int,
+                  rng) -> hybrid.HybridModel:
         """A fresh model with this config's circuit and head settings: the
         builder of every model that ``train`` and ``gridsearch`` fit."""
         spec = hybrid.circuit_spec(n_qubits, n_layers, self.entangler_range)
-        return hybrid.init_model(spec, n_classes, rng, row_type, hidden=self.hidden,
+        return hybrid.init_model(spec, n_classes, rng, hidden=self.hidden,
                                  hidden_activation=self.hidden_activation)
 
 

@@ -39,8 +39,6 @@ class HybridModel:
     spec: CircuitSpec
     qweights: np.ndarray
     head: MLPHead
-    n_classes: int
-    row_type: str = ""
 
     def __post_init__(self):
         self.qweights = qsim._check_weights(
@@ -50,10 +48,10 @@ class HybridModel:
             raise ShapeError(
                 f"head input width {self.head.in_dim} != n_qubits {self.spec.n_qubits}"
             )
-        if self.head.out_dim != self.n_classes:
-            raise ShapeError(
-                f"head output width {self.head.out_dim} != n_classes {self.n_classes}"
-            )
+
+    @property
+    def n_classes(self) -> int:
+        return self.head.out_dim
 
 
 @dataclass(frozen=True)
@@ -95,15 +93,14 @@ class ModelGrads:
 
 
 def init_model(spec: CircuitSpec, n_classes: int, rng: np.random.Generator,
-               row_type: str = "", hidden=(8, 8),
-               hidden_activation: str = "sigmoid") -> HybridModel:
+               hidden=(8, 8), hidden_activation: str = "sigmoid") -> HybridModel:
     """Fresh model: quantum angles uniform in [0, 2*pi), dense weights uniform
     in [-0.5, 0.5].  ``hidden`` gives the hidden layers' widths; ``hidden=()``
     means no hidden layer, so the quantum outputs feed one softmax layer."""
     qweights = qsim.random_weights(spec, rng)
     head = nn.init_head(spec.n_qubits, n_classes, rng, hidden=tuple(hidden),
                         hidden_activation=hidden_activation)
-    return HybridModel(spec, qweights, head, n_classes, row_type)
+    return HybridModel(spec, qweights, head)
 
 
 def hybrid_forward(model: HybridModel, x) -> np.ndarray:
@@ -306,10 +303,8 @@ def _train_epoch(flat: np.ndarray, models: list, X, y, sizes, batch_size: int,
             if not np.isfinite(flat).all():
                 # the first diverged model in the stack
                 i = int(np.argmin(np.isfinite(flat).all(axis=1)))
-                name = models[i].row_type
                 raise DivergenceError(
-                    (f"row type {name!r}: " if name else "")
-                    + f"training diverged at epoch {epoch}, batch {batch} of "
+                    f"training diverged at epoch {epoch}, batch {batch} of "
                     f"{batches[i]}: the parameters are no longer finite "
                     f"(lower the learning rate)", i)
     return total_loss / sizes, total_correct / sizes
@@ -356,8 +351,8 @@ class StackedSet:
 
 
 def fit(models: list, train: StackedSet, val, config: TrainConfig):
-    """Train a stack of models of one layout (circuit spec, classes and
-    head) in lockstep for ``config.epochs`` epochs, with per-epoch
+    """Train a stack of models of one layout (circuit spec and head) in
+    lockstep for ``config.epochs`` epochs, with per-epoch
     validation metrics: :func:`fit_all`'s call per stack.
 
     ``train`` (and ``val``, if not None) is a :class:`StackedSet` of one part
@@ -547,8 +542,8 @@ def grid_jobs(grid: HyperGrid, data, k: int, seed: int, augment=None,
 
 
 def _layout(model: HybridModel):
-    return (model.spec, model.n_classes,
-            tuple((layer.weights.shape, layer.activation) for layer in model.head.layers))
+    return model.spec, tuple((layer.weights.shape, layer.activation)
+                             for layer in model.head.layers)
 
 
 def _stacked_probs(models: list, Xs: list) -> list:
@@ -592,7 +587,8 @@ def _stacks(keys: list, amplitudes: list):
 class FitJob(NamedTuple):
     """One model's training run for :func:`fit_all`: ``train`` and ``val``
     are ``(X, y)`` data sets (``val`` may be None), ``config`` holds one
-    learning rate and one seed, and ``name`` heads a divergence's message."""
+    learning rate and one seed, and ``name``, the one name of the fit,
+    heads its divergence and step-budget errors."""
 
     model: HybridModel
     train: object
@@ -606,7 +602,7 @@ def fit_all(jobs: list) -> list:
     job, in job order, each job trained exactly as it would be alone.  This
     is the one training entry: a single fit is ``fit_all([job])[0]``.
 
-    Jobs that share a model layout (circuit spec, classes and head), batch
+    Jobs that share a model layout (circuit spec and head), batch
     size, epoch count and whether they have a validation set train in
     lockstep, in the :func:`_stacks` of their steps.  Each stack is one
     :func:`fit` call, looked up on the module, on :class:`StackedSet` rows
@@ -623,11 +619,10 @@ def fit_all(jobs: list) -> list:
         # 16 B per complex128 amplitude
         step = amps * 16 * (STEP_STATE_BATCHES + job.model.spec.n_layers)
         if step > MAX_STEP_BYTES:
-            name = job.name or f"row type {job.model.row_type!r}"
-            raise ValueError(
-                f"{name}: a training step at batch_size = {job.config.batch_size} on "
+            raise ValueError(": ".join(filter(None, (
+                job.name, f"a training step at batch_size = {job.config.batch_size} on "
                 f"{job.model.spec.n_qubits} qubits would hold about {step / 2**30:.1f} GiB, "
-                f"over the {MAX_STEP_BYTES / 2**30:g} GiB step budget; lower batch_size")
+                f"over the {MAX_STEP_BYTES / 2**30:g} GiB step budget; lower batch_size"))))
     results = [None] * len(jobs)
     for stack in _stacks([(_layout(job.model), job.config.batch_size, job.config.epochs,
                            job.val is None) for job in jobs], amplitudes):

@@ -323,7 +323,6 @@ def encode_labels(values, class_names=None):
 class RowTypeDataset:
     """Numeric matrix plus class indices for one row type."""
 
-    row_type: str
     X: np.ndarray
     y: np.ndarray
     class_names: list
@@ -371,7 +370,7 @@ def merge_minority_class(ds: RowTypeDataset, from_class: str,
                                     ds.class_names)
     index = {name: i for i, name in enumerate(remaining)}
     remap = np.array([index[name] for name in names], dtype=np.int64)
-    return RowTypeDataset(ds.row_type, ds.X, remap[ds.y], remaining)
+    return RowTypeDataset(ds.X, remap[ds.y], remaining)
 
 
 # ---------------------------------------------------------------------------
@@ -582,8 +581,7 @@ def smote_oversample(ds: RowTypeDataset, k_neighbors: int, seed: int,
         synth = Xc[base] + lam[:, None] * (Xc[nn_idx] - Xc[base])
         new_X.append(synth)
         new_y.append(np.full(need, c, dtype=np.int64))
-    return RowTypeDataset(ds.row_type, np.vstack(new_X), np.concatenate(new_y),
-                          list(ds.class_names))
+    return RowTypeDataset(np.vstack(new_X), np.concatenate(new_y), list(ds.class_names))
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +728,7 @@ class RowTypePipeline:
                    list(merges), class_names, encoder, pca, applied, bounds,
                    data.label_column, data.row_type_column)
         report = PreprocessReport(row_type, dict(dropped), list(merges), components, applied)
-        return (pipe, report, RowTypeDataset(row_type, Z, y[tr], class_names),
+        return (pipe, report, RowTypeDataset(Z, y[tr], class_names),
                 pipe.transform(data.take(va)), pipe.transform(data.take(te)))
 
     def transform_features(self, data: TabularDataset, rows=None) -> np.ndarray:
@@ -751,7 +749,7 @@ class RowTypePipeline:
         fitted = [*self.class_names, *(src for src, _ in self.merges)]
         merged, _ = merge_labels(labels, self.merges, fitted)
         y, _ = encode_labels(merged, class_names=self.class_names)
-        return RowTypeDataset(self.row_type, z, y, list(self.class_names))
+        return RowTypeDataset(z, y, list(self.class_names))
 
     def to_dict(self) -> dict:
         return {
@@ -777,8 +775,8 @@ class RowTypePipeline:
                   where: str = "") -> "RowTypePipeline":
         """The pipeline of :meth:`to_dict`'s document.  A missing or mistyped
         key or array element, a merge that is not a pair, an encoder column
-        that does not match :class:`ColumnSpec`, or PCA and scaling arrays
-        whose widths disagree with ``n_components`` or with each other, is a
+        that does not match :class:`ColumnSpec`, or PCA, scaling and encoder
+        widths that disagree with ``n_components`` or with each other, is a
         SchemaError naming ``source`` and the key or element, ``where`` its
         path."""
         def read(key, kind):
@@ -834,4 +832,9 @@ class RowTypePipeline:
             if len(bound) != n:
                 raise SchemaError(f"{source}: {where + key!r} must hold {n} elements, "
                                   f"one per component, not {len(bound)}")
+        features = sum(len(spec.categories) + 1 if spec.kind == "categorical" else 1
+                       for spec in encoder.columns)
+        if features != len(mean):
+            raise SchemaError(f"{source}: {where + 'encoder_columns'!r} encode {features} "
+                              f"features, but {where + 'pca_mean'!r} holds {len(mean)}")
         return pipeline

@@ -388,14 +388,20 @@ def _adjoint(kept: list, upstream: np.ndarray, weights: np.ndarray, blocks: list
     return grads
 
 
-def forward_states(features: np.ndarray, weights: np.ndarray, spec: CircuitSpec):
-    """Final states (B, 2**n) and expectation values <Z_i> (B, n_qubits) for
-    a (B, n_qubits) feature batch under shared (L, n, 3) weights."""
+def _checked(features: np.ndarray, weights: np.ndarray, spec: CircuitSpec):
+    """A (B, n_qubits) feature batch and shared (L, n, 3) weights, checked
+    and stacked as :func:`_forward`'s stack of one."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != spec.n_qubits:
         raise ShapeError(f"features must be (B, {spec.n_qubits}), got {features.shape}")
+    return features[None], _check_weights(weights, spec)[None]
+
+
+def forward_states(features: np.ndarray, weights: np.ndarray, spec: CircuitSpec):
+    """Final states (B, 2**n) and expectation values <Z_i> (B, n_qubits) for
+    a (B, n_qubits) feature batch under shared (L, n, 3) weights."""
     kept = []
-    z, _ = _forward(features[None], _check_weights(weights, spec)[None], spec, kept)
+    z, _ = _forward(*_checked(features, weights, spec), spec, kept)
     perm, _ = _ring_permutation(spec.n_qubits, spec.entangler_range)
     return kept[-1][0][:, perm], z[0]
 
@@ -404,9 +410,10 @@ def forward_batch(features: np.ndarray, weights: np.ndarray, spec: CircuitSpec) 
     """Expectation values <Z_i> for a batch of circuits.
 
     ``features`` is (B, n_qubits); ``weights`` is shared (L, n, 3).  Returns
-    (B, n_qubits).
+    (B, n_qubits).  Keeps no layer states, so that one layer's state at a
+    time is live.
     """
-    return forward_states(features, weights, spec)[1]
+    return _forward(*_checked(features, weights, spec), spec)[0][0]
 
 
 def _check_weights(weights: np.ndarray, spec: CircuitSpec) -> np.ndarray:

@@ -47,7 +47,7 @@ def model_to_dict(model: HybridModel, pipeline: RowTypePipeline) -> dict:
     return {
         "format": FORMAT,
         "version": VERSION,
-        "row_type": model.row_type,
+        "row_type": pipeline.row_type,
         "n_classes": model.n_classes,
         "spec": asdict(model.spec),
         "qweights": model.qweights.tolist(),
@@ -67,7 +67,8 @@ def model_from_dict(doc: dict, source: str = "model document"):
     """The model and the pipeline of a model document.  A document that is
     not a JSON object, that lacks or mistypes a key of the model or of its
     pipeline or an element of one of their arrays, or whose values or
-    widths the model, a head layer or the pipeline refuse, is a SchemaError
+    widths the model, a head layer or the pipeline refuse, or whose copies
+    of a fact (the class count, the row type) disagree, is a SchemaError
     naming ``source`` and the key, the element or the head layer."""
     if type(doc) is not dict:
         raise SchemaError(f"{source}: a model document is a JSON object, "
@@ -89,17 +90,28 @@ def model_from_dict(doc: dict, source: str = "model document"):
             raise SchemaError(f"{source}: {where!r}: {exc}") from None
     qweights = np.array(json_field(doc, "qweights", [[[float]]], source))
     n_classes = json_field(doc, "n_classes", int, source)
-    row_type = json_field(doc, "row_type", str, source, default="")
+    row_type = json_field(doc, "row_type", str, source, default=None)
     try:
-        model = HybridModel(spec, qweights, MLPHead(layers), n_classes, row_type)
+        model = HybridModel(spec, qweights, MLPHead(layers))
     except ValueError as exc:  # a width or a value the model's own checks refuse
         raise SchemaError(f"{source}: {exc}") from None
+    if model.n_classes != n_classes:
+        raise SchemaError(f"{source}: head output width {model.n_classes} "
+                          f"!= n_classes {n_classes}")
     pipeline = json_field(doc, "pipeline", dict, source)
     width = json_field(pipeline, "n_components", int, source, "pipeline.")
     if width != spec.n_qubits:
         raise SchemaError(f"{source}: 'pipeline.n_components' must equal 'spec.n_qubits', "
                           f"{spec.n_qubits}, not {width}")
-    return model, RowTypePipeline.from_dict(pipeline, source, "pipeline.")
+    pipeline = RowTypePipeline.from_dict(pipeline, source, "pipeline.")
+    if row_type is not None and row_type != pipeline.row_type:
+        raise SchemaError(f"{source}: 'row_type' {row_type!r} differs from "
+                          f"'pipeline.row_type' {pipeline.row_type!r}")
+    names = pipeline.class_names
+    if len(set(names)) != len(names) or len(names) != n_classes:
+        raise SchemaError(f"{source}: 'pipeline.class_names' must hold n_classes, "
+                          f"{n_classes}, distinct names, not {names}")
+    return model, pipeline
 
 
 def save_model(path, model: HybridModel, pipeline: RowTypePipeline) -> None:

@@ -193,7 +193,7 @@ class TestCriterion5PipelineProperties:
             X = np.vstack([rng.normal(0, 1, size=(12, 3)),
                            rng.normal(8, 1, size=(5, 3))])
             y = np.array([0] * 12 + [1] * 5)
-            ds = pl.RowTypeDataset("t", X, y, ["a", "b"])
+            ds = pl.RowTypeDataset(X, y, ["a", "b"])
             aug = pl.smote_oversample(ds, 3, seed=7)
             assert aug.class_counts() == {"a": 12, "b": 12}
             originals = X[y == 1]
@@ -225,7 +225,7 @@ class TestCriterion5PipelineProperties:
                 labels.extend([name] * count)
             yc, names = pl.encode_labels(labels)
             merged = pl.merge_minority_class(
-                pl.RowTypeDataset("p", np.zeros((len(yc), 1)), yc, names),
+                pl.RowTypeDataset(np.zeros((len(yc), 1)), yc, names),
                 "Loss", "Doubtful")
             assert merged.class_counts()["Doubtful"] == 129 + 3
 

@@ -361,7 +361,6 @@ class TestTrain:
 
     def test_model_round_trip(self, trained):
         model, pipe = serialize.load_model(str(trained / "model_T1.json"))
-        assert model.row_type == "T1"
         assert pipe.row_type == "T1"
         assert model.spec.n_qubits == 2
 
@@ -672,9 +671,9 @@ def per_row_type_gridsearch(cfg_path, out):
         pipe, _, train_ds, _, _ = cli._fit_pipeline(partitions[row_type], row_type, cfg,
                                                     seed, components=width, width=width)
 
-        def augment(X, y, names=pipe.class_names, row_type=row_type):
+        def augment(X, y, names=pipe.class_names):
             def draw(s):
-                ds = pl.smote_oversample(pl.RowTypeDataset(row_type, X, y, names),
+                ds = pl.smote_oversample(pl.RowTypeDataset(X, y, names),
                                          cfg.smote_k, s)
                 return ds.X, ds.y
 
@@ -793,7 +792,7 @@ class TestGridsearchSmote:
         tables, draws = [], []
         neighbors, oversample = pl.smote_neighbors, pl.smote_oversample
         monkeypatch.setattr(pl, "smote_neighbors", lambda ds, k: tables.append(
-            (ds.row_type, ds.X.tobytes())) or neighbors(ds, k))
+            ds.X.tobytes()) or neighbors(ds, k))
         monkeypatch.setattr(pl, "smote_oversample", lambda ds, k, seed, table=None: (
             draws.append(table is not None) or oversample(ds, k, seed, table)))
         assert cli.main(["gridsearch", "--config", os.path.join(DATA_DIR, "run.cfg"),
@@ -1093,7 +1092,8 @@ class TestPredict:
         # a second T1 model, which sorts after the first, with one angle changed
         (lambda doc: doc["qweights"][0][0].__setitem__(0, 0.5),
          "{0}/model_T1.json and {0}/model_zz_copy.json both hold a model for row type 'T1'"),
-        (lambda doc: doc["pipeline"].update(row_type="T3", row_type_column="SEG"),
+        (lambda doc: doc.update(row_type="T3")
+         or doc["pipeline"].update(row_type="T3", row_type_column="SEG"),
          "{0}/model_T1.json and {0}/model_zz_copy.json name different row-type "
          "columns, 'SEGCD' and 'SEG'"),
     ])
@@ -1163,6 +1163,19 @@ class TestHostileInput:
          "'pipeline.n_components' must equal 'spec.n_qubits', 2, not 9"),
         (lambda doc: doc["pipeline"]["scale_mins"].pop(),
          "'pipeline.scale_mins' must hold 2 elements, one per component, not 1"),
+        (lambda doc: doc["pipeline"]["class_names"].pop(),
+         "'pipeline.class_names' must hold n_classes, 3, distinct names, not ['g1', 'g2']"),
+        (lambda doc: doc["pipeline"]["class_names"].append("g4"),
+         "'pipeline.class_names' must hold n_classes, 3, distinct names, "
+         "not ['g1', 'g2', 'g3', 'g4']"),
+        (lambda doc: doc["pipeline"].update(class_names=["g1", "g1", "g3"]),
+         "'pipeline.class_names' must hold n_classes, 3, distinct names, "
+         "not ['g1', 'g1', 'g3']"),
+        (lambda doc: doc.update(row_type="T2"),
+         "'row_type' 'T2' differs from 'pipeline.row_type' 'T1'"),
+        (lambda doc: doc["pipeline"]["encoder_columns"].append(
+            doc["pipeline"]["encoder_columns"][0]),
+         "'pipeline.encoder_columns' encode 3 features, but 'pipeline.pca_mean' holds 2"),
     ], ids=["no-spec", "no-qweights", "no-head", "no-n_classes", "spec-string-n_qubits",
             "spec-unknown-key", "spec-no-n_layers", "spec-zero-n_layers",
             "spec-n_qubits-over-cap", "head-layer-no-bias", "head-object",
@@ -1172,7 +1185,9 @@ class TestHostileInput:
             "encoder-column-unknown-kind", "encoder-column-null-median",
             "pipeline-string-class_names", "pipeline-integer-label_column",
             "spec-n_qubits-off-weights", "n_classes-off-head", "head-unknown-activation",
-            "infinite-qweight", "n_components-off-spec", "short-scale_mins"])
+            "infinite-qweight", "n_components-off-spec", "short-scale_mins",
+            "short-class_names", "long-class_names", "repeated-class_names",
+            "row_type-off-pipeline", "repeated-encoder_column"])
     def test_malformed_model_file_names_file_and_key(self, workdir, trained, tmp_path,
                                                       capsys, edit, message):
         doc = json.loads((trained / "model_T1.json").read_text())
@@ -1382,10 +1397,13 @@ class TestHostileInput:
          "'pipeline.pca_components', 4, not 5"),
         (lambda doc: doc["pipeline"]["scale_maxs"].append(1.0),
          "'pipeline.scale_maxs' must hold 5 elements, one per component, not 6"),
+        (lambda doc: doc["pipeline"]["encoder_columns"][6].update(categories=[]),
+         "'pipeline.encoder_columns' encode 7 features, but 'pipeline.pca_mean' holds 11"),
     ], ids=["integer-merge", "object-scale_min", "string-qweight", "string-pca_mean",
             "integer-class_names", "one-name-merge", "ragged-pca_components",
             "boolean-bias", "integer-exclude_column", "integer-category",
-            "short-pca_mean", "short-pca_components", "long-scale_maxs"])
+            "short-pca_mean", "short-pca_components", "long-scale_maxs",
+            "empty-categories"])
     def test_malformed_array_element_names_file_and_element(self, fixture_run, tmp_path,
                                                             capsys, edit, message):
         doc = json.loads((fixture_run[0] / "model_agriculture.json").read_text())

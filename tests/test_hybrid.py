@@ -45,8 +45,7 @@ def model_with_params(model, flat):
         b = flat[pos:pos + layer.bias.size]
         pos += layer.bias.size
         layers.append(DenseLayer(w, b, layer.activation))
-    return HybridModel(model.spec, qweights, MLPHead(layers), model.n_classes,
-                       model.row_type)
+    return HybridModel(model.spec, qweights, MLPHead(layers))
 
 
 def flatten_grads(grads):
@@ -68,7 +67,7 @@ class TestHybridForward:
     def test_symmetric_logits_uniform(self):
         spec = CircuitSpec(2, 1)
         head = MLPHead([DenseLayer(np.zeros((3, 2)), np.zeros(3), "softmax")])
-        model = HybridModel(spec, np.zeros((1, 2, 3)), head, 3)
+        model = HybridModel(spec, np.zeros((1, 2, 3)), head)
         np.testing.assert_allclose(hybrid.hybrid_forward(model, [0.0, 0.0]),
                                    [1 / 3] * 3, atol=1e-15)
 
@@ -87,7 +86,7 @@ class TestHybridForward:
         spec = CircuitSpec(2, 1)
         head = MLPHead([DenseLayer(np.zeros((3, 4)), np.zeros(3), "softmax")])
         with pytest.raises(ShapeError):
-            HybridModel(spec, np.zeros((1, 2, 3)), head, 3)
+            HybridModel(spec, np.zeros((1, 2, 3)), head)
 
 
 class TestStackedScoring:
@@ -127,7 +126,7 @@ class TestLossAndGrads:
         # huge output bias on class 0 makes every prediction one-hot correct
         head = MLPHead([DenseLayer(np.zeros((3, 2)), [1000.0, 0.0, 0.0],
                                    "softmax")])
-        model = HybridModel(spec, np.zeros((1, 2, 3)), head, 3)
+        model = HybridModel(spec, np.zeros((1, 2, 3)), head)
         X = np.array([[0.2, 0.4], [1.0, 2.0]])
         loss, grads = hybrid.loss_and_grads(model, (X, np.zeros(2, dtype=int)))
         assert loss == 0.0
@@ -138,7 +137,7 @@ class TestLossAndGrads:
         # softmax([0, 0.5 q + 0.1])[1] = sigmoid(0.5 q + 0.1)
         spec = CircuitSpec(1, 1)
         head = MLPHead([DenseLayer([[0.0], [0.5]], [0.0, 0.1], "softmax")])
-        model = HybridModel(spec, np.zeros((1, 1, 3)), head, 2)
+        model = HybridModel(spec, np.zeros((1, 1, 3)), head)
         X = np.array([[np.arccos(0.8845)], [np.arccos(0.4417)]])
         y = np.array([1, 0])
         p1 = hybrid.hybrid_forward(model, X[0])
@@ -197,7 +196,7 @@ class TestCircuitParametrization:
         x_weights[0, :, 2] += np.pi / 2
         x_model = HybridModel(CircuitSpec(*astuple(y_model.spec)[:2], "X",
                                           y_model.spec.entangler_range),
-                              x_weights, y_model.head, 3)
+                              x_weights, y_model.head)
         np.testing.assert_allclose(hybrid.forward_probs(x_model, X),
                                    hybrid.forward_probs(y_model, X), rtol=0, atol=1e-12)
 
@@ -209,7 +208,7 @@ class TestCircuitParametrization:
         model, X, rng = drawn
         shifted = model.qweights.copy()
         shifted[-1, :, 0] += rng.uniform(-np.pi, np.pi, size=model.spec.n_qubits)
-        moved = HybridModel(model.spec, shifted, model.head, 3)
+        moved = HybridModel(model.spec, shifted, model.head)
         np.testing.assert_allclose(hybrid.forward_probs(moved, X),
                                    hybrid.forward_probs(model, X), rtol=0, atol=1e-12)
         _, grads = hybrid.loss_and_grads(model, (X, rng.integers(0, 3, size=len(X))))
@@ -344,12 +343,13 @@ class TestDivergence:
 
     def test_diverging_step_names_row_type_epoch_and_batch(self):
         model = hybrid.init_model(CircuitSpec(2, 1), 2, np.random.default_rng(3),
-                                  row_type="personal", hidden=(8,),
-                                  hidden_activation="relu")
+                                  hidden=(8,), hidden_activation="relu")
         X, y = toy_blobs(np.random.default_rng(4), n_per_class=8)
+        job = hybrid.FitJob(model, (X, y), None, TrainConfig(2, 1e308, 4, rng_seed=0),
+                            "row type 'personal'")
         with pytest.raises(ValueError, match=r"row type 'personal': training "
                            r"diverged at epoch 1, batch \d+ of 4"):
-            fit_one(model, (X, y), None, TrainConfig(2, 1e308, 4, rng_seed=0))
+            hybrid.fit_all([job])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_step_warns_nothing_first(self):
@@ -521,9 +521,9 @@ class TestStepBudget:
         rng = np.random.default_rng(85)
         small = hybrid.FitJob(hybrid.init_model(CircuitSpec(2, 1), 2, rng),
                               toy_blobs(rng, n_per_class=4), None, TrainConfig(1, 0.1, 4))
-        wide = hybrid.FitJob(hybrid.init_model(CircuitSpec(16, 1), 2, rng, "wide"),
+        wide = hybrid.FitJob(hybrid.init_model(CircuitSpec(16, 1), 2, rng),
                              (rng.uniform(0, np.pi, (300, 16)), rng.integers(0, 2, 300)),
-                             None, TrainConfig(1, 0.1, 256))
+                             None, TrainConfig(1, 0.1, 256), "row type 'wide'")
         # 256 rows x 2**16 amplitudes x 16 B x (5 + 1 layer) state batches
         with pytest.raises(ValueError, match=r"^row type 'wide': a training step at "
                            r"batch_size = 256 on 16 qubits would hold about 1\.5 GiB, "
@@ -559,7 +559,7 @@ class TestPredict:
     def test_symmetric_tie_goes_to_class_zero(self):
         spec = CircuitSpec(2, 1)
         head = MLPHead([DenseLayer(np.zeros((3, 2)), np.zeros(3), "softmax")])
-        model = HybridModel(spec, np.zeros((1, 2, 3)), head, 3)
+        model = HybridModel(spec, np.zeros((1, 2, 3)), head)
         cls, probs = hybrid.predict(model, [0.0, 0.0])
         assert cls == 0
 
@@ -567,7 +567,7 @@ class TestPredict:
         spec = CircuitSpec(2, 1)
         bias = np.log([0.1, 0.7, 0.2])
         head = MLPHead([DenseLayer(np.zeros((3, 2)), bias, "softmax")])
-        model = HybridModel(spec, np.zeros((1, 2, 3)), head, 3)
+        model = HybridModel(spec, np.zeros((1, 2, 3)), head)
         cls, probs = hybrid.predict(model, [0.3, 0.4])
         assert cls == 1
         np.testing.assert_allclose(probs, [0.1, 0.7, 0.2], atol=1e-12)
@@ -581,8 +581,7 @@ class TestPredict:
         shifted = HybridModel(
             model.spec, model.qweights,
             MLPHead(model.head.layers[:-1] + [
-                DenseLayer(out.weights, out.bias + 5.0, out.activation)]),
-            model.n_classes)
+                DenseLayer(out.weights, out.bias + 5.0, out.activation)]))
         cls2, _ = hybrid.predict(shifted, x)
         assert cls == cls2
 
@@ -800,8 +799,9 @@ class TestLockstepGridSearch:
 class TestSerialization:
     def test_lossless_round_trip(self, tmp_path):
         rng = np.random.default_rng(71)
-        # two qubits, one per component the two-feature pipeline keeps
-        model = hybrid.init_model(CircuitSpec(2, 2), 3, rng, row_type="rt")
+        # two qubits, one per component the two-feature pipeline keeps, and
+        # two classes, one per label
+        model = hybrid.init_model(CircuitSpec(2, 2), 2, rng)
         rows = [[f"{a:.4f}", f"{b:.4f}", "ab"[i % 2]]
                 for i, (a, b) in enumerate(rng.normal(size=(20, 2)))]
         data = pl.TabularDataset.from_rows(["F1", "F2", "L"], rows, label_column="L")
@@ -813,7 +813,6 @@ class TestSerialization:
         assert back.to_dict() == pipe.to_dict()
         np.testing.assert_array_equal(loaded.qweights, model.qweights)
         assert loaded.spec == model.spec
-        assert loaded.row_type == "rt"
         for a, b in zip(loaded.head.layers, model.head.layers):
             np.testing.assert_array_equal(a.weights, b.weights)
             np.testing.assert_array_equal(a.bias, b.bias)

@@ -297,7 +297,7 @@ class TestMergeMinorityClass:
             labels.extend([name] * count)
         y, class_names = pl.encode_labels(labels)
         X = np.zeros((len(y), 2))
-        return RowTypeDataset("personal", X, y, class_names)
+        return RowTypeDataset(X, y, class_names)
 
     def test_published_consolidation(self):
         ds = self.published_personal()
@@ -453,7 +453,7 @@ class TestSmote:
         for c, n in enumerate(counts):
             X.append(rng.normal(c * 10.0, 1.0, size=(n, 3)))
             y.append(np.full(n, c))
-        return RowTypeDataset("t", np.vstack(X), np.concatenate(y),
+        return RowTypeDataset(np.vstack(X), np.concatenate(y),
                               [str(c) for c in range(len(counts))])
 
     def test_balanced_unchanged(self):
@@ -521,7 +521,7 @@ def tied_rows(seed, d, counts):
     rows and tied distances are common."""
     X = np.random.default_rng(seed).integers(-2, 3, size=(sum(counts), d)) / 2.0
     y = np.repeat(np.arange(len(counts)), counts)
-    return RowTypeDataset("t", X, y, [str(c) for c in range(len(counts))])
+    return RowTypeDataset(X, y, [str(c) for c in range(len(counts))])
 
 
 def assert_same_table(table, ref):
@@ -566,7 +566,7 @@ class TestSmoteNeighbors:
         rng = np.random.default_rng(count)
         X = rng.integers(0, 2, size=(count + 20, d)).astype(float)
         y = np.repeat([0, 1], [count, 20])
-        ds = RowTypeDataset("t", X, y, ["a", "b"])
+        ds = RowTypeDataset(X, y, ["a", "b"])
         assert_same_table(pl.smote_neighbors(ds, 3),
                           oracle_smote_neighbors(X, y, 2, 3))
 
@@ -601,7 +601,7 @@ class TestSmoteNeighbors:
         # the whole (c, c, d) tensor of this class is 3000**2 * 5 * 8 B = 360 MB
         rng = np.random.default_rng(9)
         y = np.repeat([0, 1], [3001, 3000])
-        ds = RowTypeDataset("t", rng.normal(size=(len(y), 5)), y, ["a", "b"])
+        ds = RowTypeDataset(rng.normal(size=(len(y), 5)), y, ["a", "b"])
         tracemalloc.start()
         try:
             table = pl.smote_neighbors(ds, 5)

@@ -1,5 +1,7 @@
 """Statevector simulator: golden values, algebraic identities and an
 independent dense-matrix oracle."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -295,6 +297,22 @@ class TestQuantumLayerForward:
             # ufunc accumulation order varies with batch size: agreement is
             # to a rounding unit, not bit-exact
             np.testing.assert_allclose(batched[i], single, atol=1e-15)
+
+    def test_forward_batch_holds_about_three_state_batches(self):
+        # forward_batch keeps no layer states: keeping them would take this
+        # 6-layer pass to about 7 state batches
+        rng = np.random.default_rng(14)
+        spec = CircuitSpec(10, 6)
+        feats = rng.uniform(0, np.pi, size=(64, 10))
+        weights = rng.uniform(0, 2 * np.pi, size=spec.weight_shape)
+        qsim.forward_batch(feats, weights, spec)  # fills the per-width table caches
+        tracemalloc.start()
+        try:
+            qsim.forward_batch(feats, weights, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 16 * (64 << 10)
 
 
 class TestNormalization:
