@@ -775,10 +775,10 @@ class RowTypePipeline:
                   where: str = "") -> "RowTypePipeline":
         """The pipeline of :meth:`to_dict`'s document.  A missing or mistyped
         key or array element, a merge that is not a pair, an encoder column
-        that does not match :class:`ColumnSpec`, or PCA, scaling and encoder
-        widths that disagree with ``n_components`` or with each other, is a
-        SchemaError naming ``source`` and the key or element, ``where`` its
-        path."""
+        that does not match :class:`ColumnSpec` or repeats a category, or PCA,
+        scaling and encoder widths that disagree with ``n_components`` or with
+        each other, is a SchemaError naming ``source`` and the key or element,
+        ``where`` its path."""
         def read(key, kind):
             return json_field(doc, key, kind, source, where)
 
@@ -798,7 +798,10 @@ class RowTypePipeline:
                 raise SchemaError(f"{source}: {path!r} is a {spec.kind} column "
                                   f"without {needs}")
             if spec.categories is not None:
-                json_field(column, "categories", [str], source, path + ".")
+                cats = json_field(column, "categories", [str], source, path + ".")
+                if len(set(cats)) != len(cats):
+                    raise SchemaError(f"{source}: {path + '.categories'!r} must hold "
+                                      f"distinct names, not {cats}")
             encoder.columns.append(spec)
         merges = read("merges", [[str]])
         if merges and len(merges[0]) != 2:

@@ -42,8 +42,18 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def _check_class_names(names: list, n_classes: int, source: str) -> None:
+    if len(set(names)) != len(names) or len(names) != n_classes:
+        raise SchemaError(f"{source}: 'pipeline.class_names' must hold n_classes, "
+                          f"{n_classes}, distinct names, not {names}")
+
+
 def model_to_dict(model: HybridModel, pipeline: RowTypePipeline) -> dict:
-    """The model document of a row type's model and its fitted preprocessing."""
+    """The model document of a row type's model and its fitted preprocessing.
+    A pipeline whose class names are not the head's ``n_classes`` distinct
+    names is a SchemaError, since :func:`model_from_dict` would refuse the
+    document."""
+    _check_class_names(pipeline.class_names, model.n_classes, "model document")
     return {
         "format": FORMAT,
         "version": VERSION,
@@ -107,10 +117,7 @@ def model_from_dict(doc: dict, source: str = "model document"):
     if row_type is not None and row_type != pipeline.row_type:
         raise SchemaError(f"{source}: 'row_type' {row_type!r} differs from "
                           f"'pipeline.row_type' {pipeline.row_type!r}")
-    names = pipeline.class_names
-    if len(set(names)) != len(names) or len(names) != n_classes:
-        raise SchemaError(f"{source}: 'pipeline.class_names' must hold n_classes, "
-                          f"{n_classes}, distinct names, not {names}")
+    _check_class_names(pipeline.class_names, n_classes, source)
     return model, pipeline
 
 

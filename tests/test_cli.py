@@ -1399,11 +1399,14 @@ class TestHostileInput:
          "'pipeline.scale_maxs' must hold 5 elements, one per component, not 6"),
         (lambda doc: doc["pipeline"]["encoder_columns"][6].update(categories=[]),
          "'pipeline.encoder_columns' encode 7 features, but 'pipeline.pca_mean' holds 11"),
+        (lambda doc: doc["pipeline"]["encoder_columns"][6]["categories"].__setitem__(1, "east"),
+         "'pipeline.encoder_columns[6].categories' must hold distinct names, "
+         "not ['east', 'east', 'south', 'west']"),
     ], ids=["integer-merge", "object-scale_min", "string-qweight", "string-pca_mean",
             "integer-class_names", "one-name-merge", "ragged-pca_components",
             "boolean-bias", "integer-exclude_column", "integer-category",
             "short-pca_mean", "short-pca_components", "long-scale_maxs",
-            "empty-categories"])
+            "empty-categories", "repeated-category"])
     def test_malformed_array_element_names_file_and_element(self, fixture_run, tmp_path,
                                                             capsys, edit, message):
         doc = json.loads((fixture_run[0] / "model_agriculture.json").read_text())

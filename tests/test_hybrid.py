@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hyquc import hybrid, nn, pipeline as pl, qgrad, qsim, serialize
 from hyquc.config import RunConfig
-from hyquc.errors import DivergenceError, ShapeError
+from hyquc.errors import DivergenceError, SchemaError, ShapeError
 from hyquc.hybrid import HyperGrid, HybridModel, TrainConfig
 from hyquc.nn import DenseLayer, MLPHead
 from hyquc.qsim import CircuitSpec
@@ -796,17 +796,22 @@ class TestLockstepGridSearch:
         assert stacks == [1, 1, 1, 1]
 
 
+def _two_label_pipeline(rng):
+    """A pipeline fitted on 20 rows of two features and the labels 'a', 'b'."""
+    rows = [[f"{a:.4f}", f"{b:.4f}", "ab"[i % 2]]
+            for i, (a, b) in enumerate(rng.normal(size=(20, 2)))]
+    data = pl.TabularDataset.from_rows(["F1", "F2", "L"], rows, label_column="L")
+    return pl.RowTypePipeline.fit(data, "rt", seed=0, components=2, width=2,
+                                  split_fractions=(0.7, 0.15, 0.15))[0]
+
+
 class TestSerialization:
     def test_lossless_round_trip(self, tmp_path):
         rng = np.random.default_rng(71)
         # two qubits, one per component the two-feature pipeline keeps, and
         # two classes, one per label
         model = hybrid.init_model(CircuitSpec(2, 2), 2, rng)
-        rows = [[f"{a:.4f}", f"{b:.4f}", "ab"[i % 2]]
-                for i, (a, b) in enumerate(rng.normal(size=(20, 2)))]
-        data = pl.TabularDataset.from_rows(["F1", "F2", "L"], rows, label_column="L")
-        pipe = pl.RowTypePipeline.fit(data, "rt", seed=0, components=2, width=2,
-                                      split_fractions=(0.7, 0.15, 0.15))[0]
+        pipe = _two_label_pipeline(rng)
         path = tmp_path / "model.json"
         serialize.save_model(str(path), model, pipe)
         loaded, back = serialize.load_model(str(path))
@@ -817,6 +822,18 @@ class TestSerialization:
             np.testing.assert_array_equal(a.weights, b.weights)
             np.testing.assert_array_equal(a.bias, b.bias)
             assert a.activation == b.activation
+
+    def test_save_refuses_head_width_off_class_names(self, tmp_path):
+        """A 3-class head beside a 2-label pipeline is not written, since
+        loading that file would refuse it."""
+        rng = np.random.default_rng(71)
+        model = hybrid.init_model(CircuitSpec(2, 2), 3, rng)
+        pipe = _two_label_pipeline(rng)
+        path = tmp_path / "model.json"
+        with pytest.raises(SchemaError, match=r"'pipeline.class_names' must hold "
+                           r"n_classes, 3, distinct names, not \['a', 'b'\]"):
+            serialize.save_model(str(path), model, pipe)
+        assert not path.exists()
 
     def test_format_guard(self, tmp_path):
         path = tmp_path / "bad.json"
