@@ -238,11 +238,23 @@ def _write_grid(out_dir: str, row_type: str, best: dict, leaderboard) -> None:
 
 
 def cmd_evaluate(model_path: str, data_path: str, out_path: str = None) -> int:
+    """Report one model file on its routed rows, or every row if it records no codes."""
     if os.path.isdir(model_path):
         raise SchemaError(f"{model_path!r} is a directory; evaluate takes one "
                           "model_<type>.json file")
-    model, pipe = serialize.load_model(model_path)
-    ds = pipe.transform(pl.load_csv(data_path, pipe.label_column))
+    models = _load_models(model_path)
+    [(row_type, (_, model, pipe))] = models.items()
+    data = pl.load_csv(data_path, pipe.label_column)
+    idxs = (list(range(len(data))) if pipe.row_type_codes is None
+            else _routes(models, data).get(row_type))
+    if idxs is None:
+        raise SchemaError(f"no row of {data_path} has a {pipe.row_type_column!r} code "
+                          f"that {model_path} records, {pipe.row_type_codes}")
+    try:  # an error names the input row
+        ds = pipe.transform(data.take(idxs), rows=idxs)
+    except ValueError as exc:
+        exc.args = (f"row type {row_type!r}: {exc}",)
+        raise
     _, acc, probs = hybrid.evaluate(model, ds.X, ds.y)
     text = _report(ds, probs, extra={"test_accuracy": acc}).to_json()
     if out_path:
@@ -252,9 +264,9 @@ def cmd_evaluate(model_path: str, data_path: str, out_path: str = None) -> int:
 
 
 def _load_models(model_path: str) -> dict:
-    """Row type -> (model, pipeline) of one model file or of a directory's
-    model_*.json files, which must hold one model per row type and name one
-    row-type column."""
+    """Row type -> (path, model, pipeline) of one model file or of a
+    directory's model_*.json files, which must hold one model per row type
+    and name one row-type column."""
     if os.path.isdir(model_path):
         paths = sorted(glob.glob(os.path.join(model_path, "model_*.json")))
         if not paths:
@@ -263,16 +275,36 @@ def _load_models(model_path: str) -> dict:
         paths = [model_path]
     loaded = [(path, *serialize.load_model(path)) for path in paths]
     column = loaded[0][2].row_type_column
-    models, sources = {}, {}
+    models = {}
     for path, model, pipe in loaded:
         if pipe.row_type_column != column:
             raise SchemaError(f"{paths[0]} and {path} name different row-type columns, "
                               f"{column!r} and {pipe.row_type_column!r}")
         if pipe.row_type in models:
-            raise SchemaError(f"{sources[pipe.row_type]} and {path} both hold a model "
+            raise SchemaError(f"{models[pipe.row_type][0]} and {path} both hold a model "
                               f"for row type {pipe.row_type!r}")
-        models[pipe.row_type], sources[pipe.row_type] = (model, pipe), path
+        models[pipe.row_type] = path, model, pipe
     return models
+
+
+def _routes(models: dict, data: pl.TabularDataset, code_map: dict = None) -> dict:
+    """Row type -> its row indices in ``data``, the one rule for which loaded
+    model scores a row.  A code maps through ``code_map`` or else through the
+    codes the files record (no two files may record one); an unmapped code is
+    its own row type.  With no row-type column, one model takes every row."""
+    column = next(iter(models.values()))[2].row_type_column
+    if column not in data.column_names:
+        if len(models) > 1:
+            raise SchemaError(f"input has no {column!r} column and multiple models are loaded")
+        return {next(iter(models)): list(range(len(data)))}
+    if code_map is None:
+        code_map = {}
+        for row_type, (path, _, pipe) in models.items():
+            for code in pipe.row_type_codes or ():
+                if code_map.setdefault(code, row_type) != row_type:
+                    raise SchemaError(f"{models[code_map[code]][0]} and {path} both record "
+                                      f"the row-type code {code!r}")
+    return pl.route_rows(data, column, code_map)
 
 
 def _csv_field(text: str) -> str:
@@ -298,23 +330,15 @@ def _scored_fields(row_type: str, class_names, probs) -> list:
 def cmd_predict(model_path: str, input_path: str, out_path: str = None,
                 row_type_map_path: str = None) -> int:
     models = _load_models(model_path)
-    rt_col = next(iter(models.values()))[1].row_type_column
     data = pl.load_csv(input_path, None)
     code_map = pl.load_row_type_map(row_type_map_path) if row_type_map_path else None
-
-    if rt_col in data.column_names:
-        # an unmapped code keeps its raw value and is flagged below
-        by_type = pl.route_rows(data, rt_col, code_map)
-    elif len(models) == 1:
-        by_type = {next(iter(models)): list(range(len(data)))}
-    else:
-        raise SchemaError(f"input has no {rt_col!r} column and multiple models are loaded")
+    by_type = _routes(models, data, code_map)
 
     lines = [None] * len(data)
     for rt, idxs in sorted(by_type.items()):
         fields = [f"{_csv_field(rt)},no_model,,"] * len(idxs)
         if rt in models:
-            model, pipe = models[rt]
+            _, model, pipe = models[rt]
             try:  # an error names the input row, as the output does
                 X = pipe.transform_features(data.take(idxs), rows=idxs)
             except ValueError as exc:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, replace
 from datetime import datetime, date
 from itertools import repeat
 from operator import itemgetter
@@ -690,6 +690,7 @@ class RowTypePipeline:
     bounds: ScaleBounds
     label_column: str = None
     row_type_column: str = None
+    row_type_codes: list = None     # the fitted rows' distinct codes, "" if missing
 
     @classmethod
     def fit(cls, raw: TabularDataset, row_type: str, *, seed: int, components: int,
@@ -724,9 +725,11 @@ class RowTypePipeline:
         applied = select_components(pca, components, cap=width)
         Z, bounds = scale_to_angle_range(pca_transform(pca, X)[:, :applied])
 
+        codes = (None if raw.row_type_column is None else
+                 sorted({code or "" for code in raw.column(raw.row_type_column)}))
         pipe = cls(row_type, list(exclude_columns), [name for name, _ in dropped],
                    list(merges), class_names, encoder, pca, applied, bounds,
-                   data.label_column, data.row_type_column)
+                   data.label_column, data.row_type_column, codes)
         report = PreprocessReport(row_type, dict(dropped), list(merges), components, applied)
         return (pipe, report, RowTypeDataset(Z, y[tr], class_names),
                 pipe.transform(data.take(va)), pipe.transform(data.take(te)))
@@ -739,12 +742,12 @@ class RowTypePipeline:
         z = pca_transform(self.pca, self.encoder.transform(data, rows))[:, :self.n_components]
         return apply_angle_scaling(z, self.bounds)
 
-    def transform(self, data: TabularDataset) -> RowTypeDataset:
+    def transform(self, data: TabularDataset, rows=None) -> RowTypeDataset:
         """Features plus encoded labels (requires the label column).
 
         The merges are replayed on the raw labels and checked against the
         fitted classes, so a table without a merged-away class replays too."""
-        z = self.transform_features(data)
+        z = self.transform_features(data, rows)
         labels = _label_strings(data.column(data.label_column or self.label_column))
         fitted = [*self.class_names, *(src for src, _ in self.merges)]
         merged, _ = merge_labels(labels, self.merges, fitted)
@@ -768,6 +771,8 @@ class RowTypePipeline:
             "scale_maxs": self.bounds.maxs.tolist(),
             "label_column": self.label_column,
             "row_type_column": self.row_type_column,
+            **({} if self.row_type_codes is None else
+               {"row_type_codes": list(self.row_type_codes)}),
         }
 
     @classmethod
@@ -779,8 +784,8 @@ class RowTypePipeline:
         scaling and encoder widths that disagree with ``n_components`` or with
         each other, is a SchemaError naming ``source`` and the key or element,
         ``where`` its path."""
-        def read(key, kind):
-            return json_field(doc, key, kind, source, where)
+        def read(key, kind, default=MISSING):
+            return json_field(doc, key, kind, source, where, default)
 
         def array(key, kind=float):
             return np.array(read(key, [kind]))
@@ -820,6 +825,7 @@ class RowTypePipeline:
             bounds=ScaleBounds(array("scale_mins"), array("scale_maxs")),
             label_column=read("label_column", nullable),
             row_type_column=read("row_type_column", nullable),
+            row_type_codes=read("row_type_codes", [str], None),
         )
         mean, rows, n = pipeline.pca.mean, pipeline.pca.components, pipeline.n_components
         if len(rows) and len(rows[0]) != len(mean):

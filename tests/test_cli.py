@@ -1113,6 +1113,106 @@ class TestPredict:
         assert not out.exists()
 
 
+class TestRouting:
+    """``predict`` and ``evaluate`` send each input row to a model by one
+    rule: through ``--row-type-map`` when it is given, else through the
+    row-type codes that the model files record."""
+
+    SYNTH = os.path.join(DATA_DIR, "synth.csv")
+    MAP = os.path.join(DATA_DIR, "rowtypes.map")
+
+    def synth_rows(self):
+        with open(self.SYNTH) as fh:
+            return fh.read().splitlines()
+
+    def test_model_files_record_their_codes(self, fixture_run):
+        for tag, codes in (("agriculture", ["AG01", "AG02"]), ("personal", ["PL01"])):
+            doc = json.loads((fixture_run[0] / f"model_{tag}.json").read_text())
+            assert doc["pipeline"]["row_type_codes"] == codes
+
+    def test_evaluate_scores_only_its_own_rows_as_predict_does(self, fixture_run, tmp_path,
+                                                             monkeypatch):
+        models, out, preds = fixture_run[0], tmp_path / "eval.json", tmp_path / "pred.csv"
+        scored, evaluate = [], hybrid.evaluate
+
+        def recording(*args):
+            result = evaluate(*args)
+            scored.append(result[2])
+            return result
+
+        monkeypatch.setattr(hybrid, "evaluate", recording)
+        assert cli.main(["evaluate", "--model", str(models / "model_agriculture.json"),
+                         "--data", self.SYNTH, "--out", str(out)]) == 0
+        assert cli.main(["predict", "--model", str(models), "--input", self.SYNTH,
+                         "--row-type-map", self.MAP, "--out", str(preds)]) == 0
+        report = json.loads(out.read_text())
+        own = [i for i, line in enumerate(self.synth_rows()[1:]) if line.startswith("AG")]
+        assert sum(c["support"] for c in report["per_class"]) == len(own) == 600
+        lines = list(csv.reader(io.StringIO(preds.read_text())))[1:]
+        [probs] = scored
+        assert [lines[i][3] for i in own] == [report["class_names"][k]
+                                              for k in np.argmax(probs, axis=1)]
+
+    def test_predict_without_map_routes_by_recorded_codes(self, fixture_run, tmp_path):
+        outs = []
+        for row_type_map in ([], ["--row-type-map", self.MAP]):
+            out = tmp_path / f"pred{len(outs)}.csv"
+            assert cli.main(["predict", "--model", str(fixture_run[0]), "--input", self.SYNTH,
+                             *row_type_map, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("codes", [["AG01", "AG02"], []])
+    def test_evaluate_refuses_a_file_that_no_row_routes_to(self, fixture_run, tmp_path,
+                                                          capsys, codes):
+        doc = json.loads((fixture_run[0] / "model_agriculture.json").read_text())
+        doc["pipeline"]["row_type_codes"] = codes
+        model, data, out = tmp_path / "model.json", tmp_path / "pl.csv", tmp_path / "eval.json"
+        model.write_text(json.dumps(doc))
+        header, *rows = self.synth_rows()
+        data.write_text("\n".join([header, *(r for r in rows if r.startswith("PL"))]) + "\n")
+        assert cli.main(["evaluate", "--model", str(model), "--data", str(data),
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"hyquc: error: no row of {data} has a 'SEGCD' code that {model} records, "
+            f"{codes}\n")
+        assert not out.exists()
+
+    def test_two_files_recording_one_code_refused_without_map(self, fixture_run, tmp_path,
+                                                             capsys):
+        models, out = tmp_path / "models", tmp_path / "pred.csv"
+        models.mkdir()
+        for tag in ("agriculture", "personal"):
+            doc = json.loads((fixture_run[0] / f"model_{tag}.json").read_text())
+            if tag == "personal":
+                doc["pipeline"]["row_type_codes"] = ["AG02", "PL01"]
+            (models / f"model_{tag}.json").write_text(json.dumps(doc))
+        argv = ["predict", "--model", str(models), "--input", self.SYNTH, "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"hyquc: error: {models}/model_agriculture.json and {models}/model_personal.json "
+            "both record the row-type code 'AG02'\n")
+        assert not out.exists()
+        assert cli.main(argv + ["--row-type-map", self.MAP]) == 0
+
+    def test_evaluate_error_names_the_input_row(self, fixture_run, tmp_path, capsys):
+        # the third agriculture row, after personal rows: its number in the
+        # file is not its number among the routed rows
+        header, *rows = self.synth_rows()
+        i = [j for j, r in enumerate(rows) if r.startswith("AG")][2]
+        assert i != 2
+        code, grade, _, rest = rows[i].split(",", 3)
+        rows[i] = f"{code},{grade},inf,{rest}"
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join([header, *rows]) + "\n")
+        assert cli.main(["evaluate", "--model",
+                         str(fixture_run[0] / "model_agriculture.json"),
+                         "--data", str(data)]) == 1
+        assert capsys.readouterr().err == (
+            f"hyquc: error: row type 'agriculture': column 'F1', row {i}: "
+            "non-finite number 'inf'\n")
+
+
 class TestHostileInput:
     """A malformed model file or an unparseable CSV line stops the command
     with one named error and exit code 1, never a traceback."""
@@ -1313,7 +1413,8 @@ class TestHostileInput:
                 ("spec.entangler_range", "drop"),
                 ("pipeline.encoder_columns[0].categories", "drop"),
                 ("pipeline.encoder_columns[0].categories", "an array"),
-                ("pipeline.date_format", "a string"), ("pipeline.row_type_column", "null")}
+                ("pipeline.date_format", "a string"), ("pipeline.row_type_column", "null"),
+                ("pipeline.row_type_codes", "drop")}
 
     def test_every_key_dropped_or_retyped_is_one_named_error(self, fixture_run, tmp_path,
                                                               capsys):
@@ -1363,7 +1464,7 @@ class TestHostileInput:
                 elif not (rc == 1 and err.startswith("hyquc: error: ")
                           and err.count("\n") == 1 and not out.exists()):
                     refused.append((name, mutation, rc, err))
-        assert paths == 36
+        assert paths == 37
         assert refused == []
         assert accepted == self.ACCEPTED
 
@@ -1465,7 +1566,7 @@ class TestHostileInput:
             "pipeline.class_names[0]", "pipeline.encoder_columns[6].categories[0]",
             "pipeline.pca_mean[0]", "pipeline.pca_components[0][0]",
             "pipeline.pca_explained_variance[0]", "pipeline.scale_mins[0]",
-            "pipeline.scale_maxs[0]"]
+            "pipeline.scale_maxs[0]", "pipeline.row_type_codes[0]"]
         assert wrong == []
 
 

@@ -46,7 +46,7 @@ def probabilities(field: str) -> list:
 
 
 def test_corpus_is_not_empty():
-    assert len(ENTRIES) >= 5
+    assert len(ENTRIES) >= 6
 
 
 @pytest.mark.parametrize("name", ENTRIES)

@@ -18,7 +18,6 @@ import contextlib
 import dataclasses
 import io
 import os
-import shutil
 import sys
 import tempfile
 
@@ -27,7 +26,7 @@ DATA = os.path.join(HERE, "..", "tests", "data")
 OUT = os.path.join(DATA, "models")
 INPUT_ROWS = 20
 
-from hyquc import cli, hybrid  # noqa: E402
+from hyquc import cli, hybrid, serialize  # noqa: E402
 from hyquc.config import load_config  # noqa: E402
 from hyquc.qsim import CircuitSpec  # noqa: E402
 
@@ -46,14 +45,19 @@ def settings(**values):
     return lambda cfg: dataclasses.replace(cfg, **values)
 
 
-# entry name -> (edit of the run.cfg settings, the row type whose model is kept)
+# entry name -> (edit of the run.cfg settings, the row type whose model is
+# kept, whether the file keeps its pipeline.row_type_codes key).  The first
+# five entries were written before the key existed, so they are written
+# without it, as they were then.
 ENTRIES = {
-    "runcfg_agriculture": (settings(), "agriculture"),
-    "runcfg_personal": (settings(), "personal"),
-    "x_embedding": (x_embedding, "agriculture"),
-    "sigmoid_two_hidden": (settings(hidden=(8, 6), hidden_activation="sigmoid"), "personal"),
+    "runcfg_agriculture": (settings(), "agriculture", False),
+    "runcfg_personal": (settings(), "personal", False),
+    "x_embedding": (x_embedding, "agriculture", False),
+    "sigmoid_two_hidden": (settings(hidden=(8, 6), hidden_activation="sigmoid"), "personal",
+                           False),
     "wide_10q_3l": (settings(n_qubits=10, n_layers=3, pca_components=10, epochs=5),
-                    "agriculture"),
+                    "agriculture", False),
+    "row_type_codes": (settings(), "agriculture", True),
 }
 
 
@@ -64,7 +68,7 @@ def write_input():
         fh.writelines(lines)
 
 
-def write_entry(name, edit, row_type, work):
+def write_entry(name, edit, row_type, codes, work):
     cfg = edit(load_config(os.path.join(DATA, "run.cfg")))
     cfg.out_dir = os.path.join(work, name)
     with contextlib.redirect_stdout(io.StringIO()):
@@ -72,7 +76,10 @@ def write_entry(name, edit, row_type, work):
     entry = os.path.join(OUT, name)
     os.makedirs(entry, exist_ok=True)
     model = os.path.join(entry, "model.json")
-    shutil.copyfile(os.path.join(cfg.out_dir, f"model_{row_type}.json"), model)
+    trained, pipe = serialize.load_model(os.path.join(cfg.out_dir, f"model_{row_type}.json"))
+    if not codes:
+        pipe.row_type_codes = None
+    serialize.save_model(model, trained, pipe)
     data = os.path.join(OUT, "input.csv")
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(["predict", "--model", model, "--input", data,
@@ -87,8 +94,8 @@ def main():
     os.makedirs(OUT, exist_ok=True)
     write_input()
     with tempfile.TemporaryDirectory() as work:
-        for name, (edit, row_type) in ENTRIES.items():
-            write_entry(name, edit, row_type, work)
+        for name, (edit, row_type, codes) in ENTRIES.items():
+            write_entry(name, edit, row_type, codes, work)
 
 
 if __name__ == "__main__":
