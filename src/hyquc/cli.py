@@ -382,12 +382,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("evaluate")
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", required=True, action="append")
     p.add_argument("--data", required=True)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("predict")
-    p.add_argument("--model", required=True,
+    p.add_argument("--model", required=True, action="append",
                    help="model file or a directory of model_*.json files")
     p.add_argument("--input", required=True)
     p.add_argument("--out", default=None)
@@ -409,9 +409,12 @@ def main(argv=None) -> int:
             if args.out is not None:
                 cfg.out_dir = args.out
             return cmd_train(cfg) if args.command == "train" else cmd_gridsearch(cfg)
+        if len(args.model) > 1:  # each command scores one model file or directory
+            raise SchemaError(f"--model may be given once, not for each of "
+                              f"{', '.join(map(repr, args.model))}")
         if args.command == "evaluate":
-            return cmd_evaluate(args.model, args.data, args.out)
-        return cmd_predict(args.model, args.input, args.out, args.row_type_map)
+            return cmd_evaluate(args.model[0], args.data, args.out)
+        return cmd_predict(args.model[0], args.input, args.out, args.row_type_map)
     except (ValueError, OSError) as exc:  # every hyquc error is a ValueError
         print(f"hyquc: error: {exc}", file=sys.stderr)
         return 1

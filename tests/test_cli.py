@@ -841,6 +841,21 @@ class TestParser:
             cli._build_parser().parse_args(argv)
         assert outputs == [(exit_info.value.code, *capsys.readouterr())] * 2
 
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_repeated_model_refused(self, fixture_run, tmp_path, capsys, command):
+        # argparse would keep only the second: predict flagged the first
+        # model's rows no_model and evaluate reported the second model
+        first, second = (str(fixture_run[0] / f"model_{tag}.json")
+                         for tag in ("agriculture", "personal"))
+        out = tmp_path / "out"
+        data = ["--data" if command == "evaluate" else "--input",
+                os.path.join(DATA_DIR, "synth.csv")]
+        assert cli.main([command, "--model", first, "--model", second, *data,
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"hyquc: error: --model may be given once, not "
+                                           f"for each of {first!r}, {second!r}\n")
+        assert not out.exists()
+
 
 class TestRowTypeErrors:
     """train and gridsearch name the row type an error came from and keep the
