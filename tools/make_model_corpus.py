@@ -6,8 +6,10 @@ the ``predict`` output of ``input.csv`` scored with the fixture's row-type
 map (``predict.csv``) and the ``evaluate`` report of ``input.csv``
 (``evaluate.json``).  ``input.csv`` is the first 20 rows of the fixture, so
 it holds both row types and both agriculture codes.  Every model is trained
-from the committed fixture and ``tests/data/run.cfg`` with one setting
-changed, so reruns write the same bytes on one machine.
+from the committed fixture and ``tests/data/run.cfg``, with the entry's
+settings changed, so reruns write the same bytes on one machine.  The
+``row_type_codes`` entry keeps the codes its file records, so its
+``evaluate`` report covers only its own row type's rows.
 
 tests/test_corpus.py scores every entry and compares with what is stored
 here; it never runs this tool.  Run from the repository root:
@@ -45,19 +47,22 @@ def settings(**values):
     return lambda cfg: dataclasses.replace(cfg, **values)
 
 
+RUN_CFG = settings()
+
+
 # entry name -> (edit of the run.cfg settings, the row type whose model is
 # kept, whether the file keeps its pipeline.row_type_codes key).  The first
 # five entries were written before the key existed, so they are written
 # without it, as they were then.
 ENTRIES = {
-    "runcfg_agriculture": (settings(), "agriculture", False),
-    "runcfg_personal": (settings(), "personal", False),
+    "runcfg_agriculture": (RUN_CFG, "agriculture", False),
+    "runcfg_personal": (RUN_CFG, "personal", False),
     "x_embedding": (x_embedding, "agriculture", False),
     "sigmoid_two_hidden": (settings(hidden=(8, 6), hidden_activation="sigmoid"), "personal",
                            False),
     "wide_10q_3l": (settings(n_qubits=10, n_layers=3, pca_components=10, epochs=5),
                     "agriculture", False),
-    "row_type_codes": (settings(), "agriculture", True),
+    "row_type_codes": (RUN_CFG, "agriculture", True),
 }
 
 
@@ -68,15 +73,20 @@ def write_input():
         fh.writelines(lines)
 
 
-def write_entry(name, edit, row_type, codes, work):
+def train(edit, work) -> str:
+    """The directory of ``train`` on run.cfg with ``edit`` applied."""
     cfg = edit(load_config(os.path.join(DATA, "run.cfg")))
-    cfg.out_dir = os.path.join(work, name)
+    cfg.out_dir = tempfile.mkdtemp(dir=work)
     with contextlib.redirect_stdout(io.StringIO()):
         cli.cmd_train(cfg)
+    return cfg.out_dir
+
+
+def write_entry(name, trained_dir, row_type, codes):
     entry = os.path.join(OUT, name)
     os.makedirs(entry, exist_ok=True)
     model = os.path.join(entry, "model.json")
-    trained, pipe = serialize.load_model(os.path.join(cfg.out_dir, f"model_{row_type}.json"))
+    trained, pipe = serialize.load_model(os.path.join(trained_dir, f"model_{row_type}.json"))
     if not codes:
         pipe.row_type_codes = None
     serialize.save_model(model, trained, pipe)
@@ -94,8 +104,11 @@ def main():
     os.makedirs(OUT, exist_ok=True)
     write_input()
     with tempfile.TemporaryDirectory() as work:
+        runs = {}  # entries with one edit share its training run
         for name, (edit, row_type, codes) in ENTRIES.items():
-            write_entry(name, edit, row_type, codes, work)
+            if edit not in runs:
+                runs[edit] = train(edit, work)
+            write_entry(name, runs[edit], row_type, codes)
 
 
 if __name__ == "__main__":
