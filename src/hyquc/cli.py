@@ -238,15 +238,17 @@ def _write_grid(out_dir: str, row_type: str, best: dict, leaderboard) -> None:
 
 
 def cmd_evaluate(model_path: str, data_path: str, out_path: str = None) -> int:
-    """Report one model file on its routed rows, or every row if it records no codes."""
+    """Report one model file on its routed rows, or every row if it records no
+    codes; the rows left out, if any, are logged once the report is written."""
     if os.path.isdir(model_path):
         raise SchemaError(f"{model_path!r} is a directory; evaluate takes one "
                           "model_<type>.json file")
     models = _load_models(model_path)
     [(row_type, (_, model, pipe))] = models.items()
     data = pl.load_csv(data_path, pipe.label_column)
-    idxs = (list(range(len(data))) if pipe.row_type_codes is None
-            else _routes(models, data).get(row_type))
+    routes = ({row_type: list(range(len(data)))} if pipe.row_type_codes is None
+              else _routes(models, data))
+    idxs = routes.get(row_type)
     if idxs is None:
         raise SchemaError(f"no row of {data_path} has a {pipe.row_type_column!r} code "
                           f"that {model_path} records, {pipe.row_type_codes}")
@@ -260,6 +262,10 @@ def cmd_evaluate(model_path: str, data_path: str, out_path: str = None) -> int:
     if out_path:
         serialize.atomic_write_text(out_path, text)
     print(text)
+    if len(idxs) < len(data):
+        log.info("%d of %d rows left out: %s records none of their %r codes, %s",
+                 len(data) - len(idxs), len(data), model_path, pipe.row_type_column,
+                 ", ".join(map(repr, sorted(set(routes) - {row_type}))))
     return 0
 
 

@@ -161,7 +161,7 @@ def load_config(path) -> RunConfig:
     refused with the nearest valid name; a bad value names its section and key."""
     parser = configparser.ConfigParser()
     try:
-        if not parser.read(path):
+        if not parser.read(path, encoding="utf-8-sig"):
             raise SchemaError(f"cannot read config file {path!r}")
     except configparser.Error as exc:  # no section header, a duplicate, ...
         raise SchemaError(" ".join(str(exc).split())) from None

@@ -457,8 +457,8 @@ def _macro_f1(y_true, y_pred, n_classes) -> float:
 
 
 def circuit_spec(n_qubits: int, n_layers: int, entangler_range: int = 1) -> CircuitSpec:
-    """The circuit for one model: an RY embedding, the one axis a new model
-    takes, and the CNOT-ring offset clamped to what ``n_qubits`` wires allow."""
+    """The circuit for one model, with the CNOT-ring offset clamped to what
+    ``n_qubits`` wires allow."""
     return CircuitSpec(n_qubits, n_layers,
                        entangler_range=min(entangler_range, max(n_qubits - 1, 1)))
 

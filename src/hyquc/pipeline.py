@@ -114,8 +114,9 @@ class TabularDataset:
 def load_csv(path, label_column: str, row_type_column: str = None) -> TabularDataset:
     """Read a CSV with a header row into a table of cleaned cells (see
     :meth:`TabularDataset.from_rows`), refused once built if it has no rows.
-    A line the CSV reader cannot parse is refused with its file and line."""
-    with open(path, newline="") as fh:
+    The file is UTF-8, and a leading byte-order mark is skipped.  A line the
+    CSV reader cannot parse is refused with its file and line."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -131,9 +132,10 @@ def load_csv(path, label_column: str, row_type_column: str = None) -> TabularDat
 
 
 def load_row_type_map(path) -> dict:
-    """Parse a ``code = row_type`` mapping file; '#' starts a comment."""
+    """Parse a UTF-8 ``code = row_type`` mapping file, skipping a leading
+    byte-order mark; '#' starts a comment."""
     mapping = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:

@@ -66,16 +66,6 @@ def param_shift_grad(features, weights, spec: CircuitSpec, p: ParameterIndex,
     return float(_shifted_difference(features, weights, spec, p, output_wire, SHIFT) / 2.0)
 
 
-def quantum_jacobian(features, weights, spec: CircuitSpec) -> np.ndarray:
-    """All shift-rule derivatives, indexed [output_wire][layer][wire][axis].
-
-    Uses 2 * n_layers * n_qubits * 3 circuit evaluations; every output wire is
-    read from the same pair of evaluations.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    return jacobian_batch(features[None, :], weights, spec)[0]
-
-
 def jacobian_batch(features: np.ndarray, weights, spec: CircuitSpec) -> np.ndarray:
     """Per-sample shift-rule jacobians for a (B, n_qubits) feature batch.
 

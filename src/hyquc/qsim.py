@@ -20,7 +20,6 @@ import numpy as np
 from .errors import QubitCapError, ShapeError
 
 MAX_QUBITS = 16
-EMBEDDING_AXES = ("X", "Y")  # Y for every new model, X as older model files hold
 
 # widest run of wires whose Rot gates are fused into one dense matrix: a
 # block's matmul costs 2**s multiply-adds per amplitude, so wider blocks trade
@@ -39,22 +38,17 @@ def _check_width(n_qubits: int) -> None:
 
 @dataclass(frozen=True)
 class CircuitSpec:
-    """Static description of the circuit: register width, depth, embedding axis
-    (one of EMBEDDING_AXES, since RZ would embed nothing) and the CNOT-ring offset."""
+    """Static description of the circuit: register width, depth and the
+    CNOT-ring offset.  Features are embedded with RY."""
 
     n_qubits: int
     n_layers: int
-    embedding_rotation_axis: str = "Y"
     entangler_range: int = 1
 
     def __post_init__(self):
         _check_width(self.n_qubits)
         if self.n_layers < 1:
             raise ValueError("n_layers must be >= 1")
-        axis = self.embedding_rotation_axis
-        if axis not in EMBEDDING_AXES:
-            why = ": RZ leaves |0...0> unchanged up to a phase" if axis == "Z" else ""
-            raise ValueError(f"embedding_rotation_axis must be 'Y' or 'X', not {axis!r}{why}")
         if not 1 <= self.entangler_range < max(self.n_qubits, 2):
             raise ValueError(
                 f"entangler_range must satisfy 1 <= r < {max(self.n_qubits, 2)}"
@@ -209,11 +203,11 @@ def _rot_mats(weights: np.ndarray) -> np.ndarray:
     return mats
 
 
-def _product_state(features: np.ndarray, axis: str, gates: np.ndarray) -> np.ndarray:
-    """Angle-embed a (..., n_qubits) feature batch from |0...0> with RY, or
-    RX where ``axis`` is "X", then apply one 2x2 gate per wire, such as the
-    first layer's Rot gates, given as (..., n_qubits, 2, 2) matrices that
-    broadcast against the features.  Returns (..., 2**n_qubits) states.
+def _product_state(features: np.ndarray, gates: np.ndarray) -> np.ndarray:
+    """Angle-embed a (..., n_qubits) feature batch from |0...0> with RY,
+    then apply one 2x2 gate per wire, such as the first layer's Rot gates,
+    given as (..., n_qubits, 2, 2) matrices that broadcast against the
+    features.  Returns (..., 2**n_qubits) states.
 
     Each wire's gate acts on that wire's embedded two-amplitude vector, so
     the register is their tensor product (wire 0 leftmost): n - 1 broadcast
@@ -221,8 +215,6 @@ def _product_state(features: np.ndarray, axis: str, gates: np.ndarray) -> np.nda
     the long axis innermost."""
     h = features / 2.0
     c, s = np.cos(h), np.sin(h)
-    if axis == "X":
-        s = -1j * s
     wires = gates[..., 0] * c[..., None] + gates[..., 1] * s[..., None]
     states = wires[..., -1, :]
     for w in range(features.shape[-1] - 2, -1, -1):
@@ -293,7 +285,7 @@ def _forward(features: np.ndarray, weights: np.ndarray, spec: CircuitSpec,
     mats = _rot_mats(weights)
     blocks = _layer_blocks(mats[:, 1:])
     perm, _ = _ring_permutation(n, spec.entangler_range)
-    states = _product_state(features, spec.embedding_rotation_axis, mats[:, 0, None])
+    states = _product_state(features, mats[:, 0, None])
     for layer in range(spec.n_layers - 1):
         if kept is not None:
             kept.append(states)
@@ -388,32 +380,18 @@ def _adjoint(kept: list, upstream: np.ndarray, weights: np.ndarray, blocks: list
     return grads
 
 
-def _checked(features: np.ndarray, weights: np.ndarray, spec: CircuitSpec):
-    """A (B, n_qubits) feature batch and shared (L, n, 3) weights, checked
-    and stacked as :func:`_forward`'s stack of one."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != spec.n_qubits:
-        raise ShapeError(f"features must be (B, {spec.n_qubits}), got {features.shape}")
-    return features[None], _check_weights(weights, spec)[None]
-
-
-def forward_states(features: np.ndarray, weights: np.ndarray, spec: CircuitSpec):
-    """Final states (B, 2**n) and expectation values <Z_i> (B, n_qubits) for
-    a (B, n_qubits) feature batch under shared (L, n, 3) weights."""
-    kept = []
-    z, _ = _forward(*_checked(features, weights, spec), spec, kept)
-    perm, _ = _ring_permutation(spec.n_qubits, spec.entangler_range)
-    return kept[-1][0][:, perm], z[0]
-
-
 def forward_batch(features: np.ndarray, weights: np.ndarray, spec: CircuitSpec) -> np.ndarray:
-    """Expectation values <Z_i> for a batch of circuits.
+    """Expectation values <Z_i> for a batch of circuits: the checked entry to
+    :func:`_forward` for a stack of one.
 
     ``features`` is (B, n_qubits); ``weights`` is shared (L, n, 3).  Returns
     (B, n_qubits).  Keeps no layer states, so that one layer's state at a
     time is live.
     """
-    return _forward(*_checked(features, weights, spec), spec)[0][0]
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[1] != spec.n_qubits:
+        raise ShapeError(f"features must be (B, {spec.n_qubits}), got {features.shape}")
+    return _forward(features[None], _check_weights(weights, spec)[None], spec)[0][0]
 
 
 def _check_weights(weights: np.ndarray, spec: CircuitSpec) -> np.ndarray:
@@ -472,13 +450,13 @@ def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
 
 
 def angle_embed(features, spec: CircuitSpec) -> StateVector:
-    """Encode one feature per wire as a rotation from |0...0>."""
+    """Encode one feature per wire as an RY rotation from |0...0>."""
     features = np.asarray(features, dtype=np.float64)
     if features.shape != (spec.n_qubits,):
         raise ShapeError(
             f"expected {spec.n_qubits} features, got shape {features.shape}"
         )
-    states = _product_state(features[None, :], spec.embedding_rotation_axis, np.eye(2))
+    states = _product_state(features[None, :], np.eye(2))
     return StateVector(spec.n_qubits, states[0])
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import asdict
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from .qsim import CircuitSpec
 
 FORMAT = "hyquc-model"
 VERSION = 1
+AXIS_KEY = "embedding_rotation_axis"  # of the spec: "Y", or "X" in older files
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -59,7 +59,8 @@ def model_to_dict(model: HybridModel, pipeline: RowTypePipeline) -> dict:
         "version": VERSION,
         "row_type": pipeline.row_type,
         "n_classes": model.n_classes,
-        "spec": asdict(model.spec),
+        "spec": {"n_qubits": model.spec.n_qubits, "n_layers": model.spec.n_layers,
+                 AXIS_KEY: "Y", "entangler_range": model.spec.entangler_range},
         "qweights": model.qweights.tolist(),
         "head": [
             {
@@ -79,7 +80,9 @@ def model_from_dict(doc: dict, source: str = "model document"):
     pipeline or an element of one of their arrays, or whose values or
     widths the model, a head layer or the pipeline refuse, or whose copies
     of a fact (the class count, the row type) disagree, is a SchemaError
-    naming ``source`` and the key, the element or the head layer."""
+    naming ``source`` and the key, the element or the head layer.  A file
+    that embeds with RX loads as the RY model it equals: layer 0's gamma
+    angles shifted by -pi/2."""
     if type(doc) is not dict:
         raise SchemaError(f"{source}: a model document is a JSON object, "
                           f"not {json_type(doc)}")
@@ -87,7 +90,14 @@ def model_from_dict(doc: dict, source: str = "model document"):
         raise ValueError("not a model document")
     if type(doc.get("version")) is not int or doc["version"] != VERSION:
         raise ValueError(f"unsupported model version {doc.get('version')!r}")
-    spec = json_dataclass(CircuitSpec, json_field(doc, "spec", dict, source), source, "spec")
+    spec = json_field(doc, "spec", dict, source)
+    axis = json_field(spec, AXIS_KEY, str, source, "spec.", default="Y")
+    spec = json_dataclass(CircuitSpec, {k: v for k, v in spec.items() if k != AXIS_KEY},
+                          source, "spec")
+    if axis not in ("Y", "X"):
+        why = ": RZ leaves |0...0> unchanged up to a phase" if axis == "Z" else ""
+        raise SchemaError(f"{source}: 'spec.{AXIS_KEY}': "
+                          f"{AXIS_KEY} must be 'Y' or 'X', not {axis!r}{why}")
     layers = []
     for i, layer in enumerate(json_field(doc, "head", list, source)):
         where = f"head[{i}]"
@@ -105,6 +115,10 @@ def model_from_dict(doc: dict, source: str = "model document"):
         model = HybridModel(spec, qweights, MLPHead(layers))
     except ValueError as exc:  # a width or a value the model's own checks refuse
         raise SchemaError(f"{source}: {exc}") from None
+    if axis == "X":
+        # RX(t)|0> = e^{-i pi/4} RZ(-pi/2) RY(t)|0>, and layer 0's Rot gates
+        # start with RZ(gamma): an RX model is the RY model with gamma - pi/2
+        model.qweights[0, :, 2] -= np.pi / 2
     if model.n_classes != n_classes:
         raise SchemaError(f"{source}: head output width {model.n_classes} "
                           f"!= n_classes {n_classes}")

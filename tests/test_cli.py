@@ -301,6 +301,14 @@ class TestConfigLoading:
         with pytest.raises(SchemaError, match=f"{key} must be a finite number"):
             load_config(str(p))
 
+    def test_byte_order_mark_skipped(self, workdir, tmp_path):
+        # Excel's "CSV UTF-8" export, and some editors, start a file with one
+        p = tmp_path / "bom.cfg"
+        p.write_bytes(b"\xef\xbb\xbf" + (workdir / "run.cfg").read_bytes())
+        bare, bom = load_config(str(workdir / "run.cfg")), load_config(str(p))
+        bom.csv_path = bare.csv_path  # resolved against each file's directory
+        assert bom == bare
+
 
 class TestAtomicWrite:
     def test_replaces_content(self, tmp_path):
@@ -1210,6 +1218,45 @@ class TestRouting:
         assert not out.exists()
         assert cli.main(argv + ["--row-type-map", self.MAP]) == 0
 
+    def test_evaluate_logs_the_rows_it_leaves_out(self, fixture_run, tmp_path, caplog):
+        model = fixture_run[0] / "model_agriculture.json"
+        header, *rows = self.synth_rows()
+        renamed, own = tmp_path / "renamed.csv", tmp_path / "own.csv"
+        renamed.write_text("\n".join([header, *(r.replace("AG02,", "AG03,", 1)
+                                                for r in rows)]) + "\n")
+        own.write_text("\n".join([header, *(r for r in rows if r.startswith("AG"))]) + "\n")
+        logged = {}
+        for data in (renamed, self.SYNTH, own):
+            caplog.clear()
+            with caplog.at_level("INFO", logger="hyquc"):
+                assert cli.main(["evaluate", "--model", str(model), "--data", str(data),
+                                 "--out", str(tmp_path / "eval.json")]) == 0
+            logged[data] = [rec.getMessage() for rec in caplog.records if rec.name == "hyquc"]
+        assert logged == {
+            renamed: [f"909 of 1200 rows left out: {model} records none of their 'SEGCD' "
+                      "codes, 'AG03', 'PL01'"],
+            self.SYNTH: [f"600 of 1200 rows left out: {model} records none of their "
+                         "'SEGCD' codes, 'PL01'"],
+            own: []}
+
+    def test_byte_order_mark_copy_scores_as_the_bare_file(self, fixture_run, tmp_path):
+        models = fixture_run[0]
+        bom = tmp_path / "bom.csv"
+        with open(self.SYNTH, "rb") as fh:
+            bom.write_bytes(b"\xef\xbb\xbf" + fh.read())
+        outputs = {}
+        for name, data in (("bare", self.SYNTH), ("bom", bom)):
+            out = tmp_path / name
+            out.mkdir()
+            for tag in ("agriculture", "personal"):
+                assert cli.main(["evaluate", "--model", str(models / f"model_{tag}.json"),
+                                 "--data", str(data), "--out", str(out / f"{tag}.json")]) == 0
+            for i, row_type_map in enumerate(([], ["--row-type-map", self.MAP])):
+                assert cli.main(["predict", "--model", str(models), "--input", str(data),
+                                 *row_type_map, "--out", str(out / f"pred{i}.csv")]) == 0
+            outputs[name] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        assert len(outputs["bom"]) == 4 and outputs["bom"] == outputs["bare"]
+
     def test_evaluate_error_names_the_input_row(self, fixture_run, tmp_path, capsys):
         # the third agriculture row, after personal rows: its number in the
         # file is not its number among the routed rows
@@ -1242,6 +1289,9 @@ class TestHostileInput:
         (lambda doc: doc["spec"].update(n_layers=0), "'spec.n_layers': n_layers must be >= 1"),
         (lambda doc: doc["spec"].update(n_qubits=40),
          "'spec.n_qubits': n_qubits=40 exceeds the simulator cap of 16"),
+        (lambda doc: doc["spec"].update(embedding_rotation_axis="Q"),
+         "'spec.embedding_rotation_axis': embedding_rotation_axis must be 'Y' or 'X', "
+         "not 'Q'"),
         (lambda doc: doc["head"][0].pop("bias"), "no 'head[0].bias' key"),
         (lambda doc: doc.update(head={}), "'head' must be an array, not an object"),
         (lambda doc: doc.update(n_classes=True), "'n_classes' must be an integer, not a boolean"),
@@ -1293,7 +1343,7 @@ class TestHostileInput:
          "'pipeline.encoder_columns' encode 3 features, but 'pipeline.pca_mean' holds 2"),
     ], ids=["no-spec", "no-qweights", "no-head", "no-n_classes", "spec-string-n_qubits",
             "spec-unknown-key", "spec-no-n_layers", "spec-zero-n_layers",
-            "spec-n_qubits-over-cap", "head-layer-no-bias", "head-object",
+            "spec-n_qubits-over-cap", "spec-unknown-axis", "head-layer-no-bias", "head-object",
             "boolean-n_classes", "no-pipeline", "null-pipeline", "pipeline-no-pca_mean",
             "pipeline-no-date_format", "pipeline-integer-encoder_columns",
             "encoder-column-no-kind", "encoder-column-string", "encoder-column-unknown-key",

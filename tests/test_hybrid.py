@@ -1,6 +1,8 @@
 """Hybrid model composition, training loop, k-fold CV and grid search."""
+import json
 import tracemalloc
 from dataclasses import astuple
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from hyquc.errors import DivergenceError, SchemaError, ShapeError
 from hyquc.hybrid import HyperGrid, HybridModel, TrainConfig
 from hyquc.nn import DenseLayer, MLPHead
 from hyquc.qsim import CircuitSpec
+
+from conftest import oracle_quantum_layer
 
 
 def toy_blobs(rng, n_per_class=40, centers=((0.8, 0.8), (2.3, 2.3)), sigma=0.25):
@@ -173,8 +177,8 @@ class TestLossAndGrads:
 
 @st.composite
 def rotated_models(draw):
-    """A random Y-embedded model (n <= 8 wires, L <= 3 layers, any ring
-    offset) with 3 classes and a (4,) head, and 12 rows of features."""
+    """A random model (n <= 8 wires, L <= 3 layers, any ring offset) with 3
+    classes and a (4,) head, and 12 rows of features."""
     n = draw(st.integers(1, 8))
     spec = CircuitSpec(n, draw(st.integers(1, 3)),
                        entangler_range=draw(st.integers(1, max(n - 1, 1))))
@@ -186,19 +190,31 @@ def rotated_models(draw):
 class TestCircuitParametrization:
     """Facts of the circuit's parametrization that its options rest on."""
 
-    @settings(max_examples=30, deadline=None)
-    @given(rotated_models())
-    def test_x_embedding_is_y_with_layer_0_gamma_shifted(self, drawn):
-        # RX(t)|0> = e^{-i pi/4} RZ(-pi/2) RY(t)|0>, and layer 0's Rot gates
-        # start with RZ(gamma): an X model is a Y model with gamma - pi/2
-        y_model, X, _ = drawn
-        x_weights = y_model.qweights.copy()
-        x_weights[0, :, 2] += np.pi / 2
-        x_model = HybridModel(CircuitSpec(*astuple(y_model.spec)[:2], "X",
-                                          y_model.spec.entangler_range),
-                              x_weights, y_model.head)
-        np.testing.assert_allclose(hybrid.forward_probs(x_model, X),
-                                   hybrid.forward_probs(y_model, X), rtol=0, atol=1e-12)
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(1, 3), st.integers(1, max(n - 1, 1)))),
+           st.integers(0, 2**32 - 1))
+    def test_x_embedding_is_y_with_layer_0_gamma_shifted(self, tmp_path_factory, shape,
+                                                          seed):
+        # a model file whose spec embeds with RX loads as the RY model with
+        # layer 0's gamma shifted by -pi/2, which the simulator runs: its
+        # <Z_i> are the dense RX oracle's at the file's own angles
+        n, layers, entangler_range = shape
+        rng = np.random.default_rng(seed)
+        spec = CircuitSpec(n, layers, entangler_range)
+        model = hybrid.init_model(spec, 2, rng, hidden=())
+        doc = serialize.model_to_dict(model, _fitted_pipeline(n))
+        doc["spec"]["embedding_rotation_axis"] = "X"
+        path = tmp_path_factory.getbasetemp() / "x_model.json"
+        path.write_text(json.dumps(doc))
+        loaded, _ = serialize.load_model(str(path))
+        assert loaded.spec == spec
+        X = rng.uniform(0, np.pi, size=(3, n))
+        got = qsim.forward_batch(X, loaded.qweights, loaded.spec)
+        for row, z in zip(X, got):
+            want = oracle_quantum_layer(row, model.qweights, n, layers, axis="X",
+                                        rng_range=entangler_range)
+            np.testing.assert_allclose(z, want, rtol=0, atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(rotated_models())
@@ -235,7 +251,7 @@ class TestTrainingStep:
                              [*((a, False) for a in nn.ACTIVATIONS), ("sigmoid", True)])
     def test_gradients_equal_the_public_kernels(self, hidden_activation, no_hidden):
         rng = np.random.default_rng(13)
-        model = hybrid.init_model(CircuitSpec(3, 2, "X", 2), 3, rng,
+        model = hybrid.init_model(CircuitSpec(3, 2, entangler_range=2), 3, rng,
                                   hidden=() if no_hidden else (4, 5),
                                   hidden_activation=hidden_activation)
         X, y = rng.uniform(0, np.pi, (6, 3)), np.array([0, 1, 2, 2, 1, 0])
@@ -656,8 +672,7 @@ class TestGridSearch:
         grid = HyperGrid((1,), (2, 3), (0.1,), (8,), (1,))
         cfg = RunConfig("unused.csv", entangler_range=2)
         hybrid.grid_search(grid, (X, y), k=2, seed=0, new_model=cfg.new_model)
-        assert {(s.n_qubits, s.embedding_rotation_axis, s.entangler_range)
-                for s in specs} == {(2, "Y", 1), (3, "Y", 2)}
+        assert {(s.n_qubits, s.entangler_range) for s in specs} == {(2, 1), (3, 2)}
 
     def test_seeded_reproducibility(self):
         X, y = self.small_data()
@@ -796,13 +811,20 @@ class TestLockstepGridSearch:
         assert stacks == [1, 1, 1, 1]
 
 
-def _two_label_pipeline(rng):
-    """A pipeline fitted on 20 rows of two features and the labels 'a', 'b'."""
-    rows = [[f"{a:.4f}", f"{b:.4f}", "ab"[i % 2]]
-            for i, (a, b) in enumerate(rng.normal(size=(20, 2)))]
-    data = pl.TabularDataset.from_rows(["F1", "F2", "L"], rows, label_column="L")
-    return pl.RowTypePipeline.fit(data, "rt", seed=0, components=2, width=2,
+def _two_label_pipeline(rng, width=2):
+    """A pipeline fitted on 20 rows of ``width`` features and the labels 'a',
+    'b', which keeps ``width`` components."""
+    rows = [[*(f"{v:.4f}" for v in values), "ab"[i % 2]]
+            for i, values in enumerate(rng.normal(size=(20, width)))]
+    names = [f"F{j}" for j in range(1, width + 1)]
+    data = pl.TabularDataset.from_rows([*names, "L"], rows, label_column="L")
+    return pl.RowTypePipeline.fit(data, "rt", seed=0, components=width, width=width,
                                   split_fractions=(0.7, 0.15, 0.15))[0]
+
+
+@lru_cache(maxsize=None)
+def _fitted_pipeline(width):
+    return _two_label_pipeline(np.random.default_rng(width), width)
 
 
 class TestSerialization:

@@ -750,9 +750,22 @@ class TestLoaders:
         with pytest.raises(SchemaError, match="^label column 'L' not present$"):
             pl.load_csv(str(p), label_column="L")
 
+    def test_load_csv_skips_byte_order_mark(self, tmp_path):
+        # a leading BOM would otherwise be part of the first header name
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"\xef\xbb\xbfA,B\n1,\n,2\n")
+        data = pl.load_csv(str(p), label_column="A")
+        assert data.column_names == ["A", "B"]
+        assert data.columns == [["1", None], [None, "2"]]
+
     def test_row_type_map(self, tmp_path):
         p = tmp_path / "m.map"
         p.write_text("# comment\nA1 = agri\nB1 = personal  # trailing\n\nA1 = agri\n")
+        assert pl.load_row_type_map(str(p)) == {"A1": "agri", "B1": "personal"}
+
+    def test_row_type_map_skips_byte_order_mark(self, tmp_path):
+        p = tmp_path / "m.map"
+        p.write_bytes(b"\xef\xbb\xbfA1 = agri\nB1 = personal\n")
         assert pl.load_row_type_map(str(p)) == {"A1": "agri", "B1": "personal"}
 
     def test_row_type_map_code_with_two_row_types_refused(self, tmp_path):

@@ -19,6 +19,38 @@ def random_instance(rng, n, layers):
     return spec, feats, weights
 
 
+def jacobian(features, weights, spec):
+    """The shift-rule jacobian of one row, [output_wire][layer][wire][axis]:
+    :func:`qgrad.jacobian_batch` on a batch of one."""
+    return qgrad.jacobian_batch(np.asarray(features, dtype=np.float64)[None], weights, spec)[0]
+
+
+def rx_jacobian_batch(features, weights, spec):
+    """:func:`qgrad.jacobian_batch` of the circuit that embeds with RX, as an
+    older model file's does, built gate by gate through the single-state API
+    (whose rotation_matrix keeps the RX gate): the reference for the RY model
+    that file loads as."""
+    n = spec.n_qubits
+
+    def expvals(w):
+        out = []
+        for row in features:
+            sv = qsim.init_zero_state(n)
+            for wire, x in enumerate(row):
+                sv = qsim.apply_single_qubit_rotation(sv, wire, "X", x)
+            sv = qsim.apply_entangling_layers(sv, w, spec)
+            out.append([qsim.expval_z(sv, wire) for wire in range(n)])
+        return np.array(out)
+
+    grads = np.empty((len(features), n, weights.size))
+    for i in range(weights.size):
+        plus, minus = weights.copy(), weights.copy()
+        plus.flat[i] += qgrad.SHIFT
+        minus.flat[i] -= qgrad.SHIFT
+        grads[:, :, i] = (expvals(plus) - expvals(minus)) / 2.0
+    return grads.reshape((len(features), n) + weights.shape)
+
+
 class TestParamShiftGrad:
     def test_ry_angle_at_zero(self):
         # d cos(beta)/d beta = 0 at beta = 0
@@ -69,9 +101,11 @@ class TestParamShiftGrad:
 
 
 class TestQuantumJacobian:
+    """The shift-rule jacobian, one row at a time and in batches."""
+
     def test_entries_bounded(self):
         spec = CircuitSpec(2, 1)
-        jac = qgrad.quantum_jacobian([0.0, 0.0], np.zeros((1, 2, 3)), spec)
+        jac = jacobian([0.0, 0.0], np.zeros((1, 2, 3)), spec)
         assert jac.shape == (2, 1, 2, 3)
         assert np.all(np.abs(jac) <= 1.0 + 1e-12)
 
@@ -80,13 +114,13 @@ class TestQuantumJacobian:
         for beta in (0.3, 1.1, 2.2):
             weights = np.zeros((1, 1, 3))
             weights[0, 0, 1] = beta
-            jac = qgrad.quantum_jacobian([0.0], weights, spec)
+            jac = jacobian([0.0], weights, spec)
             assert abs(jac[0, 0, 0, 1] - (-np.sin(beta))) < 1e-12
 
     def test_random_matches_finite_difference(self):
         rng = np.random.default_rng(21)
         spec, feats, weights = random_instance(rng, 4, 1)
-        jac = qgrad.quantum_jacobian(feats, weights, spec)
+        jac = jacobian(feats, weights, spec)
         for layer in range(1):
             for wire in range(4):
                 for axis in range(3):
@@ -101,7 +135,7 @@ class TestQuantumJacobian:
         # is to rounding, not bit-exact
         rng = np.random.default_rng(33)
         spec, feats, weights = random_instance(rng, 3, 2)
-        jac = qgrad.quantum_jacobian(feats, weights, spec)
+        jac = jacobian(feats, weights, spec)
         for _ in range(12):
             p = ParameterIndex(int(rng.integers(2)), int(rng.integers(3)),
                                int(rng.integers(3)))
@@ -112,8 +146,8 @@ class TestQuantumJacobian:
     def test_schedule_independent(self):
         rng = np.random.default_rng(41)
         spec, feats, weights = random_instance(rng, 3, 2)
-        a = qgrad.quantum_jacobian(feats, weights, spec)
-        b = qgrad.quantum_jacobian(feats, weights, spec)
+        a = jacobian(feats, weights, spec)
+        b = jacobian(feats, weights, spec)
         np.testing.assert_array_equal(a, b)
 
     def test_batch_matches_per_sample(self):
@@ -123,7 +157,7 @@ class TestQuantumJacobian:
         weights = rng.uniform(0, 2 * np.pi, size=spec.weight_shape)
         batched = qgrad.jacobian_batch(feats, weights, spec)
         for i in range(4):
-            single = qgrad.quantum_jacobian(feats[i], weights, spec)
+            single = jacobian(feats[i], weights, spec)
             np.testing.assert_allclose(batched[i], single, atol=1e-13)
 
 
@@ -167,14 +201,22 @@ class TestAdjointVJP:
     """The training gradient against the shift-rule reference."""
 
     @staticmethod
-    def both(rng, spec, batch):
+    def both(rng, spec, batch, axis="Y"):
+        """The adjoint gradient and the shift rule's.  For ``axis`` "X", the
+        shift rule is the RX circuit's at its own angles and the adjoint
+        gradient that of the RY model an RX model file loads as, with layer
+        0's gamma shifted by -pi/2 (see serialize.model_from_dict)."""
         feats = rng.uniform(0, np.pi, size=(batch, spec.n_qubits))
         weights = rng.uniform(0, 2 * np.pi, size=spec.weight_shape)
         upstream = rng.standard_normal((batch, spec.n_qubits))
+        if axis == "X":
+            jac = rx_jacobian_batch(feats, weights, spec)
+            weights = weights.copy()
+            weights[0, :, 2] -= np.pi / 2
+        else:
+            jac = qgrad.jacobian_batch(feats, weights, spec)
         got = qgrad.adjoint_vjp(feats, upstream, weights, spec)
-        want = np.einsum("mo,molwa->lwa", upstream,
-                         qgrad.jacobian_batch(feats, weights, spec))
-        return got, want
+        return got, np.einsum("mo,molwa->lwa", upstream, jac)
 
     @pytest.mark.parametrize("n, layers, axis, entangler_range, batch", [
         (1, 1, "Y", 1, 1),   # no ring
@@ -191,8 +233,7 @@ class TestAdjointVJP:
     ])
     def test_matches_shift_rule(self, n, layers, axis, entangler_range, batch):
         rng = np.random.default_rng(1000 * n + 10 * layers + batch)
-        got, want = self.both(rng, CircuitSpec(n, layers, axis, entangler_range),
-                              batch)
+        got, want = self.both(rng, CircuitSpec(n, layers, entangler_range), batch, axis)
         assert got.shape == (layers, n, 3)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -200,17 +241,14 @@ class TestAdjointVJP:
         rng = np.random.default_rng(2009)
         for _ in range(20):
             n = int(rng.integers(1, 6))
-            spec = CircuitSpec(n, int(rng.integers(1, 4)),
-                               str(rng.choice(qsim.EMBEDDING_AXES)),
-                               int(rng.integers(1, max(n, 2))))
+            spec = CircuitSpec(n, int(rng.integers(1, 4)), int(rng.integers(1, max(n, 2))))
             got, want = self.both(rng, spec, int(rng.integers(1, 8)))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_random_multi_block_specs_match_shift_rule(self):
         rng = np.random.default_rng(2020)
         for n in (6, 7, 9, 10, 11, 12):
-            spec = CircuitSpec(n, int(rng.integers(1, 3)),
-                               str(rng.choice(qsim.EMBEDDING_AXES)), int(rng.integers(1, n)))
+            spec = CircuitSpec(n, int(rng.integers(1, 3)), int(rng.integers(1, n)))
             assert len(qsim._wire_blocks(n)) in (2, 3)
             got, want = self.both(rng, spec, int(rng.integers(1, 5)))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -223,9 +261,8 @@ class TestAdjointVJP:
         spec = CircuitSpec(8, 2)
         feats = rng.uniform(0, np.pi, size=(4, 8))
         weights = rng.uniform(0, 2 * np.pi, size=spec.weight_shape)
-        states, _ = qsim.forward_states(feats, weights, spec)
         upstream = rng.standard_normal((4, 8))
-        batch_bytes = states.nbytes
+        batch_bytes = 16 * len(feats) << spec.n_qubits  # one (B, 2**n) complex batch
         tracemalloc.start()
         try:
             qgrad.adjoint_vjp(feats, upstream, weights, spec)

@@ -51,20 +51,10 @@ class TestCircuitSpec:
             CircuitSpec(2, 0)
         with pytest.raises(QubitCapError):
             CircuitSpec(17, 1)
-        with pytest.raises(ValueError, match="embedding_rotation_axis must be 'Y' or 'X', "
-                                             "not 'Q'$"):
-            CircuitSpec(2, 1, embedding_rotation_axis="Q")
         with pytest.raises(ValueError):
             CircuitSpec(3, 1, entangler_range=3)
         # single qubit still admits range 1 (the ring is simply omitted)
         assert CircuitSpec(1, 1).entangler_range == 1
-
-    def test_z_embedding_refused(self):
-        # RZ leaves |0...0> unchanged up to a phase: every row would score alike
-        with pytest.raises(ValueError, match="embedding_rotation_axis must be 'Y' or 'X', "
-                                             "not 'Z': RZ leaves "
-                                             r"\|0\.\.\.0> unchanged up to a phase$"):
-            CircuitSpec(3, 2, embedding_rotation_axis="Z")
 
 
 class TestRotation:
@@ -165,12 +155,18 @@ class TestAngleEmbed:
 
     @pytest.mark.parametrize("axis", ["X", "Y"])
     def test_matches_oracle_per_axis(self, axis):
+        # the RY embedding, and the RX one as an older model file holds it:
+        # RX(t)|0> = e^{-i pi/4} RZ(-pi/2) RY(t)|0>, the identity by which
+        # serialize loads an RX model as an RY model
         rng = np.random.default_rng(7)
         feats = rng.uniform(0, np.pi, size=3)
-        spec = CircuitSpec(3, 1, embedding_rotation_axis=axis)
-        got = qsim.angle_embed(feats, spec).amplitudes
+        sv, phase = qsim.angle_embed(feats, CircuitSpec(3, 1)), 1.0
+        if axis == "X":
+            for w in range(3):
+                sv = qsim.apply_single_qubit_rotation(sv, w, "Z", -np.pi / 2)
+            phase = np.exp(-0.75j * np.pi)  # e^{-i pi/4} per wire
         want = oracle_circuit_state(feats, np.zeros((0, 3, 3)), 3, 0, axis=axis)
-        np.testing.assert_allclose(got, want, atol=1e-14)
+        np.testing.assert_allclose(phase * sv.amplitudes, want, atol=1e-14)
 
 
 class TestEntanglingLayers:
@@ -389,8 +385,7 @@ class TestCachedCircuitTables:
 @st.composite
 def circuit_specs(draw):
     n = draw(st.integers(1, 11))
-    return CircuitSpec(n, draw(st.integers(1, 3)), draw(st.sampled_from(qsim.EMBEDDING_AXES)),
-                       draw(st.integers(1, max(n - 1, 1))))
+    return CircuitSpec(n, draw(st.integers(1, 3)), draw(st.integers(1, max(n - 1, 1))))
 
 
 def per_gate_circuit(features, weights, spec):
@@ -399,8 +394,7 @@ def per_gate_circuit(features, weights, spec):
     n = spec.n_qubits
     sv = qsim.init_zero_state(n)
     for w in range(n):
-        sv = qsim.apply_single_qubit_rotation(sv, w, spec.embedding_rotation_axis,
-                                              features[w])
+        sv = qsim.apply_single_qubit_rotation(sv, w, "Y", features[w])
     pairs = [] if n == 1 else [(0, 1)] if n == 2 else [
         (w, (w + spec.entangler_range) % n) for w in range(n)]
     for layer in range(spec.n_layers):
@@ -416,7 +410,9 @@ def per_gate_circuit(features, weights, spec):
 
 class TestWireBlocks:
     """The dense Kronecker blocks that apply a whole layer's rotations
-    against the per-gate composition they replace."""
+    against the per-gate composition they replace: the single-state API's
+    states, and the batched kernel's readout, which folds the last ring into
+    its signs."""
 
     @settings(max_examples=40, deadline=None)
     @given(circuit_specs(), st.integers(0, 2**32 - 1))
@@ -424,13 +420,14 @@ class TestWireBlocks:
         rng = np.random.default_rng(seed)
         feats = rng.uniform(0, np.pi, size=(2, spec.n_qubits))
         weights = rng.uniform(0, 2 * np.pi, size=spec.weight_shape)
-        states, _ = qsim.forward_states(feats, weights, spec)
+        z = qsim.forward_batch(feats, weights, spec)
         for b in range(2):
             want = per_gate_circuit(feats[b], weights, spec)
-            np.testing.assert_allclose(states[b], want, rtol=0, atol=1e-12)
-        single = qsim.apply_entangling_layers(qsim.angle_embed(feats[0], spec),
-                                              weights, spec)
-        np.testing.assert_allclose(single.amplitudes, states[0], rtol=0, atol=1e-12)
+            single = qsim.apply_entangling_layers(qsim.angle_embed(feats[b], spec),
+                                                  weights, spec)
+            np.testing.assert_allclose(single.amplitudes, want, rtol=0, atol=1e-12)
+            want_z = [oracle_expval_z(want, spec.n_qubits, w) for w in range(spec.n_qubits)]
+            np.testing.assert_allclose(z[b], want_z, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n, sizes", [
         (1, [1]), (3, [3]), (5, [5]), (6, [3, 3]), (10, [5, 5]),
