@@ -18,7 +18,7 @@ import numpy as np
 
 from . import hybrid, metrics, pipeline as pl, serialize
 from .config import RunConfig, _seed, _unknown, load_config
-from .errors import SchemaError, ShapeError
+from .errors import SchemaError, ShapeError, prefixed
 from .hybrid import TrainConfig
 
 log = logging.getLogger("hyquc")
@@ -141,12 +141,9 @@ def _set_up(cfg: RunConfig, prepare) -> dict:
     partitions = _load_partitions(cfg)
     prepared = {}
     for i, row_type in enumerate(sorted(partitions)):
-        try:
+        with prefixed(f"row type {row_type!r}"):
             prepared[row_type] = prepare(partitions[row_type], row_type, cfg,
                                          _row_type_seed(cfg.seed, i))
-        except ValueError as exc:
-            exc.args = (f"row type {row_type!r}: {exc}",)
-            raise
     return prepared
 
 
@@ -252,11 +249,8 @@ def cmd_evaluate(model_path: str, data_path: str, out_path: str = None) -> int:
     if idxs is None:
         raise SchemaError(f"no row of {data_path} has a {pipe.row_type_column!r} code "
                           f"that {model_path} records, {pipe.row_type_codes}")
-    try:  # an error names the input row
+    with prefixed(f"row type {row_type!r}"):  # an error names the input row
         ds = pipe.transform(data.take(idxs), rows=idxs)
-    except ValueError as exc:
-        exc.args = (f"row type {row_type!r}: {exc}",)
-        raise
     _, acc, probs = hybrid.evaluate(model, ds.X, ds.y)
     text = _report(ds, probs, extra={"test_accuracy": acc}).to_json()
     if out_path:
@@ -345,11 +339,9 @@ def cmd_predict(model_path: str, input_path: str, out_path: str = None,
         fields = [f"{_csv_field(rt)},no_model,,"] * len(idxs)
         if rt in models:
             _, model, pipe = models[rt]
-            try:  # an error names the input row, as the output does
+            # an error names the input row, as the output does
+            with prefixed(f"row type {rt!r}"):
                 X = pipe.transform_features(data.take(idxs), rows=idxs)
-            except ValueError as exc:
-                exc.args = (f"row type {rt!r}: {exc}",)
-                raise
             fields = _scored_fields(rt, pipe.class_names, hybrid.forward_probs(model, X))
         for i, text in zip(idxs, fields):
             lines[i] = f"{i},{text}"

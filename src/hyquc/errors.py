@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the checked reader of JSON
-documents that names a malformed key in a SchemaError."""
+"""Exception types shared across the package, the context that prefixes an
+error's message, and the checked reader of JSON documents that names a
+malformed key in a SchemaError."""
 import re
+from contextlib import contextmanager
 from dataclasses import MISSING, fields
 from functools import lru_cache
 from itertools import chain
@@ -43,6 +45,17 @@ class DivergenceError(ValueError):
     def __init__(self, message: str, index: int = 0):
         super().__init__(message)
         self.index = index
+
+
+@contextmanager
+def prefixed(prefix: str):
+    """Prefixes the message of a ValueError raised inside with ``prefix: ``;
+    the error keeps its type and attributes."""
+    try:
+        yield
+    except ValueError as exc:
+        exc.args = (f"{prefix}: {exc}",)
+        raise
 
 
 def json_type(value) -> str:

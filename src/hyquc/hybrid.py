@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import metrics, nn, qsim
-from .errors import DivergenceError, ShapeError
+from .errors import DivergenceError, ShapeError, prefixed
 from .nn import MLPHead, PROB_CLIP
 from .qsim import CircuitSpec
 
@@ -508,12 +508,8 @@ def grid_jobs(grid: HyperGrid, data, k: int, seed: int, augment=None,
             Xtr, ytr = X[tr, :q], y[tr]
             if augment is not None:
                 if (fi, q) not in draws:
-                    try:
+                    with prefixed(f"fold {fi + 1} of {k}'s training rows at n_qubits={q}"):
                         draws[fi, q] = augment(Xtr, ytr)
-                    except ValueError as exc:
-                        exc.args = (f"fold {fi + 1} of {k}'s training rows at "
-                                    f"n_qubits={q}: {exc}",)
-                        raise
                 Xtr, ytr = draws[fi, q](fold_seed)
             model = new_model(q, params["n_layers"], n_classes,
                               np.random.default_rng(fold_seed))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyquc import hybrid, nn, pipeline as pl, qgrad, qsim, serialize
+from hyquc import hybrid, nn, pipeline as pl, qsim, serialize
 from hyquc.config import RunConfig
 from hyquc.errors import DivergenceError, SchemaError, ShapeError
 from hyquc.hybrid import HyperGrid, HybridModel, TrainConfig
@@ -16,6 +16,7 @@ from hyquc.nn import DenseLayer, MLPHead
 from hyquc.qsim import CircuitSpec
 
 from conftest import oracle_quantum_layer
+from test_qgrad import adjoint_vjp
 
 
 def toy_blobs(rng, n_per_class=40, centers=((0.8, 0.8), (2.3, 2.3)), sigma=0.25):
@@ -257,7 +258,7 @@ class TestTrainingStep:
         X, y = rng.uniform(0, np.pi, (6, 3)), np.array([0, 1, 2, 2, 1, 0])
         _, grads = hybrid.loss_and_grads(model, (X, y))
         # the same step through nn.dense_backward, which recomputes each
-        # layer's output, and qgrad.adjoint_vjp, which rebuilds the circuit
+        # layer's output, and adjoint_vjp, which reruns the circuit
         acts = [qsim.forward_batch(X, model.qweights, model.spec)]
         for layer in model.head.layers:
             acts.append(nn.dense_forward(layer, acts[-1]))
@@ -268,7 +269,7 @@ class TestTrainingStep:
             gw, gb, upstream = nn.dense_backward(model.head.layers[i], acts[i], upstream)
             np.testing.assert_array_equal(grads.head[i][0], gw)
             np.testing.assert_array_equal(grads.head[i][1], gb)
-        np.testing.assert_array_equal(grads.qweights, qgrad.adjoint_vjp(
+        np.testing.assert_array_equal(grads.qweights, adjoint_vjp(
             X, upstream, model.qweights, model.spec))
 
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hyquc import qgrad, qsim
-from hyquc.errors import ShapeError
 from hyquc.qgrad import ParameterIndex
 from hyquc.qsim import CircuitSpec
 
@@ -23,6 +22,15 @@ def jacobian(features, weights, spec):
     """The shift-rule jacobian of one row, [output_wire][layer][wire][axis]:
     :func:`qgrad.jacobian_batch` on a batch of one."""
     return qgrad.jacobian_batch(np.asarray(features, dtype=np.float64)[None], weights, spec)[0]
+
+
+def adjoint_vjp(features, upstream, weights, spec):
+    """The training step's adjoint gradient, (n_layers, n_qubits, 3), of
+    ``sum_b sum_o upstream[b, o] d<Z_o>_b / d weights``: :mod:`qsim`'s
+    forward pass and reverse sweep for a stack of one."""
+    kept = []
+    _, blocks = qsim._forward(features[None], weights[None], spec, kept)
+    return qsim._adjoint(kept, upstream[None], weights[None], blocks, spec)[0]
 
 
 def rx_jacobian_batch(features, weights, spec):
@@ -215,7 +223,7 @@ class TestAdjointVJP:
             weights[0, :, 2] -= np.pi / 2
         else:
             jac = qgrad.jacobian_batch(feats, weights, spec)
-        got = qgrad.adjoint_vjp(feats, upstream, weights, spec)
+        got = adjoint_vjp(feats, upstream, weights, spec)
         return got, np.einsum("mo,molwa->lwa", upstream, jac)
 
     @pytest.mark.parametrize("n, layers, axis, entangler_range, batch", [
@@ -265,20 +273,11 @@ class TestAdjointVJP:
         batch_bytes = 16 * len(feats) << spec.n_qubits  # one (B, 2**n) complex batch
         tracemalloc.start()
         try:
-            qgrad.adjoint_vjp(feats, upstream, weights, spec)
+            adjoint_vjp(feats, upstream, weights, spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 16 * batch_bytes
-
-    def test_shape_mismatch_rejected(self):
-        spec = CircuitSpec(2, 1)
-        weights = np.zeros(spec.weight_shape)
-        feats = np.zeros((3, 2))
-        with pytest.raises(ShapeError):
-            qgrad.adjoint_vjp(feats, np.zeros((2, 2)), weights, spec)
-        with pytest.raises(ShapeError):
-            qgrad.adjoint_vjp(feats[:, :1], np.zeros((3, 2)), weights, spec)
 
 
 class TestPartialTraceIndex:
