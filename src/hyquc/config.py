@@ -10,7 +10,7 @@ import os
 from dataclasses import dataclass, field
 
 from . import hybrid
-from .errors import SchemaError, SplitError
+from .errors import SchemaError, SplitError, utf8_file
 from .hybrid import HyperGrid
 from .nn import ACTIVATIONS
 from .pipeline import check_split_fractions
@@ -158,11 +158,13 @@ def _unknown(kind: str, name: str, valid) -> SchemaError:
 
 def load_config(path) -> RunConfig:
     """The run configuration in ``path``. A section or key not in SCHEMA is
-    refused with the nearest valid name; a bad value names its section and key."""
+    refused with the nearest valid name; a bad value names its section and key,
+    and a byte that is not UTF-8 its line."""
     parser = configparser.ConfigParser()
     try:
-        if not parser.read(path, encoding="utf-8-sig"):
-            raise SchemaError(f"cannot read config file {path!r}")
+        with utf8_file(path):
+            if not parser.read(path, encoding="utf-8-sig"):
+                raise SchemaError(f"cannot read config file {path!r}")
     except configparser.Error as exc:  # no section header, a duplicate, ...
         raise SchemaError(" ".join(str(exc).split())) from None
     base = os.path.dirname(os.path.abspath(path))

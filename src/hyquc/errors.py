@@ -1,6 +1,6 @@
-"""Exception types shared across the package, the context that prefixes an
-error's message, and the checked reader of JSON documents that names a
-malformed key in a SchemaError."""
+"""Exception types shared across the package, the contexts that prefix an
+error's message or name the file a byte that is not UTF-8 came from, and the
+checked reader of JSON documents that names a malformed key in a SchemaError."""
 import re
 from contextlib import contextmanager
 from dataclasses import MISSING, fields
@@ -55,6 +55,24 @@ def prefixed(prefix: str):
         yield
     except ValueError as exc:
         exc.args = (f"{prefix}: {exc}",)
+        raise
+
+
+@contextmanager
+def utf8_file(path):
+    """Refuses a byte that is not UTF-8, met while ``path`` is read inside,
+    with a SchemaError naming the file and the line of the first such byte."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise SchemaError(f"{path}:{line}: byte {data[exc.start]:#04x} is not UTF-8 "
+                              f"({exc.reason})") from None
         raise
 
 

@@ -16,7 +16,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import (AugmentationError, SchemaError, ShapeError, SplitError, json_dataclass,
-                     json_field)
+                     json_field, utf8_file)
 
 log = logging.getLogger(__name__)
 
@@ -33,19 +33,34 @@ def _as_float(cell: str):
 
 def _parse_column(cells, fill=None, parse=_as_float):
     """Each cell parsed, ``fill`` where it is missing or does not parse; None,
-    from the first cell that does not parse, when there is no ``fill``."""
+    from the first cell that does not parse, when there is no ``fill`` (and
+    so no cell may be missing)."""
+    if fill is not None:
+        return _imputed(cells, fill, parse)[0]
     if parse is _as_float:
         try:
-            return np.fromiter(map(float, [fill if c is None else c for c in cells]), float)
+            return np.fromiter(map(float, cells), float)
         except ValueError:
-            if fill is None:
-                return None
-    values = []
-    for v in (None if c is None else parse(c) for c in cells):
-        if v is None and fill is None:
             return None
-        values.append(fill if v is None else v)
+    values = []
+    for v in map(parse, cells):
+        if v is None:
+            return None
+        values.append(v)
     return np.array(values, float)
+
+
+def _imputed(cells, fill, parse=_as_float):
+    """Each cell parsed, ``fill`` where it is missing or does not parse, and
+    the count of present cells that do not parse."""
+    if parse is _as_float:
+        try:
+            return np.fromiter(map(float, [fill if c is None else c for c in cells]), float), 0
+        except ValueError:
+            pass
+    values = [None if c is None else parse(c) for c in cells]
+    return (np.array([fill if v is None else v for v in values], float),
+            values.count(None) - cells.count(None))
 
 
 def _non_finite(name: str, cells, rows=None):
@@ -115,8 +130,9 @@ def load_csv(path, label_column: str, row_type_column: str = None) -> TabularDat
     """Read a CSV with a header row into a table of cleaned cells (see
     :meth:`TabularDataset.from_rows`), refused once built if it has no rows.
     The file is UTF-8, and a leading byte-order mark is skipped.  A line the
-    CSV reader cannot parse is refused with its file and line."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    CSV reader cannot parse, or a byte that is not UTF-8, is refused with its
+    file and line."""
+    with open(path, newline="", encoding="utf-8-sig") as fh, utf8_file(path):
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -133,9 +149,10 @@ def load_csv(path, label_column: str, row_type_column: str = None) -> TabularDat
 
 def load_row_type_map(path) -> dict:
     """Parse a UTF-8 ``code = row_type`` mapping file, skipping a leading
-    byte-order mark; '#' starts a comment."""
+    byte-order mark; '#' starts a comment.  A byte that is not UTF-8 is
+    refused with its file and line."""
     mapping = {}
-    with open(path, encoding="utf-8-sig") as fh:
+    with open(path, encoding="utf-8-sig") as fh, utf8_file(path):
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -283,9 +300,12 @@ class ColumnEncoder:
             cells = data.column(spec.name)
             if spec.kind in ("numeric", "date"):
                 parse = _as_float if spec.kind == "numeric" else self._as_days
-                col = _parse_column(cells, spec.median, parse)
+                col, unparsed = _imputed(cells, spec.median, parse)
                 if not np.all(np.isfinite(col)):
                     raise _non_finite(spec.name, cells, rows)
+                if unparsed:
+                    log.info("non-%s values in %d of %d cells of %r treated as missing",
+                             spec.kind, unparsed, n, spec.name)
                 blocks.append(col[:, None])
             else:
                 index = {c: j for j, c in enumerate(spec.categories)}

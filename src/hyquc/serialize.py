@@ -3,7 +3,8 @@ class mapping and the fitted preprocessing pipeline.
 
 JSON with Python's shortest-roundtrip float encoding, so a save/load cycle is
 lossless at full double precision.  Files are written atomically
-(write-then-rename).
+(write-then-rename) as UTF-8, and read as UTF-8 with a leading byte-order mark
+skipped.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import SchemaError, json_dataclass, json_field, json_type
+from .errors import SchemaError, json_dataclass, json_field, json_type, utf8_file
 from .hybrid import HybridModel
 from .nn import DenseLayer, MLPHead
 from .pipeline import RowTypePipeline
@@ -25,13 +26,13 @@ AXIS_KEY = "embedding_rotation_axis"  # of the spec: "Y", or "X" in older files
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename.  An OSError
-    names ``path``, not the temp file, which is removed."""
+    """Write as UTF-8 via a temp file in the same directory, then rename.  An
+    OSError names ``path``, not the temp file, which is removed."""
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                    prefix=".tmp-", text=True)
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException as exc:
@@ -141,5 +142,12 @@ def save_model(path, model: HybridModel, pipeline: RowTypePipeline) -> None:
 
 
 def load_model(path):
-    with open(path) as fh:
-        return model_from_dict(json.load(fh), path)
+    """The model and the pipeline of the model file at ``path``; a file that
+    is not UTF-8 JSON is a SchemaError naming it, like a malformed document
+    (see :func:`model_from_dict`)."""
+    with open(path, encoding="utf-8-sig") as fh, utf8_file(path):
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: not valid JSON: {exc}") from None
+    return model_from_dict(doc, path)

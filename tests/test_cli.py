@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
 
 import numpy as np
@@ -308,6 +309,45 @@ class TestConfigLoading:
         bare, bom = load_config(str(workdir / "run.cfg")), load_config(str(p))
         bom.csv_path = bare.csv_path  # resolved against each file's directory
         assert bom == bare
+
+    def test_byte_that_is_not_utf8_names_file_and_line(self, tmp_path):
+        # the codec's own text names neither the file nor the line
+        p = tmp_path / "latin.cfg"
+        p.write_bytes(CONFIG_TEMPLATE.encode() + b"# d\xe9j\xe0 vu\n")
+        line = CONFIG_TEMPLATE.count("\n") + 1
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{p}:{line}: byte 0xe9 is not UTF-8 (invalid continuation byte)")):
+            load_config(str(p))
+
+
+class TestEncoding:
+    def test_commands_read_and_write_utf8_only(self, tmp_path):
+        """``train``, ``gridsearch``, ``predict`` and ``evaluate`` on the
+        fixture, in a process that makes EncodingWarning an error: no file is
+        opened in the locale's default encoding."""
+        for name in ("synth.csv", "rowtypes.map", "run.cfg"):
+            with open(os.path.join(DATA_DIR, name), "rb") as fh:
+                (tmp_path / name).write_bytes(fh.read())
+        cfg, data = tmp_path / "run.cfg", str(tmp_path / "synth.csv")
+        cfg.write_text(cfg.read_text().replace("epochs = 50", "epochs = 1"))
+        models = str(tmp_path / "train")
+        runs = [["train", "--config", str(cfg), "--out", models],
+                ["gridsearch", "--config", str(cfg), "--out", str(tmp_path / "grid")],
+                ["predict", "--model", models, "--input", data,
+                 "--row-type-map", str(tmp_path / "rowtypes.map"),
+                 "--out", str(tmp_path / "predictions.csv")],
+                ["evaluate", "--model", os.path.join(models, "model_agriculture.json"),
+                 "--data", data, "--out", str(tmp_path / "evaluate.json")]]
+        code = ("import json, sys\nfrom hyquc import cli\n"
+                "for argv in json.loads(sys.argv[1]):\n    assert cli.main(argv) == 0, argv\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                               "-W", "error::EncodingWarning", "-c", code, json.dumps(runs)],
+                              capture_output=True, encoding="utf-8", env=env, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "evaluate.json").exists()
 
 
 class TestAtomicWrite:
@@ -980,6 +1020,16 @@ class TestPredict:
         lines = ["SEGCD,F1,F2"] + [f"{s},{x},{y}" for s, x, y in rows]
         path.write_text("\n".join(lines) + "\n")
 
+    def test_cells_that_do_not_parse_are_logged(self, trained, tmp_path, caplog):
+        # they score as the column's median, like a missing cell
+        p = tmp_path / "in.csv"
+        self.write_input(p, [("T1", "N/A", 0.2), ("T1", 1.5, 1.5), ("T2", 2.8, "?")])
+        with caplog.at_level("INFO", logger="hyquc"):
+            assert cli.main(["predict", "--model", str(trained), "--input", str(p)]) == 0
+        assert [rec.getMessage() for rec in caplog.records] == [
+            "non-numeric values in 1 of 2 cells of 'F1' treated as missing",
+            "non-numeric values in 1 of 1 cells of 'F2' treated as missing"]
+
     def test_routes_by_row_type(self, trained, tmp_path):
         p = tmp_path / "in.csv"
         self.write_input(p, [("T1", 0.2, 0.2), ("T2", 1.5, 1.5),
@@ -1363,6 +1413,47 @@ class TestHostileInput:
                      ["predict", "--model", str(bad), "--input", str(workdir / "data.csv")]):
             assert cli.main(argv) == 1
             assert capsys.readouterr().err == f"hyquc: error: {bad}: {message}\n"
+
+    @pytest.mark.parametrize("cut, message", [
+        (lambda text: text[:300], "not valid JSON: Expecting"),
+        (lambda text: text.replace('"g1"', '"g\xe9"', 1),
+         "byte 0xe9 is not UTF-8 (invalid continuation byte)"),
+    ], ids=["truncated", "latin-1"])
+    def test_unreadable_model_file_named(self, workdir, trained, tmp_path, capsys, cut,
+                                         message):
+        # one file of a model directory may be the bad one
+        bad = tmp_path / "models"
+        bad.mkdir()
+        for name in ("model_T1.json", "model_T2.json"):
+            (bad / name).write_bytes((trained / name).read_bytes())
+        path = bad / "model_T2.json"
+        path.write_bytes(cut(path.read_text()).encode("latin-1"))
+        for argv in (["evaluate", "--model", str(path), "--data", str(workdir / "data.csv")],
+                     ["predict", "--model", str(bad), "--input", str(workdir / "data.csv")]):
+            assert cli.main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"hyquc: error: {path}:") and message in err
+            assert err.count("\n") == 1
+
+    def test_model_file_with_byte_order_mark_loads(self, trained, tmp_path):
+        path = tmp_path / "model_T1.json"
+        path.write_bytes(b"\xef\xbb\xbf" + (trained / "model_T1.json").read_bytes())
+        (model, pipe), (want, want_pipe) = (
+            serialize.load_model(p) for p in (path, trained / "model_T1.json"))
+        np.testing.assert_array_equal(model.qweights, want.qweights)
+        assert pipe.to_dict() == want_pipe.to_dict()
+
+    def test_input_byte_that_is_not_utf8_names_file_and_line(self, trained, tmp_path,
+                                                              capsys):
+        # past the first 8 KiB, which the reader decodes as one piece
+        with open(os.path.join(DATA_DIR, "synth.csv"), "rb") as fh:
+            lines = fh.read().split(b"\n")
+        lines[300] = b"\xe9" + lines[300]
+        bad = tmp_path / "latin.csv"
+        bad.write_bytes(b"\n".join(lines))
+        assert cli.main(["predict", "--model", str(trained), "--input", str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            f"hyquc: error: {bad}:301: byte 0xe9 is not UTF-8 (invalid continuation byte)\n")
 
     def test_model_file_not_an_object(self, workdir, tmp_path, capsys):
         bad = tmp_path / "model.json"

@@ -184,6 +184,23 @@ def test_unseen_categories_logged_once_per_column(caplog):
                                              [0, 0, 1], [1, 0, 0]])
 
 
+def test_unparsed_cells_logged_once_per_column(caplog):
+    enc = pl.ColumnEncoder("%Y-%m-%d").fit(pl.TabularDataset.from_rows(
+        ["N", "D"], [["1", "2020-01-01"], ["3", "2020-01-03"]]))
+    data = pl.TabularDataset.from_rows(["N", "D"], [["N/A", "2020-01-02"], ["", "soon"],
+                                                    ["5", ""], ["?", "2020-01-01"]])
+    with caplog.at_level("INFO", logger="hyquc.pipeline"):
+        X = enc.transform(data)
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "non-numeric values in 2 of 4 cells of 'N' treated as missing",
+        "non-date values in 1 of 4 cells of 'D' treated as missing"]
+    np.testing.assert_array_equal(X, [[2, 18263], [2, 18263], [5, 18263], [2, 18262]])
+    caplog.clear()
+    with caplog.at_level("INFO", logger="hyquc.pipeline"):
+        enc.transform(pl.TabularDataset.from_rows(["N", "D"], [["", ""]]))
+    assert caplog.records == []
+
+
 def per_cell_fields(row_type, names, row):
     """A scored row's fields as the per-cell formatting built them."""
     probs = ";".join(f"{n}={p!r}" for n, p in zip(names, row))

@@ -758,6 +758,14 @@ class TestLoaders:
         assert data.column_names == ["A", "B"]
         assert data.columns == [["1", None], [None, "2"]]
 
+    def test_load_csv_byte_that_is_not_utf8_names_file_and_line(self, tmp_path):
+        # the codec's own text names neither the file nor the line
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"\xef\xbb\xbfA,B\n1,2\n3,caf\xe9\n")
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{p}:3: byte 0xe9 is not UTF-8 (invalid continuation byte)")):
+            pl.load_csv(str(p), label_column="A")
+
     def test_row_type_map(self, tmp_path):
         p = tmp_path / "m.map"
         p.write_text("# comment\nA1 = agri\nB1 = personal  # trailing\n\nA1 = agri\n")
@@ -767,6 +775,13 @@ class TestLoaders:
         p = tmp_path / "m.map"
         p.write_bytes(b"\xef\xbb\xbfA1 = agri\nB1 = personal\n")
         assert pl.load_row_type_map(str(p)) == {"A1": "agri", "B1": "personal"}
+
+    def test_row_type_map_byte_that_is_not_utf8_names_file_and_line(self, tmp_path):
+        p = tmp_path / "m.map"
+        p.write_bytes(b"A1 = agri\nB1 = personal\nC1 = \xff\n")
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{p}:3: byte 0xff is not UTF-8 (invalid start byte)")):
+            pl.load_row_type_map(str(p))
 
     def test_row_type_map_code_with_two_row_types_refused(self, tmp_path):
         # the last line would otherwise win and route A1's rows to another model

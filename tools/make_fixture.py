@@ -51,7 +51,7 @@ def main():
     order = rng.permutation(len(rows))
     rows = [rows[i] for i in order]
     os.makedirs(os.path.dirname(OUT), exist_ok=True)
-    with open(OUT, "w", newline="") as fh:
+    with open(OUT, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["SEGCD", "grade", "F1", "F2", "F3", "F4", "F5",
                          "F6", "CAT1", "SPARSE1"])

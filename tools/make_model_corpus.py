@@ -59,9 +59,9 @@ ENTRIES = {
 
 
 def write_input():
-    with open(os.path.join(DATA, "synth.csv")) as fh:
+    with open(os.path.join(DATA, "synth.csv"), encoding="utf-8") as fh:
         lines = fh.readlines()[:INPUT_ROWS + 1]
-    with open(os.path.join(OUT, "input.csv"), "w") as fh:
+    with open(os.path.join(OUT, "input.csv"), "w", encoding="utf-8") as fh:
         fh.writelines(lines)
 
 
